@@ -4,7 +4,8 @@ incremental model learns old + new classes, and an assistant residual model
 captures what changed."""
 
 from .autodiff import GradCheckError, ShapeError, Tensor, grad_check
-from .boxes import BBox, Detection, decode_deltas, encode_deltas, iou, nms_per_class
+from .boxes import (BBox, Detection, decode_deltas_array, encode_deltas_array, iou,
+                    nms_per_class)
 from .detector import (DetectorConfig, DetectorModel, checkpoint_hash, detect,
                        forward_features, frcnn_loss, head_forward, load_checkpoint,
                        new_model, propose, roi_pool, save_checkpoint)
@@ -17,7 +18,6 @@ from .pseudo_gt import PseudoGTSet, Thresholds, build_training_targets, generate
 from .synthdata import (ClassDef, Scene, generate_dataset, generate_incremental_dataset,
                         load_dataset, make_classes, save_dataset)
 from .trainer import (BaseTrainConfig, TrainConfig, TripleNetwork, compute_losses,
-                      init_incremental, init_residual, train_base, train_incremental,
-                      train_step)
+                      init_incremental, init_residual, train_base, train_incremental)
 
 __version__ = "0.1.0"

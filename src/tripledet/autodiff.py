@@ -214,10 +214,6 @@ def divide(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data / b.data, "divide", (a, b), bw)
 
 
-def scalar_multiply(a: Tensor, s: float) -> Tensor:
-    return multiply(a, Tensor(float(s)))
-
-
 # -- linear algebra --------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -499,43 +495,6 @@ def roi_pool(features: Tensor, rois: np.ndarray, size: int) -> Tensor:
         _accum(features, gf)
 
     return _make(out, "roi_pool", (features,), bw)
-
-
-# -- generic dispatch ---------------------------------------------------------
-
-_OPS: dict[str, Callable] = {
-    "add": add,
-    "subtract": subtract,
-    "multiply": multiply,
-    "divide": divide,
-    "scalar_multiply": scalar_multiply,
-    "matmul": matmul,
-    "gram": gram,
-    "conv2d": conv2d,
-    "relu": relu,
-    "max_pool2": max_pool2,
-    "mean": tmean,
-    "sum": tsum,
-    "abs": tabs,
-    "square": square,
-    "softmax": softmax,
-    "log_softmax": log_softmax,
-    "frobenius_norm": frobenius_norm,
-    "smooth_l1": smooth_l1,
-    "sigmoid": sigmoid,
-    "softplus": softplus,
-    "reshape": reshape,
-    "roi_pool": roi_pool,
-}
-
-
-def forward_op(kind: str, *inputs, **attrs) -> Tensor:
-    """Apply a primitive by name; unknown kinds are rejected."""
-    try:
-        fn = _OPS[kind]
-    except KeyError:
-        raise ValueError(f"unknown op kind {kind!r}") from None
-    return fn(*inputs, **attrs)
 
 
 # -- gradient checking --------------------------------------------------------

@@ -135,30 +135,6 @@ def nms_per_class(dets: list[Detection], iou_thresh: float) -> list[Detection]:
     return [det for _, _, det in kept]
 
 
-def encode_deltas(anchor: BBox, target: BBox) -> tuple[float, float, float, float]:
-    """(dx, dy, dw, dh) regression offsets moving `anchor` onto `target`."""
-    ax, ay = (anchor.x1 + anchor.x2) / 2.0, (anchor.y1 + anchor.y2) / 2.0
-    tx, ty = (target.x1 + target.x2) / 2.0, (target.y1 + target.y2) / 2.0
-    return (
-        (tx - ax) / anchor.width,
-        (ty - ay) / anchor.height,
-        math.log(target.width / anchor.width),
-        math.log(target.height / anchor.height),
-    )
-
-
-def decode_deltas(anchor: BBox, deltas) -> BBox:
-    """Inverse of encode_deltas; dw/dh are clamped to log(16) first."""
-    dx, dy, dw, dh = (float(v) for v in deltas)
-    dw = min(dw, DELTA_CLAMP)
-    dh = min(dh, DELTA_CLAMP)
-    cx = (anchor.x1 + anchor.x2) / 2.0 + dx * anchor.width
-    cy = (anchor.y1 + anchor.y2) / 2.0 + dy * anchor.height
-    w = anchor.width * math.exp(dw)
-    h = anchor.height * math.exp(dh)
-    return BBox(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
-
-
 def encode_deltas_array(anchors: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Vectorized encode of (n,4) anchor/target box arrays into (n,4) deltas."""
     anchors = np.asarray(anchors, dtype=np.float64).reshape(-1, 4)

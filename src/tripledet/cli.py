@@ -16,15 +16,15 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .detector import DetectorConfig, load_checkpoint, new_model, save_checkpoint
-from .evaluate import (ExperimentProtocol, default_variant_grid, evaluate_model,
-                       run_experiment, threshold_sweep_variants, write_report_json)
+from .evaluate import (ExperimentProtocol, build_datasets, default_variant_grid,
+                       evaluate_model, run_experiment, threshold_sweep_variants,
+                       write_report_json)
 from .pseudo_gt import Thresholds
-from .synthdata import (generate_dataset, generate_incremental_dataset, load_dataset,
-                        make_classes, save_dataset)
+from .synthdata import load_dataset, save_dataset
 from .trainer import (BaseTrainConfig, TrainConfig, TripleNetwork, finetune_config,
                       init_incremental, init_residual, train_base, train_incremental,
                       write_epoch_log)
@@ -67,29 +67,30 @@ class RunConfig:
     sweep_pairs: list[list[float]] = field(default_factory=lambda: [[0.5, 0.5], [0.3, 0.7], [0.1, 0.9]])
 
     def __post_init__(self):
-        old, new = set(self.old_class_ids), set(self.new_class_ids)
-        if old & new:
-            raise UsageError(f"old and new class ids overlap: {sorted(old & new)}")
+        # the library's own config types check the values, once, here
+        try:
+            pairs = [(float(lo), float(hi)) for lo, hi in self.sweep_pairs]
+            self.protocol = ExperimentProtocol(
+                old_class_ids=self.old_class_ids, new_class_ids=self.new_class_ids,
+                n_base=self.n_base, n_incremental=self.n_incremental, n_test=self.n_test,
+                data_seed=self.data_seed, base_seed=self.seed, seeds=self.seeds,
+                base_cfg=BaseTrainConfig(epochs=self.base_epochs, lr=self.base_lr,
+                                         batch_size=self.batch_size, seed=self.seed),
+                inc_cfg=TrainConfig(
+                    lam=self.lam, epochs=self.epochs, lr=self.lr, batch_size=self.batch_size,
+                    seed=self.seed,
+                    thresholds=Thresholds(self.theta_low, self.theta_high, self.theta_iou),
+                    d_fea=self.d_fea, d_res=self.d_res, d_cls=self.d_cls,
+                    two_threshold=self.two_threshold, use_pseudo_gt=self.use_pseudo_gt),
+                variants=default_variant_grid() + threshold_sweep_variants(pairs),
+                iou_thresh=self.iou_thresh)
+        except (TypeError, ValueError) as e:
+            raise UsageError(f"invalid config: {e}") from None
 
-    def thresholds(self) -> Thresholds:
-        return Thresholds(self.theta_low, self.theta_high, self.theta_iou)
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            lam=self.lam, epochs=self.epochs, lr=self.lr, batch_size=self.batch_size,
-            seed=self.seed, thresholds=self.thresholds(), d_fea=self.d_fea,
-            d_res=self.d_res, d_cls=self.d_cls, two_threshold=self.two_threshold,
-            use_pseudo_gt=self.use_pseudo_gt)
-
-    def base_config(self) -> BaseTrainConfig:
-        return BaseTrainConfig(epochs=self.base_epochs, lr=self.base_lr,
-                               batch_size=self.batch_size, seed=self.seed)
-
-
-def load_run_config(path: str | None) -> RunConfig:
-    cfg = RunConfig()
+def _read_config_file(path: str | None) -> dict:
     if path is None:
-        return cfg
+        return {}
     try:
         with open(path) as f:
             raw = json.load(f)
@@ -97,11 +98,13 @@ def load_run_config(path: str | None) -> RunConfig:
         raise UsageError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise UsageError(f"malformed config {path}: {e}") from e
+    if not isinstance(raw, dict):
+        raise UsageError(f"config {path} must be a JSON object")
     known = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = set(raw) - known
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    return replace(cfg, **raw)
+    return raw
 
 
 def _onoff(value: str) -> bool:
@@ -155,13 +158,14 @@ _FLAG_FIELDS = {
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = load_run_config(args.config)
-    overrides = {}
+    """Defaults, then --config file values, then flags; checked once, on the
+    merged values."""
+    values = _read_config_file(args.config)
     for attr, fieldname in _FLAG_FIELDS.items():
         value = getattr(args, attr, None)
         if value is not None:
-            overrides[fieldname] = value
-    return replace(cfg, **overrides) if overrides else cfg
+            values[fieldname] = value
+    return RunConfig(**values)
 
 
 def _log(msg: str) -> None:
@@ -173,21 +177,9 @@ def _print_resolved(cfg: RunConfig, command: str) -> None:
     _log("[tripledet] resolved config: " + json.dumps(dataclasses.asdict(cfg), sort_keys=True))
 
 
-def _dataset_classes(cfg: RunConfig):
-    n = len(cfg.old_class_ids) + len(cfg.new_class_ids)
-    classes = make_classes(n)
-    old = [c for c in classes if c.class_id in cfg.old_class_ids]
-    new = [c for c in classes if c.class_id in cfg.new_class_ids]
-    return old, new
-
-
 def cmd_gen_data(cfg: RunConfig) -> int:
-    old, new = _dataset_classes(cfg)
     root = Path(cfg.data_dir)
-    base = generate_dataset(old, cfg.n_base, cfg.data_seed)
-    inc = generate_incremental_dataset(old, new, cfg.n_incremental, cfg.data_seed + 1)
-    test = generate_dataset(old + new, cfg.n_test, cfg.data_seed + 2)
-    for name, scenes in (("base", base), ("incremental", inc), ("test", test)):
+    for name, scenes in zip(("base", "incremental", "test"), build_datasets(cfg.protocol)):
         save_dataset(scenes, root / name)
         _log(f"[tripledet] wrote {len(scenes)} scenes to {root / name}")
     return 0
@@ -200,7 +192,7 @@ def _load_split(cfg: RunConfig, split: str):
 def cmd_train_base(cfg: RunConfig) -> int:
     scenes = _load_split(cfg, "base")
     model = new_model(DetectorConfig(), len(cfg.old_class_ids), cfg.seed)
-    log = train_base(model, scenes, cfg.base_config())
+    log = train_base(model, scenes, cfg.protocol.base_cfg)
     ckpt_dir = Path(cfg.checkpoint_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     out_dir = Path(cfg.out_dir)
@@ -245,11 +237,11 @@ def _run_incremental(cfg: RunConfig, train_cfg: TrainConfig, tag: str) -> int:
 
 
 def cmd_incremental(cfg: RunConfig) -> int:
-    return _run_incremental(cfg, cfg.train_config(), "incremental")
+    return _run_incremental(cfg, cfg.protocol.inc_cfg, "incremental")
 
 
 def cmd_finetune(cfg: RunConfig) -> int:
-    return _run_incremental(cfg, finetune_config(cfg.train_config()), "finetune")
+    return _run_incremental(cfg, finetune_config(cfg.protocol.inc_cfg), "finetune")
 
 
 def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -268,20 +260,9 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(cfg: RunConfig) -> int:
-    pairs = [(float(lo), float(hi)) for lo, hi in cfg.sweep_pairs]
-    protocol = ExperimentProtocol(
-        old_class_ids=cfg.old_class_ids,
-        new_class_ids=cfg.new_class_ids,
-        n_base=cfg.n_base, n_incremental=cfg.n_incremental, n_test=cfg.n_test,
-        data_seed=cfg.data_seed, base_seed=cfg.seed, seeds=cfg.seeds,
-        base_cfg=cfg.base_config(),
-        inc_cfg=cfg.train_config(),
-        variants=default_variant_grid() + threshold_sweep_variants(pairs),
-        iou_thresh=cfg.iou_thresh,
-    )
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = run_experiment(protocol, csv_path=out_dir / "ablation.csv", progress=True)
+    rows = run_experiment(cfg.protocol, csv_path=out_dir / "ablation.csv", progress=True)
     _log(f"[tripledet] wrote {len(rows)} rows to {out_dir / 'ablation.csv'}")
     return 0
 

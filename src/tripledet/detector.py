@@ -30,6 +30,7 @@ from .boxes import (BBox, Detection, clip_boxes, decode_deltas_array,
                     encode_deltas_array, iou_matrix, nms_indices, nms_per_class)
 
 CHECKPOINT_MAGIC = b"TDETCKPT"
+CHECKPOINT_FORMAT = "tripledet-checkpoint-v1"
 
 # anchor matching and RoI sampling constants (64x64-scale Faster R-CNN defaults)
 RPN_POS_IOU = 0.7
@@ -63,12 +64,6 @@ class DetectorConfig:
     @property
     def feature_size(self) -> int:
         return self.image_size // self.stride
-
-
-@dataclass(frozen=True)
-class Proposal:
-    bbox: BBox
-    objectness: float
 
 
 class DetectorModel:
@@ -190,7 +185,7 @@ def anchor_boxes(config: DetectorConfig) -> np.ndarray:
     return np.concatenate(boxes, axis=0)
 
 
-def _propose_arrays(model: DetectorModel, features: Tensor) -> tuple[np.ndarray, np.ndarray]:
+def propose(model: DetectorModel, features: Tensor) -> tuple[np.ndarray, np.ndarray]:
     """Proposal boxes (K,4) and objectness scores (K,), highest score first.
 
     Decoded anchors are clipped to the image; boxes that collapse to zero
@@ -213,21 +208,10 @@ def _propose_arrays(model: DetectorModel, features: Tensor) -> tuple[np.ndarray,
     return boxes[chosen], scores[chosen]
 
 
-def propose(model: DetectorModel, features: Tensor) -> list[Proposal]:
-    boxes, scores = _propose_arrays(model, features)
-    return [Proposal(BBox(*b), float(s)) for b, s in zip(boxes, scores)]
-
-
-def roi_pool(features: Tensor, rois: list[BBox] | np.ndarray, pool_size: int,
-             stride: int = 1) -> Tensor:
-    """(n, c, P, P) nearest-neighbor pooled features for image-space RoIs.
-
-    `stride` maps image coordinates onto the feature grid.
-    """
-    if isinstance(rois, np.ndarray):
-        arr = rois.reshape(-1, 4).astype(np.float64)
-    else:
-        arr = np.array([r.as_array() for r in rois], dtype=np.float64).reshape(-1, 4)
+def roi_pool(features: Tensor, rois: np.ndarray, pool_size: int, stride: int = 1) -> Tensor:
+    """(n, c, P, P) nearest-neighbor pooled features for (n, 4) image-space
+    RoIs; `stride` maps image coordinates onto the feature grid."""
+    arr = np.asarray(rois, dtype=np.float64).reshape(-1, 4)
     return ad.roi_pool(features, arr / float(stride), pool_size)
 
 
@@ -254,7 +238,7 @@ def detect(model: DetectorModel, image, score_thresh: float = 0.5,
     """
     cfg = model.config
     features = forward_features(model, image)
-    prop_boxes, _ = _propose_arrays(model, features)
+    prop_boxes, _ = propose(model, features)
     if len(prop_boxes) == 0:
         return []
     pooled = roi_pool(features, prop_boxes, cfg.pool_size, cfg.stride)
@@ -342,7 +326,7 @@ def roi_candidates(model: DetectorModel, features: Tensor,
                    rcnn_targets: list[tuple[BBox, int]]) -> np.ndarray:
     """RoI candidate pool for sampling: current proposals plus the target
     boxes themselves (so positives exist from the first step)."""
-    prop_boxes, _ = _propose_arrays(model, features)
+    prop_boxes, _ = propose(model, features)
     tgt_boxes = np.array([b.as_array() for b, _ in rcnn_targets]).reshape(-1, 4)
     if len(tgt_boxes) == 0:
         return prop_boxes
@@ -429,7 +413,7 @@ def frcnn_loss(model: DetectorModel, image, rpn_targets: list[BBox],
 def checkpoint_bytes(model: DetectorModel) -> bytes:
     names = sorted(model.params)
     header = {
-        "format": "tripledet-checkpoint-v1",
+        "format": CHECKPOINT_FORMAT,
         "config": asdict(model.config),
         "num_classes": model.num_classes,
         "seed": model.seed,
@@ -447,33 +431,49 @@ def save_checkpoint(model: DetectorModel, path) -> None:
 
 
 def load_checkpoint(path, requires_grad: bool = True) -> DetectorModel:
+    """Read a checkpoint written by `save_checkpoint`.
+
+    A file that is not one, is cut short, carries trailing bytes, has another
+    format tag, or lists parameters other than the header's architecture
+    needs raises DetectorError naming the file.
+    """
     with open(path, "rb") as f:
         raw = f.read()
-    if raw[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+    off = len(CHECKPOINT_MAGIC) + 8
+    if raw[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC or len(raw) < off:
         raise DetectorError(f"{path}: not a detector checkpoint")
-    off = len(CHECKPOINT_MAGIC)
-    (hlen,) = struct.unpack("<Q", raw[off:off + 8])
-    off += 8
-    header = json.loads(raw[off:off + hlen].decode("utf-8"))
-    off += hlen
-    cfg_d = header["config"]
-    config = DetectorConfig(
-        image_size=cfg_d["image_size"],
-        channels=tuple(cfg_d["channels"]),
-        rpn_channels=cfg_d["rpn_channels"],
-        anchor_sides=tuple(cfg_d["anchor_sides"]),
-        pool_size=cfg_d["pool_size"],
-        fc_width=cfg_d["fc_width"],
-        num_proposals=cfg_d["num_proposals"],
-    )
+    (hlen,) = struct.unpack("<Q", raw[off - 8:off])
+    try:
+        header = json.loads(raw[off:off + hlen].decode("utf-8"))
+        fmt = header["format"]
+        config = DetectorConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                   for k, v in header["config"].items()})
+        num_classes = header["num_classes"]
+        seed = header["seed"]
+        stored = [(e["name"], tuple(e["shape"])) for e in header["params"]]
+        expected = sorted(_param_shapes(config, num_classes))
+    except KeyError as e:
+        raise DetectorError(f"{path}: checkpoint header lacks {e}") from None
+    except (ValueError, TypeError) as e:
+        raise DetectorError(f"{path}: malformed checkpoint header: {e}") from None
+    if fmt != CHECKPOINT_FORMAT:
+        raise DetectorError(f"{path}: checkpoint format {fmt!r}, expected {CHECKPOINT_FORMAT!r}")
+    if stored != expected:
+        raise DetectorError(f"{path}: parameter names/shapes do not match a "
+                            f"{num_classes}-class detector of the stored config")
+    blob = raw[off + hlen:]
+    need = 8 * sum(int(np.prod(shape)) for _, shape in stored)
+    if len(blob) != need:
+        problem = "truncated" if len(blob) < need else "trailing bytes"
+        raise DetectorError(f"{path}: {problem}: {len(blob)} parameter bytes, expected {need}")
     params: dict[str, Tensor] = {}
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
+    pos = 0
+    for name, shape in stored:
         size = int(np.prod(shape)) * 8
-        arr = np.frombuffer(raw[off:off + size], dtype="<f8").reshape(shape).copy()
-        params[entry["name"]] = Tensor(arr, requires_grad=requires_grad)
-        off += size
-    return DetectorModel(config, header["num_classes"], params, header["seed"])
+        arr = np.frombuffer(blob[pos:pos + size], dtype="<f8").reshape(shape).copy()
+        params[name] = Tensor(arr, requires_grad=requires_grad)
+        pos += size
+    return DetectorModel(config, num_classes, params, seed)
 
 
 def checkpoint_hash(model: DetectorModel) -> str:

@@ -178,13 +178,14 @@ class ExperimentProtocol:
     iou_thresh: float = 0.5
 
     def __post_init__(self):
-        old, new = set(self.old_class_ids), set(self.new_class_ids)
-        if old & new:
-            raise ValueError(f"old and new class ids overlap: {old & new}")
+        # the incremental model widens its heads in id order
+        old, new = self.old_class_ids, self.new_class_ids
+        if set(old) & set(new):
+            raise ValueError(f"old and new class ids overlap: {sorted(set(old) & set(new))}")
         if sorted(old) != list(range(1, len(old) + 1)):
-            raise ValueError("old class ids must be 1..len(old)")
+            raise ValueError(f"old class ids must be 1..len(old), got {old}")
         if sorted(new) != list(range(len(old) + 1, len(old) + len(new) + 1)):
-            raise ValueError("new class ids must directly follow the old ids")
+            raise ValueError(f"new class ids must directly follow the old ids, got {new}")
 
 
 @dataclass

@@ -32,7 +32,6 @@ class Thresholds:
 
 @dataclass
 class PseudoGTSet:
-    boxes_p: list[Detection]                     # all surviving pseudo boxes
     rpn_targets: list[BBox]                      # class-agnostic, pseudo + gt
     rcnn_targets: list[tuple[BBox, int]]         # labeled, pseudo + gt
 
@@ -57,22 +56,6 @@ def build_training_targets(boxes_p: list[Detection],
     rpn = [d.bbox for d in boxes_p if d.score > th.theta_low]
     rcnn = [(d.bbox, d.class_id) for d in boxes_p if d.score > th.theta_high]
     return PseudoGTSet(
-        boxes_p=list(boxes_p),
         rpn_targets=rpn + [b for b, _ in new_gt],
         rcnn_targets=rcnn + list(new_gt),
     )
-
-
-def pseudo_gt_manifest_entry(name: str, image_size: int,
-                             dets: list[Detection]) -> dict:
-    """One manifest entry in the dataset annotation schema (scores dropped)."""
-    return {
-        "file": name,
-        "width": image_size,
-        "height": image_size,
-        "objects": [
-            {"x1": d.bbox.x1, "y1": d.bbox.y1, "x2": d.bbox.x2, "y2": d.bbox.y2,
-             "class_id": d.class_id}
-            for d in dets
-        ],
-    }

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +30,7 @@ SINGLE_THRESHOLD = 0.5
 
 
 class TrainingError(RuntimeError):
-    """Raised when a loss term leaves the finite range."""
+    """Raised when a loss term or a gradient leaves the finite range."""
 
 
 @dataclass
@@ -84,6 +85,10 @@ class BaseTrainConfig:
     momentum: float = 0.9
     batch_size: int = 2
     seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
 @dataclass
@@ -168,17 +173,6 @@ def init_residual(om: DetectorModel, num_new: int, seed: int,
     return rm
 
 
-def restrict_to_old(im: DetectorModel, num_old: int) -> DetectorModel:
-    """View of the incremental model with only background + old class heads."""
-    out = im.clone(requires_grad=False)
-    out.params["rcnn.cls.w"] = Tensor(im.params["rcnn.cls.w"].data[:, :num_old + 1].copy())
-    out.params["rcnn.cls.b"] = Tensor(im.params["rcnn.cls.b"].data[:num_old + 1].copy())
-    out.params["rcnn.delta.w"] = Tensor(im.params["rcnn.delta.w"].data[:, :num_old * 4].copy())
-    out.params["rcnn.delta.b"] = Tensor(im.params["rcnn.delta.b"].data[:num_old * 4].copy())
-    out.num_classes = num_old
-    return out
-
-
 def rm_local_targets(gt_new: list[tuple[BBox, int]], num_old: int) -> list[tuple[BBox, int]]:
     """Map global new-class ids (num_old+1..) onto the residual model's 1..Cb."""
     return [(b, cid - num_old) for b, cid in gt_new]
@@ -209,8 +203,7 @@ def compute_losses(triple: TripleNetwork, image, gt_new: list[tuple[BBox, int]],
             pseudo = generate_pseudo_gt(om, image, [b for b, _ in gt_new], th)
         targets = build_training_targets(pseudo, gt_new, th)
     else:
-        targets = PseudoGTSet(boxes_p=[],
-                              rpn_targets=[b for b, _ in gt_new],
+        targets = PseudoGTSet(rpn_targets=[b for b, _ in gt_new],
                               rcnn_targets=list(gt_new))
 
     f_im = forward_features(im, image)
@@ -270,21 +263,6 @@ def compute_losses(triple: TripleNetwork, image, gt_new: list[tuple[BBox, int]],
     return total, breakdown
 
 
-def train_step(triple: TripleNetwork, image, gt_new: list[tuple[BBox, int]],
-               cfg: TrainConfig, rng: np.random.Generator,
-               opt_im: SGDMomentum, opt_rm: SGDMomentum, lr: float,
-               pseudo: list | None = None,
-               om_features: np.ndarray | None = None) -> LossBreakdown:
-    """One SGD update of the incremental and residual models; the old model
-    is untouched."""
-    total, breakdown = compute_losses(triple, image, gt_new, cfg, rng,
-                                      pseudo=pseudo, om_features=om_features)
-    total.backward()
-    opt_im.step(lr)
-    opt_rm.step(lr)
-    return breakdown
-
-
 @dataclass
 class EpochStats:
     epoch: int
@@ -307,6 +285,49 @@ def write_epoch_log(path, log: list[EpochStats]) -> None:
             writer.writerow([e.epoch, *e.losses.as_tuple(), e.map_old, e.map_new, e.map_all])
 
 
+def _fit(image_loss, n: int, cfg: TrainConfig | BaseTrainConfig, rng: np.random.Generator,
+         optimizers: list[SGDMomentum], lr_at, evaluate=None) -> list[EpochStats]:
+    """The SGD loop behind both trainers: per epoch the rate `lr_at(epoch)`,
+    one shuffle draw from `rng`, then `cfg.batch_size` minibatches in that
+    order. `image_loss(idx)` returns one image's (loss tensor, LossBreakdown)
+    and makes its step's own draws from `rng`. Each batch minimizes its mean
+    image loss; `evaluate() -> (map_old, map_new, map_all)` runs per epoch."""
+    if n == 0:
+        raise ValueError("empty training dataset")
+    log: list[EpochStats] = []
+    for epoch in range(cfg.epochs):
+        lr = lr_at(epoch)
+        order = rng.permutation(n)
+        epoch_losses: list[LossBreakdown] = []
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            total = None
+            parts = []
+            for idx in batch:
+                t, breakdown = image_loss(idx)
+                parts.append(breakdown)
+                total = t if total is None else total + t
+            total = total * Tensor(1.0 / len(batch))
+            loss_val = total.item()
+            if not np.isfinite(loss_val):
+                raise TrainingError(f"non-finite loss {loss_val} at epoch {epoch}")
+            total.backward()
+            # relu zeroes NaN activations, so a NaN input can leave the loss
+            # finite and still poison the gradients
+            for opt in optimizers:
+                for name, p in opt.params.items():
+                    if p.grad is not None and not np.isfinite(p.grad).all():
+                        raise TrainingError(f"non-finite gradient of {name!r} at epoch {epoch}")
+            for opt in optimizers:
+                opt.step(lr)
+            epoch_losses.append(_mean_breakdown(parts))
+        stats = EpochStats(epoch=epoch, losses=_mean_breakdown(epoch_losses))
+        if evaluate is not None:
+            stats.map_old, stats.map_new, stats.map_all = evaluate()
+        log.append(stats)
+    return log
+
+
 def train_incremental(triple: TripleNetwork, scenes: list[Scene], cfg: TrainConfig,
                       eval_fn=None) -> list[EpochStats]:
     """Train the incremental and residual models on new-class scenes.
@@ -315,89 +336,40 @@ def train_incremental(triple: TripleNetwork, scenes: list[Scene], cfg: TrainConf
     when provided. Pseudo ground truth and old-model features depend only on
     frozen state, so they are precomputed once per scene.
     """
-    if not scenes:
-        raise ValueError("empty training dataset")
+    om, th = triple.om, cfg.effective_thresholds()
+    need_om = cfg.use_pseudo_gt or cfg.d_fea or cfg.d_res or cfg.d_cls
+    om_feats = [forward_features(om, s.image).data if need_om else None for s in scenes]
+    pseudo = [generate_pseudo_gt(om, s.image, [b for b, _ in s.annotations], th)
+              if cfg.use_pseudo_gt else [] for s in scenes]
     rng = np.random.default_rng(cfg.seed)
-    om = triple.om
-    th = cfg.effective_thresholds()
-    pseudo_cache = []
-    om_feat_cache = []
-    if cfg.use_pseudo_gt or cfg.d_fea or cfg.d_res or cfg.d_cls:
-        for scene in scenes:
-            om_feat_cache.append(forward_features(om, scene.image).data)
-            pseudo_cache.append(
-                generate_pseudo_gt(om, scene.image, [b for b, _ in scene.annotations], th)
-                if cfg.use_pseudo_gt else [])
-    else:
-        pseudo_cache = [[] for _ in scenes]
-        om_feat_cache = [None for _ in scenes]
 
-    opt_im = SGDMomentum(triple.im.trainable(), cfg.momentum)
-    opt_rm = SGDMomentum(triple.rm.trainable(), cfg.momentum)
-    log: list[EpochStats] = []
-    for epoch in range(cfg.epochs):
-        lr = cfg.lr * (cfg.lr_decay if epoch >= cfg.epochs // 2 else 1.0)
-        order = rng.permutation(len(scenes))
-        epoch_losses: list[LossBreakdown] = []
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            total = None
-            parts = []
-            for idx in batch:
-                scene = scenes[idx]
-                t, breakdown = compute_losses(
-                    triple, scene.image, scene.annotations, cfg, rng,
-                    pseudo=pseudo_cache[idx], om_features=om_feat_cache[idx])
-                parts.append(breakdown)
-                total = t if total is None else total + t
-            total = total * Tensor(1.0 / len(batch))
-            total.backward()
-            opt_im.step(lr)
-            opt_rm.step(lr)
-            epoch_losses.append(_mean_breakdown(parts))
-        stats = EpochStats(epoch=epoch, losses=_mean_breakdown(epoch_losses))
-        if eval_fn is not None:
-            stats.map_old, stats.map_new, stats.map_all = eval_fn(triple.im)
-        log.append(stats)
-    return log
+    def image_loss(idx):
+        s = scenes[idx]
+        return compute_losses(triple, s.image, s.annotations, cfg, rng,
+                              pseudo=pseudo[idx], om_features=om_feats[idx])
+
+    optimizers = [SGDMomentum(triple.im.trainable(), cfg.momentum),
+                  SGDMomentum(triple.rm.trainable(), cfg.momentum)]
+    return _fit(image_loss, len(scenes), cfg, rng, optimizers,
+                lambda epoch: cfg.lr * (cfg.lr_decay if epoch >= cfg.epochs // 2 else 1.0),
+                None if eval_fn is None else partial(eval_fn, triple.im))
 
 
 def train_base(model: DetectorModel, scenes: list[Scene], cfg: BaseTrainConfig,
                eval_fn=None) -> list[EpochStats]:
-    """Train a single detector on fully annotated scenes."""
-    if not scenes:
-        raise ValueError("empty training dataset")
+    """Train a single detector on fully annotated scenes; its epoch log
+    reports the detection loss as both loss_im and total."""
     rng = np.random.default_rng(cfg.seed)
-    opt = SGDMomentum(model.trainable(), cfg.momentum)
-    log: list[EpochStats] = []
-    for epoch in range(cfg.epochs):
-        lr = cfg.lr * (cfg.lr_gamma ** (epoch // cfg.lr_decay_every))
-        order = rng.permutation(len(scenes))
-        epoch_losses = []
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            total = None
-            vals = []
-            for idx in batch:
-                scene = scenes[idx]
-                boxes = [b for b, _ in scene.annotations]
-                t = frcnn_loss(model, scene.image, boxes, scene.annotations, rng)
-                vals.append(t.item())
-                total = t if total is None else total + t
-            total = total * Tensor(1.0 / len(batch))
-            loss_val = total.item()
-            if not np.isfinite(loss_val):
-                raise TrainingError(f"non-finite loss {loss_val} at epoch {epoch}")
-            total.backward()
-            opt.step(lr)
-            epoch_losses.append(loss_val)
-        mean_loss = float(np.mean(epoch_losses))
-        stats = EpochStats(epoch=epoch,
-                           losses=LossBreakdown(mean_loss, 0.0, 0.0, 0.0, 0.0, mean_loss))
-        if eval_fn is not None:
-            stats.map_old, stats.map_new, stats.map_all = eval_fn(model)
-        log.append(stats)
-    return log
+
+    def image_loss(idx):
+        s = scenes[idx]
+        t = frcnn_loss(model, s.image, [b for b, _ in s.annotations], s.annotations, rng)
+        return t, LossBreakdown(t.item(), 0.0, 0.0, 0.0, 0.0, t.item())
+
+    return _fit(image_loss, len(scenes), cfg, rng,
+                [SGDMomentum(model.trainable(), cfg.momentum)],
+                lambda epoch: cfg.lr * (cfg.lr_gamma ** (epoch // cfg.lr_decay_every)),
+                None if eval_fn is None else partial(eval_fn, model))
 
 
 def finetune_config(cfg: TrainConfig) -> TrainConfig:

@@ -7,6 +7,7 @@ the library code paths they check.
 import numpy as np
 
 from tripledet.boxes import BBox, Detection, iou
+from tripledet.distill import GRAM_EPS
 
 
 def random_boxes(rng, n, span=40.0):
@@ -112,3 +113,70 @@ def random_ap_case(rng):
             box = BBox(x1, y1, x1 + rng.uniform(5, 20), y1 + rng.uniform(5, 20))
         dets.append((img, float(np.round(rng.uniform(), 2)), box))
     return dets, gts
+
+
+# -- distillation losses, as scalar loops -------------------------------------
+
+def attention_map_ref(f: np.ndarray) -> np.ndarray:
+    c, h, w = f.shape
+    out = np.zeros((h, w))
+    for i in range(h):
+        for j in range(w):
+            s = 0.0
+            for k in range(c):
+                s += f[k, i, j]
+            out[i, j] = s / c
+    return out
+
+
+def attention_pair_loss_ref(ma: np.ndarray, mb: np.ndarray) -> float:
+    def normalized_gram(m):
+        h = m.shape[0]
+        g = np.zeros((h, h))
+        for i in range(h):
+            for j in range(h):
+                g[i, j] = sum(m[i, k] * m[j, k] for k in range(m.shape[1]))
+        norm = np.sqrt(sum(g[i, j] ** 2 for i in range(h) for j in range(h)) + GRAM_EPS)
+        return g / (norm + GRAM_EPS)
+
+    ga, gb = normalized_gram(ma), normalized_gram(mb)
+    h = ma.shape[0]
+    return float(sum(abs(gb[i, j] - ga[i, j]) for i in range(h) for j in range(h)) / (h * h))
+
+
+def feature_distill_loss_ref(f_om: np.ndarray, f_im: np.ndarray, f_rm: np.ndarray) -> float:
+    m_om = attention_map_ref(f_om)
+    m_im = attention_map_ref(f_im)
+    m_syn = attention_map_ref(f_om + f_rm)
+    return attention_pair_loss_ref(m_om, m_im) + attention_pair_loss_ref(m_syn, m_im)
+
+
+def residual_distill_loss_ref(f_om, f_im, f_rm, p_om, p_im, p_rm) -> float:
+    base = attention_pair_loss_ref(attention_map_ref(f_im - f_om), attention_map_ref(f_rm))
+    n = p_im.size
+    first = sum(abs((p_im.flat[i] - p_om.flat[i]) - p_rm.flat[i]) for i in range(n)) / n
+    second = sum(abs((p_im.flat[i] - p_rm.flat[i]) - p_om.flat[i]) for i in range(n)) / n
+    return base + first + second
+
+
+def classification_distill_loss_ref(p_om: np.ndarray, y_im: np.ndarray,
+                                    p_rm: np.ndarray) -> float:
+    def softmax_slice(row, lo, hi):
+        z = row[lo:hi]
+        e = np.exp(z - z.max())
+        return e / e.sum()
+
+    n = y_im.shape[0]
+    ca = p_om.shape[1] - 1
+    cb = p_rm.shape[1] - 1
+    total = 0.0
+    for r in range(n):
+        im_old = softmax_slice(y_im[r], 0, ca + 1)
+        om = softmax_slice(p_om[r], 0, ca + 1)
+        term = sum((im_old[k] - om[k]) ** 2 for k in range(ca + 1)) / (ca + 1)
+        if cb > 0:
+            im_new = softmax_slice(y_im[r], ca + 1, ca + 1 + cb)
+            rm = softmax_slice(p_rm[r], 1, cb + 1)
+            term += sum((im_new[k] - rm[k]) ** 2 for k in range(cb)) / cb
+        total += term
+    return total / n

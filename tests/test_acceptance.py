@@ -14,18 +14,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import tripledet.detector as det
-from _oracles import (brute_force_nms, exhaustive_filter, prefix_integration_ap,
-                      random_ap_case, random_detections)
+from _oracles import (brute_force_nms, classification_distill_loss_ref, exhaustive_filter,
+                      feature_distill_loss_ref, prefix_integration_ap, random_ap_case,
+                      random_detections, residual_distill_loss_ref)
 from tripledet.autodiff import Tensor
 from tripledet.boxes import iou_matrix, nms_per_class
 from tripledet.detector import (DetectorConfig, checkpoint_bytes, checkpoint_hash, detect,
-                                forward_features, frcnn_loss, new_model)
+                                forward_features, frcnn_loss, new_model, propose)
 from tripledet.distill import (FeatureTriple, LogitTriple, PooledTriple,
-                               classification_distill_loss,
-                               classification_distill_loss_ref, feature_distill_loss,
-                               feature_distill_loss_ref, residual_distill_loss,
-                               residual_distill_loss_ref)
+                               classification_distill_loss, feature_distill_loss,
+                               residual_distill_loss)
 from tripledet.evaluate import evaluate_model, voc_ap
 from tripledet.pseudo_gt import Thresholds, generate_pseudo_gt
 from tripledet.synthdata import Scene, generate_dataset, generate_incremental_dataset, make_classes
@@ -289,7 +287,7 @@ def test_trained_om_quality(world):
     covered = total = 0
     for scene in world.test:
         feats = forward_features(world.om, scene.image)
-        boxes, _ = det._propose_arrays(world.om, feats)
+        boxes, _ = propose(world.om, feats)
         gt = np.array([b.as_array() for b, _ in scene.annotations])
         covered += (iou_matrix(boxes, gt).max(axis=0) >= 0.5).sum()
         total += len(gt)

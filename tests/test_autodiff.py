@@ -92,13 +92,6 @@ def test_matmul_shape_mismatch():
         ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
-def test_forward_op_dispatch_and_unknown_kind():
-    out = ad.forward_op("relu", Tensor([-1.0, 1.0]))
-    assert np.array_equal(out.data, [0.0, 1.0])
-    with pytest.raises(ValueError):
-        ad.forward_op("definitely-not-an-op", Tensor([1.0]))
-
-
 def test_maxpool_tie_goes_to_first_cell():
     x = Tensor(np.full((1, 2, 2), 7.0), requires_grad=True)
     out = ad.max_pool2(x)
@@ -167,8 +160,6 @@ def test_broadcast_bias_add_gradient():
                               [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))])),
     ("multiply", lambda rng: (lambda a, b: ad.tsum(ad.multiply(a, b)),
                               [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))])),
-    ("scalar_multiply", lambda rng: (lambda a: ad.tsum(ad.square(ad.scalar_multiply(a, 1.7))),
-                                     [rng.normal(size=(3, 4))])),
     ("divide", lambda rng: (lambda a, b: ad.tsum(ad.divide(a, b)),
                             [rng.normal(size=(3,)), 2.0 + rng.uniform(size=(3,))])),
     ("matmul", lambda rng: (lambda a, b: ad.tsum(ad.matmul(a, b)),

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from tripledet.cli import RunConfig, load_run_config, main, resolve_config, build_parser
+from tripledet.cli import RunConfig, UsageError, build_parser, main, resolve_config
 
 
 def write_config(tmp_path, **kw):
@@ -64,7 +64,8 @@ def test_flag_overrides_config(tmp_path):
 
 
 def test_config_file_overrides_defaults(tmp_path):
-    cfg = load_run_config(write_config(tmp_path, lam=2.5))
+    cfg = resolve_config(build_parser().parse_args(
+        ["gen-data", "--config", write_config(tmp_path, lam=2.5)]))
     assert cfg.lam == 2.5
     assert cfg.n_base == 4
 
@@ -80,6 +81,39 @@ def test_overlapping_class_ids_rejected(tmp_path):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"old_class_ids": [1, 2], "new_class_ids": [2]}))
     assert main(["gen-data", "--config", p.as_posix()]) == 1
+
+
+def test_non_contiguous_class_ids_rejected(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"old_class_ids": [2, 3], "new_class_ids": [4]}))
+    assert main(["gen-data", "--config", p.as_posix()]) == 1
+    assert "old class ids must be 1..len(old)" in capsys.readouterr().err
+
+
+COMMANDS = ["gen-data", "train-base", "finetune", "incremental", "eval", "ablate", "gradcheck"]
+
+
+@pytest.mark.parametrize("bad", [{"theta_low": 0.95, "theta_high": 0.9}, {"lam": "abc"},
+                                 {"base_epochs": 0}])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_invalid_config_values_are_usage_errors(tmp_path, capsys, command, bad):
+    cfg = write_config(tmp_path, **bad)
+    assert main([command, "--config", cfg]) == 1
+    assert "invalid config" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+def test_flags_are_checked_after_merging(tmp_path):
+    # invalid on its own (theta_high defaults to 0.9), valid with the flag
+    cfg_path = write_config(tmp_path, theta_low=0.95)
+    args = build_parser().parse_args(["incremental", "--config", cfg_path,
+                                      "--theta-high", "0.99"])
+    cfg = resolve_config(args)
+    assert cfg.protocol.inc_cfg.thresholds.theta_low == 0.95
+    assert cfg.protocol.inc_cfg.thresholds.theta_high == 0.99
+    bad = build_parser().parse_args(["incremental", "--theta-low", "0.95"])
+    with pytest.raises(UsageError):
+        resolve_config(bad)
 
 
 @pytest.mark.slow

@@ -1,5 +1,8 @@
 """Detector pipeline: forward contracts, proposals, losses, checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -70,48 +73,48 @@ def test_propose_uniform_scores_equals_anchor_nms():
     for name in ("rpn.obj.w", "rpn.delta.w"):
         m.params[name].data[:] = 0.0
     f = forward_features(m, np.random.default_rng(2).uniform(0, 1, (3, 64, 64)))
-    props = propose(m, f)
-    assert all(p.objectness == 0.5 for p in props)
+    boxes, scores = propose(m, f)
+    assert np.all(scores == 0.5)
     anchors = np.asarray(anchor_boxes(m.config))
     from tripledet.boxes import clip_boxes
     clipped = clip_boxes(anchors, 64, 64)
     keep = nms_indices(clipped, np.full(len(clipped), 0.5), 0.7,
                        max_keep=m.config.num_proposals)
-    expect = clipped[keep]
-    got = np.array([p.bbox.as_array() for p in props])
-    assert np.array_equal(got, expect)
+    assert np.array_equal(boxes, clipped[keep])
 
 
 def test_proposals_within_image(model, image):
     f = forward_features(model, image)
-    for p in propose(model, f):
-        b = p.bbox
-        assert 0 <= b.x1 < b.x2 <= 64 and 0 <= b.y1 < b.y2 <= 64
+    boxes, scores = propose(model, f)
+    assert len(boxes) == len(scores) > 0
+    x1, y1, x2, y2 = boxes.T
+    assert np.all((0 <= x1) & (x1 < x2) & (x2 <= 64) & (0 <= y1) & (y1 < y2) & (y2 <= 64))
 
 
 def test_propose_cap(model, image):
     f = forward_features(model, image)
-    assert len(propose(model, f)) <= model.config.num_proposals
+    boxes, scores = propose(model, f)
+    assert len(boxes) == len(scores) <= model.config.num_proposals
 
 
 # -- roi pooling --------------------------------------------------------------------
 
 def test_roi_pool_single_cell_constant():
     f = Tensor(np.arange(2 * 4 * 4, dtype=float).reshape(2, 4, 4))
-    out = roi_pool(f, [BBox(1.0, 2.0, 2.0, 3.0)], pool_size=4, stride=1)
+    out = roi_pool(f, np.array([[1.0, 2.0, 2.0, 3.0]]), pool_size=4, stride=1)
     for c in range(2):
         assert np.all(out.data[0, c] == f.data[c, 2, 1])
 
 
 def test_roi_pool_constant_map_constant_output():
     f = Tensor(np.full((3, 8, 8), 2.5))
-    out = roi_pool(f, [BBox(0.0, 0.0, 30.0, 30.0)], pool_size=4, stride=4)
+    out = roi_pool(f, np.array([[0.0, 0.0, 30.0, 30.0]]), pool_size=4, stride=4)
     assert np.all(out.data == 2.5)
 
 
 def test_roi_pool_gradcheck():
     rng = np.random.default_rng(3)
-    rois = [BBox(0.5, 0.5, 3.2, 3.6), BBox(1.0, 0.2, 3.8, 2.9)]
+    rois = np.array([[0.5, 0.5, 3.2, 3.6], [1.0, 0.2, 3.8, 2.9]])
     err = ad.grad_check(
         lambda x: ad.tsum(ad.square(roi_pool(x, rois, pool_size=4, stride=1))),
         [rng.normal(size=(2, 4, 4))], step=1e-5)
@@ -124,7 +127,7 @@ def test_zero_head_weights_uniform_softmax(model, image):
     m = zero_bias_model()
     m.params["rcnn.cls.w"].data[:] = 0.0
     f = forward_features(m, image)
-    pooled = roi_pool(f, [BBox(0, 0, 16, 16)], 4, 4)
+    pooled = roi_pool(f, np.array([[0.0, 0.0, 16.0, 16.0]]), 4, 4)
     logits, deltas = head_forward(m, pooled)
     assert np.array_equal(logits.data, np.zeros((1, 4)))
     probs = ad.softmax(logits, axis=1).data
@@ -133,7 +136,7 @@ def test_zero_head_weights_uniform_softmax(model, image):
 
 def test_logit_width_contract(model, image):
     f = forward_features(model, image)
-    pooled = roi_pool(f, [BBox(0, 0, 16, 16), BBox(8, 8, 32, 32)], 4, 4)
+    pooled = roi_pool(f, np.array([[0.0, 0.0, 16.0, 16.0], [8.0, 8.0, 32.0, 32.0]]), 4, 4)
     logits, deltas = head_forward(model, pooled)
     assert logits.shape == (2, model.num_classes + 1)
     assert deltas.shape == (2, model.num_classes, 4)
@@ -143,7 +146,7 @@ def test_end_to_end_gradcheck_micro():
     rng = np.random.default_rng(4)
     m = new_model(MICRO_CONFIG, 2, seed=5)
     image = micro_image(rng)
-    roi = [BBox(2.0, 2.0, 10.0, 10.0)]
+    roi = np.array([[2.0, 2.0, 10.0, 10.0]])
     names = sorted(m.params)
 
     def f(*tensors):
@@ -284,3 +287,64 @@ def test_checkpoint_rejects_garbage(tmp_path):
     p.write_bytes(b"not a checkpoint")
     with pytest.raises(DetectorError):
         load_checkpoint(p)
+
+
+def _split_checkpoint(model):
+    raw = checkpoint_bytes(model)
+    off = len(det.CHECKPOINT_MAGIC)
+    (hlen,) = struct.unpack("<Q", raw[off:off + 8])
+    header = json.loads(raw[off + 8:off + 8 + hlen])
+    return header, raw[off + 8 + hlen:]
+
+
+def _join_checkpoint(header, blob):
+    hjson = json.dumps(header, sort_keys=True).encode("utf-8")
+    return det.CHECKPOINT_MAGIC + struct.pack("<Q", len(hjson)) + hjson + blob
+
+
+def _assert_rejected(path, *words):
+    with pytest.raises(DetectorError) as exc:
+        load_checkpoint(path)
+    for word in (str(path), *words):
+        assert word in str(exc.value)
+
+
+def test_checkpoint_rejects_truncated_file(model, tmp_path):
+    p = tmp_path / "short.ckpt"
+    p.write_bytes(checkpoint_bytes(model)[:-12])
+    _assert_rejected(p, "truncated")
+
+
+def test_checkpoint_rejects_trailing_bytes(model, tmp_path):
+    p = tmp_path / "long.ckpt"
+    p.write_bytes(checkpoint_bytes(model) + b"\0" * 8)
+    _assert_rejected(p, "trailing bytes")
+
+
+def test_checkpoint_rejects_cut_header(model, tmp_path):
+    p = tmp_path / "cut.ckpt"
+    p.write_bytes(checkpoint_bytes(model)[:40])
+    _assert_rejected(p, "header")
+
+
+def test_checkpoint_rejects_other_format_tag(model, tmp_path):
+    header, blob = _split_checkpoint(model)
+    header["format"] = "tripledet-checkpoint-v0"
+    p = tmp_path / "v0.ckpt"
+    p.write_bytes(_join_checkpoint(header, blob))
+    _assert_rejected(p, "tripledet-checkpoint-v0")
+
+
+@pytest.mark.parametrize("edit", ["shape", "name", "num_classes"])
+def test_checkpoint_rejects_params_that_do_not_fit_the_architecture(model, tmp_path, edit):
+    header, blob = _split_checkpoint(model)
+    entry = next(e for e in header["params"] if e["name"] == "rcnn.fc1.b")
+    if edit == "shape":
+        entry["shape"] = [8, 8]            # same byte count, wrong shape
+    elif edit == "name":
+        entry["name"] = "rcnn.fc1.bias"
+    else:
+        header["num_classes"] += 1
+    p = tmp_path / f"{edit}.ckpt"
+    p.write_bytes(_join_checkpoint(header, blob))
+    _assert_rejected(p, "parameter names/shapes")

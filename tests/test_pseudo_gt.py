@@ -1,7 +1,5 @@
 """Pseudo ground-truth filtering and the 2-threshold target split."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +8,7 @@ from hypothesis import strategies as st
 from _oracles import exhaustive_filter, random_detections
 from tripledet.boxes import BBox, Detection, iou
 from tripledet.detector import DetectorConfig, detect, new_model
-from tripledet.pseudo_gt import (Thresholds, build_training_targets,
-                                 generate_pseudo_gt, pseudo_gt_manifest_entry)
+from tripledet.pseudo_gt import Thresholds, build_training_targets, generate_pseudo_gt
 
 
 # -- thresholds ----------------------------------------------------------------
@@ -130,16 +127,3 @@ def test_two_threshold_class_ids_preserved():
     dets = [Detection(BBox(0, 0, 10, 10), 3, 0.9)]
     out = build_training_targets(dets, [(BBox(20, 20, 30, 30), 4)], th)
     assert (dets[0].bbox, 3) in out.rcnn_targets
-
-
-# -- manifest dump --------------------------------------------------------------------
-
-def test_manifest_entry_schema(tmp_path):
-    dets = [Detection(BBox(1, 2, 11, 12), 2, 0.95)]
-    entry = pseudo_gt_manifest_entry("scene_00000.ppm", 64, dets)
-    path = tmp_path / "pseudo.json"
-    path.write_text(json.dumps([entry]))
-    back = json.loads(path.read_text())
-    assert back[0]["objects"] == [
-        {"x1": 1.0, "y1": 2.0, "x2": 11.0, "y2": 12.0, "class_id": 2}]
-    assert set(back[0]) == {"file", "width", "height", "objects"}

@@ -9,11 +9,12 @@ from tripledet.boxes import BBox
 from tripledet.detector import (DetectorConfig, checkpoint_bytes, checkpoint_hash, detect,
                                 frcnn_loss, load_checkpoint, new_model, save_checkpoint)
 from tripledet.pseudo_gt import Thresholds
-from tripledet.synthdata import generate_incremental_dataset, make_classes
-from tripledet.trainer import (SGDMomentum, TrainConfig, TrainingError,
+from tripledet.synthdata import (Scene, generate_dataset, generate_incremental_dataset,
+                                 make_classes)
+from tripledet.trainer import (BaseTrainConfig, SGDMomentum, TrainConfig, TrainingError,
                                TripleNetwork, compute_losses, finetune_config,
-                               init_incremental, init_residual, restrict_to_old,
-                               rm_local_targets, train_incremental, train_step)
+                               init_incremental, init_residual, rm_local_targets,
+                               train_base, train_incremental)
 from tripledet.verification import check_loss_gradient
 
 
@@ -34,6 +35,11 @@ def inc_scenes():
     return generate_incremental_dataset(classes[:3], classes[3:], 4, seed=77)
 
 
+@pytest.fixture(scope="module")
+def base_scenes():
+    return generate_dataset(make_classes(3), 5, seed=78)
+
+
 @pytest.fixture()
 def image():
     return np.random.default_rng(3).uniform(0, 1, (3, 64, 64))
@@ -52,6 +58,8 @@ def test_config_validation():
         TrainConfig(lam=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
+    with pytest.raises(ValueError):
+        BaseTrainConfig(epochs=0)
 
 
 def test_effective_thresholds_single_mode():
@@ -61,9 +69,20 @@ def test_effective_thresholds_single_mode():
     assert th.theta_iou == 0.3
 
 
+def old_class_view(im, num_old):
+    """The incremental model with only its background + old-class heads."""
+    out = im.clone(requires_grad=False)
+    out.params["rcnn.cls.w"] = Tensor(im.params["rcnn.cls.w"].data[:, :num_old + 1].copy())
+    out.params["rcnn.cls.b"] = Tensor(im.params["rcnn.cls.b"].data[:num_old + 1].copy())
+    out.params["rcnn.delta.w"] = Tensor(im.params["rcnn.delta.w"].data[:, :num_old * 4].copy())
+    out.params["rcnn.delta.b"] = Tensor(im.params["rcnn.delta.b"].data[:num_old * 4].copy())
+    out.num_classes = num_old
+    return out
+
+
 def test_init_incremental_restricted_matches_om_detect(om, image):
     im = init_incremental(om, num_new=1, seed=1)
-    restricted = restrict_to_old(im, om.num_classes)
+    restricted = old_class_view(im, om.num_classes)
     assert detect(restricted, image, 0.3, 0.3) == detect(om, image, 0.3, 0.3)
 
 
@@ -208,27 +227,19 @@ def test_rm_distill_stop_gradient_flag(om, image):
 
 # -- training loops ---------------------------------------------------------------------
 
-def test_om_frozen_through_steps(om, image):
+def test_om_frozen_through_steps(om, inc_scenes):
     triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
     h0 = checkpoint_hash(triple.om)
-    opt_im = SGDMomentum(triple.im.trainable(), 0.9)
-    opt_rm = SGDMomentum(triple.rm.trainable(), 0.9)
-    rng = np.random.default_rng(0)
-    gt = [(BBox(10, 10, 26, 28), 4)]
-    for _ in range(3):
-        train_step(triple, image, gt, small_cfg(), rng, opt_im, opt_rm, lr=1e-4)
+    train_incremental(triple, inc_scenes, small_cfg(epochs=2))
     assert checkpoint_hash(triple.om) == h0
     assert not triple.om.trainable()
 
 
-def test_train_step_updates_trainable_models(om, image):
+def test_train_incremental_updates_trainable_models(om, inc_scenes):
     triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
     before_im = checkpoint_hash(triple.im)
     before_rm = checkpoint_hash(triple.rm)
-    opt_im = SGDMomentum(triple.im.trainable(), 0.9)
-    opt_rm = SGDMomentum(triple.rm.trainable(), 0.9)
-    train_step(triple, image, [(BBox(10, 10, 26, 28), 4)], small_cfg(),
-               np.random.default_rng(0), opt_im, opt_rm, lr=1e-3)
+    train_incremental(triple, inc_scenes[:2], small_cfg(epochs=1, lr=1e-3))
     assert checkpoint_hash(triple.im) != before_im
     assert checkpoint_hash(triple.rm) != before_rm
 
@@ -263,3 +274,27 @@ def test_empty_dataset_rejected(om):
     triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
     with pytest.raises(ValueError):
         train_incremental(triple, [], small_cfg())
+    with pytest.raises(ValueError):
+        train_base(new_model(DetectorConfig(), 3, seed=1), [], BaseTrainConfig())
+
+
+def test_train_base_deterministic(base_scenes):
+    outs = []
+    for _ in range(2):
+        model = new_model(DetectorConfig(), 3, seed=2)
+        # 5 scenes in batches of 3 also exercises the short last batch
+        log = train_base(model, base_scenes, BaseTrainConfig(epochs=2, batch_size=3, seed=6))
+        outs.append((checkpoint_bytes(model), [e.losses.as_tuple() for e in log]))
+    assert outs[0] == outs[1]
+    assert len(outs[0][1]) == 2
+
+
+def test_train_base_nan_image_names_epoch(base_scenes):
+    scenes = list(base_scenes)
+    scenes[3] = Scene(np.full_like(scenes[3].image, np.nan), scenes[3].annotations)
+    model = new_model(DetectorConfig(), 3, seed=2)
+    with np.errstate(invalid="ignore"), pytest.raises(TrainingError) as exc:
+        train_base(model, scenes, BaseTrainConfig(epochs=1, seed=6))
+    assert "at epoch 0" in str(exc.value)
+    # the check runs before the step, so the model is left finite
+    assert all(np.isfinite(p.data).all() for p in model.params.values())
