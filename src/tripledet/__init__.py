@@ -18,6 +18,7 @@ from .pseudo_gt import PseudoGTSet, Thresholds, build_training_targets, generate
 from .synthdata import (ClassDef, Scene, generate_dataset, generate_incremental_dataset,
                         load_dataset, make_classes, save_dataset)
 from .trainer import (BaseTrainConfig, TrainConfig, TripleNetwork, compute_losses,
-                      init_incremental, init_residual, train_base, train_incremental)
+                      init_incremental, init_residual, init_triple, train_base,
+                      train_incremental)
 
 __version__ = "0.1.0"

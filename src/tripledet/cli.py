@@ -25,9 +25,8 @@ from .evaluate import (ExperimentProtocol, build_datasets, default_variant_grid,
                        write_report_json)
 from .pseudo_gt import Thresholds
 from .synthdata import load_dataset, save_dataset
-from .trainer import (BaseTrainConfig, TrainConfig, TripleNetwork, finetune_config,
-                      init_incremental, init_residual, train_base, train_incremental,
-                      write_epoch_log)
+from .trainer import (BaseTrainConfig, TrainConfig, finetune_config, init_triple, train_base,
+                      train_incremental, write_epoch_log)
 from .verification import GRAD_TOL, run_gradient_suite
 
 
@@ -208,19 +207,18 @@ def _run_incremental(cfg: RunConfig, train_cfg: TrainConfig, tag: str) -> int:
     scenes = _load_split(cfg, "incremental")
     test_scenes = _load_split(cfg, "test")
     om = load_checkpoint(Path(cfg.checkpoint_dir) / "om.ckpt", requires_grad=False)
-    num_new = len(cfg.new_class_ids)
-    triple = TripleNetwork(
-        om=om,
-        im=init_incremental(om, num_new, cfg.seed),
-        rm=init_residual(om, num_new, cfg.seed),
-    )
+    triple = init_triple(om, len(cfg.new_class_ids), cfg.seed)
+    reports = []
 
     def eval_fn(model):
         report = evaluate_model(model, test_scenes, cfg.iou_thresh,
                                 old_classes=cfg.old_class_ids, new_classes=cfg.new_class_ids)
+        reports.append(report)
         return report.map_old, report.map_new, report.map_all
 
     log = train_incremental(triple, scenes, train_cfg, eval_fn=eval_fn)
+    # the last epoch's evaluation is of the final model
+    report = reports[-1]
     ckpt_dir = Path(cfg.checkpoint_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     out_dir = Path(cfg.out_dir)
@@ -228,8 +226,6 @@ def _run_incremental(cfg: RunConfig, train_cfg: TrainConfig, tag: str) -> int:
     save_checkpoint(triple.im, ckpt_dir / f"{tag}_im.ckpt")
     save_checkpoint(triple.rm, ckpt_dir / f"{tag}_rm.ckpt")
     write_epoch_log(out_dir / f"{tag}_log.csv", log)
-    report = evaluate_model(triple.im, test_scenes, cfg.iou_thresh,
-                            old_classes=cfg.old_class_ids, new_classes=cfg.new_class_ids)
     write_report_json(out_dir / f"{tag}_report.json", report)
     _log(f"[tripledet] {tag}: map_old={report.map_old:.4f} map_new={report.map_new:.4f} "
          f"map_all={report.map_all:.4f}")

@@ -185,25 +185,27 @@ def anchor_boxes(config: DetectorConfig) -> np.ndarray:
     return np.concatenate(boxes, axis=0)
 
 
-def propose(model: DetectorModel, features: Tensor) -> tuple[np.ndarray, np.ndarray]:
-    """Proposal boxes (K,4) and objectness scores (K,), highest score first.
+def propose(config: DetectorConfig, obj: np.ndarray, deltas: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Proposal boxes (K,4) and objectness scores (K,), highest score first,
+    from one image's RPN outputs: objectness logits (A,H,W) and box deltas
+    (4A,H,W), as arrays.
 
     Decoded anchors are clipped to the image; boxes that collapse to zero
     width or height are dropped; NMS runs at 0.7 and the top-K survivors by
     objectness are kept. None of this is differentiable: proposal boxes are
     data, and the RPN learns only through its own losses.
     """
-    cfg = model.config
-    a = len(cfg.anchor_sides)
-    fs = cfg.feature_size
-    obj, deltas = rpn_forward(model, features)
-    scores = 1.0 / (1.0 + np.exp(-obj.data.reshape(-1)))
+    a = len(config.anchor_sides)
+    fs = config.feature_size
+    scores = 1.0 / (1.0 + np.exp(-obj.reshape(-1)))
     # (4A,H,W) -> (A,4,H,W) -> (A,H,W,4) -> rows in (anchor, y, x) order
-    d = deltas.data.reshape(a, 4, fs, fs).transpose(0, 2, 3, 1).reshape(-1, 4)
-    boxes = clip_boxes(decode_deltas_array(anchor_boxes(cfg), d), cfg.image_size, cfg.image_size)
+    d = deltas.reshape(a, 4, fs, fs).transpose(0, 2, 3, 1).reshape(-1, 4)
+    boxes = clip_boxes(decode_deltas_array(anchor_boxes(config), d),
+                       config.image_size, config.image_size)
     valid = ((boxes[:, 2] - boxes[:, 0]) > DEGENERATE_EPS) & ((boxes[:, 3] - boxes[:, 1]) > DEGENERATE_EPS)
     idx = np.flatnonzero(valid)
-    keep = nms_indices(boxes[idx], scores[idx], RPN_NMS_THRESH, max_keep=cfg.num_proposals)
+    keep = nms_indices(boxes[idx], scores[idx], RPN_NMS_THRESH, max_keep=config.num_proposals)
     chosen = idx[keep]
     return boxes[chosen], scores[chosen]
 
@@ -230,15 +232,18 @@ def head_forward(model: DetectorModel, pooled: Tensor) -> tuple[Tensor, Tensor]:
 
 
 def detect(model: DetectorModel, image, score_thresh: float = 0.5,
-           nms_thresh: float = 0.3) -> list[Detection]:
+           nms_thresh: float = 0.3, features: Tensor | None = None) -> list[Detection]:
     """Full inference: proposals, per-class scores/boxes, filter, per-class NMS.
 
     Background (class 0) is never emitted; kept detections have
-    score > score_thresh.
+    score > score_thresh. `features` may carry the model's backbone features
+    of `image` when the caller already has them.
     """
     cfg = model.config
-    features = forward_features(model, image)
-    prop_boxes, _ = propose(model, features)
+    if features is None:
+        features = forward_features(model, image)
+    obj, deltas = rpn_forward(model, features)
+    prop_boxes, _ = propose(cfg, obj.data, deltas.data)
     if len(prop_boxes) == 0:
         return []
     pooled = roi_pool(features, prop_boxes, cfg.pool_size, cfg.stride)
@@ -322,11 +327,12 @@ class LossInternals:
     cls_logits: Tensor               # (n, C+1)
 
 
-def roi_candidates(model: DetectorModel, features: Tensor,
+def roi_candidates(config: DetectorConfig, obj: np.ndarray, deltas: np.ndarray,
                    rcnn_targets: list[tuple[BBox, int]]) -> np.ndarray:
-    """RoI candidate pool for sampling: current proposals plus the target
-    boxes themselves (so positives exist from the first step)."""
-    prop_boxes, _ = propose(model, features)
+    """RoI candidate pool for sampling: the proposals of the RPN outputs
+    `obj`/`deltas` (arrays, see `propose`) plus the target boxes themselves
+    (so positives exist from the first step)."""
+    prop_boxes, _ = propose(config, obj, deltas)
     tgt_boxes = np.array([b.as_array() for b, _ in rcnn_targets]).reshape(-1, 4)
     if len(tgt_boxes) == 0:
         return prop_boxes
@@ -342,11 +348,12 @@ def frcnn_loss(model: DetectorModel, image, rpn_targets: list[BBox],
     cross-entropy + smooth-L1, each term normalized by its sample count.
 
     `rpn_targets` are class-agnostic boxes; `rcnn_targets` carry class ids in
-    1..num_classes. RoIs are sampled from `roi_candidates` unless
-    `candidate_rois` pins the pool explicitly; gradient checks pin it because
-    proposal selection is piecewise constant in the parameters (zero gradient
-    almost everywhere) and a selection flip inside the probe step would
-    invalidate the finite difference.
+    1..num_classes. RoIs are sampled from `roi_candidates`, built from the
+    same RPN outputs the RPN terms read, unless `candidate_rois` pins the
+    pool explicitly; gradient checks pin it because proposal selection is
+    piecewise constant in the parameters (zero gradient almost everywhere)
+    and a selection flip inside the probe step would invalidate the finite
+    difference.
     """
     cfg = model.config
     if features is None:
@@ -381,7 +388,7 @@ def frcnn_loss(model: DetectorModel, image, rpn_targets: list[BBox],
     if np.any(tgt_labels > model.num_classes):
         raise DetectorError("rcnn target class id exceeds model classes")
     candidates = candidate_rois if candidate_rois is not None else \
-        roi_candidates(model, features, rcnn_targets)
+        roi_candidates(cfg, obj.data, deltas.data, rcnn_targets)
     rois, roi_labels, roi_match = sample_rois(candidates, tgt_boxes, tgt_labels, rng)
 
     pooled = roi_pool(features, rois, cfg.pool_size, cfg.stride)

@@ -26,8 +26,7 @@ from .boxes import BBox, iou
 from .detector import DetectorConfig, DetectorModel, detect, new_model
 from .pseudo_gt import Thresholds
 from .synthdata import Scene, generate_dataset, generate_incremental_dataset, make_classes
-from .trainer import (BaseTrainConfig, TrainConfig, TripleNetwork, init_incremental,
-                      init_residual, train_base, train_incremental)
+from .trainer import BaseTrainConfig, TrainConfig, init_triple, train_base, train_incremental
 
 EVAL_SCORE_THRESH = 0.05      # low inference floor so the PR curve has full range
 EVAL_NMS_THRESH = 0.3
@@ -264,12 +263,7 @@ def run_variant(protocol: ExperimentProtocol, variant: Variant, seed: int,
                 two_threshold=variant.two_threshold, use_pseudo_gt=variant.use_pseudo_gt,
                 thresholds=Thresholds(variant.theta_low, variant.theta_high,
                                       protocol.inc_cfg.thresholds.theta_iou))
-            frozen = om.clone(requires_grad=False)
-            triple = TripleNetwork(
-                om=frozen,
-                im=init_incremental(frozen, len(new_ids), seed),
-                rm=init_residual(frozen, len(new_ids), seed),
-            )
+            triple = init_triple(om.clone(requires_grad=False), len(new_ids), seed)
             train_incremental(triple, inc_scenes, cfg)
             report = evaluate_model(triple.im, test_scenes, protocol.iou_thresh,
                                     old_classes=old_ids, new_classes=new_ids)

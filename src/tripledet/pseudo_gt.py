@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .autodiff import Tensor
 from .boxes import BBox, Detection, iou
 from .detector import DetectorModel, detect
 
@@ -37,14 +38,16 @@ class PseudoGTSet:
 
 
 def generate_pseudo_gt(om: DetectorModel, image, new_gt_boxes: list[BBox],
-                       th: Thresholds) -> list[Detection]:
+                       th: Thresholds, features: Tensor | None = None) -> list[Detection]:
     """Old-model detections that do not conflict with new-class annotations.
 
     Inference uses theta_low as the confidence floor so both threshold splits
     can be taken from this one pass. A detection survives only when its IoU
-    with every new-class box is at most theta_iou.
+    with every new-class box is at most theta_iou. `features` may carry the
+    old model's backbone features of `image` (see `detect`).
     """
-    dets = detect(om, image, score_thresh=th.theta_low, nms_thresh=th.theta_iou)
+    dets = detect(om, image, score_thresh=th.theta_low, nms_thresh=th.theta_iou,
+                  features=features)
     return [d for d in dets
             if all(iou(d.bbox, g) <= th.theta_iou for g in new_gt_boxes)]
 

@@ -196,17 +196,6 @@ def generate_incremental_dataset(old_classes: list[ClassDef],
     return scenes
 
 
-def filter_incremental_subset(scenes: list[Scene], new_class_ids) -> list[Scene]:
-    """Scenes containing a new-class object, with old-class annotations removed."""
-    new_ids = set(new_class_ids)
-    out = []
-    for s in scenes:
-        kept = [(b, cid) for b, cid in s.annotations if cid in new_ids]
-        if kept:
-            out.append(Scene(image=s.image, annotations=kept))
-    return out
-
-
 def _check_unique(classes: list[ClassDef]) -> None:
     pairs = [(c.shape, c.color) for c in classes]
     ids = [c.class_id for c in classes]

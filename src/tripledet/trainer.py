@@ -62,7 +62,6 @@ class TrainConfig:
     d_cls: bool = True
     two_threshold: bool = True
     use_pseudo_gt: bool = True
-    rm_distill_grad: bool = True         # stop-gradient into RM distill inputs when False
 
     def __post_init__(self):
         if self.lam < 0:
@@ -155,22 +154,23 @@ def init_incremental(om: DetectorModel, num_new: int, seed: int) -> DetectorMode
     return im
 
 
-def init_residual(om: DetectorModel, num_new: int, seed: int,
-                  pretrained_backbone: bool = True) -> DetectorModel:
-    """Assistant model over the new classes only.
-
-    By default the backbone is copied from the old model (the only available
-    pretrained feature extractor at this scale); with
-    pretrained_backbone=False it stays at its random initialization.
-    """
+def init_residual(om: DetectorModel, num_new: int, seed: int) -> DetectorModel:
+    """Assistant model over the new classes only; its backbone is copied from
+    the old model (the only pretrained feature extractor at this scale)."""
     if num_new < 1:
         raise ValueError(f"num_new must be >= 1, got {num_new}")
     rm = new_model(om.config, num_new, seed)
-    if pretrained_backbone:
-        for name in list(rm.params):
-            if name.startswith("backbone."):
-                rm.params[name] = Tensor(om.params[name].data.copy(), requires_grad=True)
+    for name in list(rm.params):
+        if name.startswith("backbone."):
+            rm.params[name] = Tensor(om.params[name].data.copy(), requires_grad=True)
     return rm
+
+
+def init_triple(om: DetectorModel, num_new: int, seed: int) -> TripleNetwork:
+    """The triple network over the frozen `om`: incremental and residual
+    models for `num_new` new classes, both initialized from `seed`."""
+    return TripleNetwork(om=om, im=init_incremental(om, num_new, seed),
+                         rm=init_residual(om, num_new, seed))
 
 
 def rm_local_targets(gt_new: list[tuple[BBox, int]], num_old: int) -> list[tuple[BBox, int]]:
@@ -183,7 +183,7 @@ def rm_local_targets(gt_new: list[tuple[BBox, int]], num_old: int) -> list[tuple
 def compute_losses(triple: TripleNetwork, image, gt_new: list[tuple[BBox, int]],
                    cfg: TrainConfig, rng: np.random.Generator,
                    pseudo: list | None = None,
-                   om_features: np.ndarray | None = None,
+                   om_features: Tensor | None = None,
                    im_candidates: np.ndarray | None = None,
                    rm_candidates: np.ndarray | None = None) -> tuple[Tensor, LossBreakdown]:
     """Total loss tensor and its per-term breakdown for one image.
@@ -191,16 +191,21 @@ def compute_losses(triple: TripleNetwork, image, gt_new: list[tuple[BBox, int]],
     Disabled terms contribute exactly zero. `pseudo` may carry precomputed
     surviving old-model detections (they depend only on the frozen old model,
     the image, and the thresholds); `om_features` may carry the old model's
-    cached backbone features. `im_candidates`/`rm_candidates` pin the RoI
-    candidate pools for gradient checking.
+    backbone features of `image`. Otherwise the old model's backbone runs at
+    most once here. `im_candidates`/`rm_candidates` pin the RoI candidate
+    pools for gradient checking.
     """
     om, im, rm = triple.om, triple.im, triple.rm
     th = cfg.effective_thresholds()
     num_old = om.num_classes
+    distill_on = cfg.d_fea or cfg.d_res or cfg.d_cls
+    if om_features is None and (distill_on or (cfg.use_pseudo_gt and pseudo is None)):
+        om_features = forward_features(om, image)
 
     if cfg.use_pseudo_gt:
         if pseudo is None:
-            pseudo = generate_pseudo_gt(om, image, [b for b, _ in gt_new], th)
+            pseudo = generate_pseudo_gt(om, image, [b for b, _ in gt_new], th,
+                                        features=om_features)
         targets = build_training_targets(pseudo, gt_new, th)
     else:
         targets = PseudoGTSet(rpn_targets=[b for b, _ in gt_new],
@@ -216,28 +221,20 @@ def compute_losses(triple: TripleNetwork, image, gt_new: list[tuple[BBox, int]],
     loss_rm = frcnn_loss(rm, image, [b for b, _ in gt_rm], gt_rm, rng, features=f_rm,
                          candidate_rois=rm_candidates)
 
-    distill_on = cfg.d_fea or cfg.d_res or cfg.d_cls
     d_fea_t = d_res_t = d_cls_t = None
     if distill_on:
-        if om_features is not None:
-            f_om = Tensor(om_features)
-        else:
-            f_om = forward_features(om, image)
-        f_rm_d = f_rm if cfg.rm_distill_grad else f_rm.detach()
-        feat = FeatureTriple(f_om, f_im, f_rm_d)
+        feat = FeatureTriple(om_features, f_im, f_rm)
         if cfg.d_fea:
             d_fea_t = feature_distill_loss(feat)
         if cfg.d_res or cfg.d_cls:
             rois = internals.rois
-            p_om = roi_pool(f_om, rois, om.config.pool_size, om.config.stride)
-            p_rm = roi_pool(f_rm_d, rois, rm.config.pool_size, rm.config.stride)
+            p_om = roi_pool(om_features, rois, om.config.pool_size, om.config.stride)
+            p_rm = roi_pool(f_rm, rois, rm.config.pool_size, rm.config.stride)
             if cfg.d_res:
                 d_res_t = residual_distill_loss(feat, PooledTriple(p_om, internals.pooled, p_rm))
             if cfg.d_cls:
                 om_logits, _ = head_forward(om, p_om)
                 rm_logits, _ = head_forward(rm, p_rm)
-                if not cfg.rm_distill_grad:
-                    rm_logits = rm_logits.detach()
                 d_cls_t = classification_distill_loss(
                     LogitTriple(om_logits, internals.cls_logits, rm_logits))
 
@@ -334,13 +331,15 @@ def train_incremental(triple: TripleNetwork, scenes: list[Scene], cfg: TrainConf
 
     `eval_fn(im_model) -> (map_old, map_new, map_all)` runs after each epoch
     when provided. Pseudo ground truth and old-model features depend only on
-    frozen state, so they are precomputed once per scene.
+    frozen state, so they are precomputed: one old-model backbone pass per
+    scene feeds both, and none runs when neither is on.
     """
     om, th = triple.om, cfg.effective_thresholds()
     need_om = cfg.use_pseudo_gt or cfg.d_fea or cfg.d_res or cfg.d_cls
-    om_feats = [forward_features(om, s.image).data if need_om else None for s in scenes]
-    pseudo = [generate_pseudo_gt(om, s.image, [b for b, _ in s.annotations], th)
-              if cfg.use_pseudo_gt else [] for s in scenes]
+    # detached: the cache keeps the feature values, not the frozen graph
+    om_feats = [forward_features(om, s.image).detach() if need_om else None for s in scenes]
+    pseudo = [generate_pseudo_gt(om, s.image, [b for b, _ in s.annotations], th, features=f)
+              if cfg.use_pseudo_gt else [] for s, f in zip(scenes, om_feats)]
     rng = np.random.default_rng(cfg.seed)
 
     def image_loss(idx):

@@ -15,7 +15,7 @@ import numpy as np
 from .autodiff import Tensor, grad_check, topo_order
 from .boxes import BBox
 from .detector import (DetectorConfig, DetectorModel, forward_features, frcnn_loss,
-                       new_model, roi_candidates)
+                       new_model, roi_candidates, rpn_forward)
 from .distill import (FeatureTriple, LogitTriple, PooledTriple, attention_pair_loss,
                       classification_distill_loss, feature_distill_loss,
                       residual_base_loss, residual_pool_loss)
@@ -136,6 +136,13 @@ def _model_param_arrays(model: DetectorModel) -> tuple[list[str], list[np.ndarra
     return names, [model.params[n].data.copy() for n in names]
 
 
+def _candidate_pool(model: DetectorModel, image: np.ndarray,
+                    targets: list[tuple[BBox, int]]) -> np.ndarray:
+    """The RoI candidate pool `frcnn_loss` would sample from at the base point."""
+    obj, deltas = rpn_forward(model, forward_features(model, image))
+    return roi_candidates(model.config, obj.data, deltas.data, targets)
+
+
 def _build_frcnn(rng: np.random.Generator):
     num_classes = 2
     model = new_model(MICRO_CONFIG, num_classes, int(rng.integers(0, 2 ** 31)))
@@ -150,7 +157,7 @@ def _build_frcnn(rng: np.random.Generator):
     sample_seed = int(rng.integers(0, 2 ** 31))
     # pin the RoI candidate pool at the base point: proposal selection is
     # piecewise constant in the parameters, so this is the a.e. gradient
-    candidates = roi_candidates(model, forward_features(model, image), targets)
+    candidates = _candidate_pool(model, image, targets)
 
     def f(*tensors):
         m = DetectorModel(MICRO_CONFIG, num_classes, dict(zip(names, tensors)))
@@ -182,16 +189,16 @@ def _build_total_loss(rng: np.random.Generator):
     image = micro_image(rng)
     gt_new = micro_targets(rng, triple.im.num_classes, n=1, lo=triple.om.num_classes + 1)
     th = cfg.effective_thresholds()
-    pseudo = generate_pseudo_gt(triple.om, image, [b for b, _ in gt_new], th)
-    om_feat = forward_features(triple.om, image).data
+    om_feat = forward_features(triple.om, image).detach()
+    pseudo = generate_pseudo_gt(triple.om, image, [b for b, _ in gt_new], th, features=om_feat)
     im_names, im_arrays = _model_param_arrays(triple.im)
     rm_names, rm_arrays = _model_param_arrays(triple.rm)
     sample_seed = int(rng.integers(0, 2 ** 31))
     # pin both candidate pools at the base point (see _build_frcnn)
     im_targets = build_training_targets(pseudo, gt_new, th).rcnn_targets
-    cand_im = roi_candidates(triple.im, forward_features(triple.im, image), im_targets)
+    cand_im = _candidate_pool(triple.im, image, im_targets)
     gt_rm = rm_local_targets(gt_new, triple.om.num_classes)
-    cand_rm = roi_candidates(triple.rm, forward_features(triple.rm, image), gt_rm)
+    cand_rm = _candidate_pool(triple.rm, image, gt_rm)
 
     def f(*tensors):
         im_t = tensors[:len(im_names)]

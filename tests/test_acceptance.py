@@ -20,7 +20,8 @@ from _oracles import (brute_force_nms, classification_distill_loss_ref, exhausti
 from tripledet.autodiff import Tensor
 from tripledet.boxes import iou_matrix, nms_per_class
 from tripledet.detector import (DetectorConfig, checkpoint_bytes, checkpoint_hash, detect,
-                                forward_features, frcnn_loss, new_model, propose)
+                                forward_features, frcnn_loss, new_model, propose,
+                                rpn_forward)
 from tripledet.distill import (FeatureTriple, LogitTriple, PooledTriple,
                                classification_distill_loss, feature_distill_loss,
                                residual_distill_loss)
@@ -286,8 +287,8 @@ def test_trained_om_quality(world):
 
     covered = total = 0
     for scene in world.test:
-        feats = forward_features(world.om, scene.image)
-        boxes, _ = propose(world.om, feats)
+        obj, deltas = rpn_forward(world.om, forward_features(world.om, scene.image))
+        boxes, _ = propose(world.om.config, obj.data, deltas.data)
         gt = np.array([b.as_array() for b, _ in scene.annotations])
         covered += (iou_matrix(boxes, gt).max(axis=0) >= 0.5).sum()
         total += len(gt)

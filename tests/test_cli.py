@@ -5,7 +5,10 @@ import os
 
 import pytest
 
+import tripledet.cli as cli
 from tripledet.cli import RunConfig, UsageError, build_parser, main, resolve_config
+from tripledet.detector import load_checkpoint
+from tripledet.synthdata import load_dataset
 
 
 def write_config(tmp_path, **kw):
@@ -140,6 +143,27 @@ def test_pipeline_end_to_end(tmp_path, capsys):
                  str(tmp_path / "ckpt" / "incremental_im.ckpt"), "--split", "test"]) == 0
     report = json.loads((tmp_path / "out" / "eval_report.json").read_text())
     assert set(report) >= {"per_class_ap", "map_all", "map_old", "map_new"}
+
+
+def test_incremental_report_reuses_last_epoch_eval(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, epochs=2)
+    assert main(["gen-data", "--config", cfg]) == 0
+    assert main(["train-base", "--config", cfg]) == 0
+    calls = []
+    real = cli.evaluate_model
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_model", counted)
+    assert main(["incremental", "--config", cfg]) == 0
+    assert len(calls) == 2                  # one per epoch, none after training
+    report = json.loads((tmp_path / "out" / "incremental_report.json").read_text())
+    im = load_checkpoint(tmp_path / "ckpt" / "incremental_im.ckpt", requires_grad=False)
+    fresh = real(im, load_dataset(tmp_path / "data" / "test"), 0.5,
+                 old_classes=[1, 2], new_classes=[3])
+    assert report == json.loads(json.dumps(fresh.to_dict()))
 
 
 @pytest.mark.slow

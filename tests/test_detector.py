@@ -13,7 +13,8 @@ from tripledet.boxes import BBox, iou_matrix, nms_indices
 from tripledet.detector import (DetectorConfig, DetectorError, DetectorModel, anchor_boxes,
                                 checkpoint_bytes, checkpoint_hash, detect, forward_features,
                                 frcnn_loss, head_forward, load_checkpoint, match_anchors,
-                                new_model, propose, roi_pool, sample_rois, save_checkpoint)
+                                new_model, propose, roi_pool, rpn_forward, sample_rois,
+                                save_checkpoint)
 from tripledet.verification import MICRO_CONFIG, micro_image, micro_targets
 
 
@@ -68,12 +69,17 @@ def test_feature_grad_matches_fd_on_first_kernel(model, image):
 
 # -- proposals ---------------------------------------------------------------------
 
+def proposals(m, f):
+    obj, deltas = rpn_forward(m, f)
+    return propose(m.config, obj.data, deltas.data)
+
+
 def test_propose_uniform_scores_equals_anchor_nms():
     m = zero_bias_model()
     for name in ("rpn.obj.w", "rpn.delta.w"):
         m.params[name].data[:] = 0.0
     f = forward_features(m, np.random.default_rng(2).uniform(0, 1, (3, 64, 64)))
-    boxes, scores = propose(m, f)
+    boxes, scores = proposals(m, f)
     assert np.all(scores == 0.5)
     anchors = np.asarray(anchor_boxes(m.config))
     from tripledet.boxes import clip_boxes
@@ -85,7 +91,7 @@ def test_propose_uniform_scores_equals_anchor_nms():
 
 def test_proposals_within_image(model, image):
     f = forward_features(model, image)
-    boxes, scores = propose(model, f)
+    boxes, scores = proposals(model, f)
     assert len(boxes) == len(scores) > 0
     x1, y1, x2, y2 = boxes.T
     assert np.all((0 <= x1) & (x1 < x2) & (x2 <= 64) & (0 <= y1) & (y1 < y2) & (y2 <= 64))
@@ -93,7 +99,7 @@ def test_proposals_within_image(model, image):
 
 def test_propose_cap(model, image):
     f = forward_features(model, image)
-    boxes, scores = propose(model, f)
+    boxes, scores = proposals(model, f)
     assert len(boxes) == len(scores) <= model.config.num_proposals
 
 
@@ -158,6 +164,42 @@ def test_end_to_end_gradcheck_micro():
 
     err = ad.grad_check(f, [m.params[n].data for n in names], step=1e-5)
     assert err < 1e-4
+
+
+# -- one RPN forward per model per image ------------------------------------------------
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a pass-through that records each call's model."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(m, *args, **kwargs):
+        calls.append(m)
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_frcnn_loss_proposes_from_its_own_rpn_outputs(model, image, monkeypatch):
+    calls = count_calls(monkeypatch, det, "rpn_forward")
+    box = BBox(10, 10, 26, 28)
+    frcnn_loss(model, image, [box], [(box, 1)], np.random.default_rng(0))
+    assert calls == [model]
+
+
+def test_detect_runs_backbone_and_rpn_once(model, image, monkeypatch):
+    expected = detect(model, image, 0.05)
+    rpn_calls = count_calls(monkeypatch, det, "rpn_forward")
+    backbone_calls = count_calls(monkeypatch, det, "forward_features")
+    assert detect(model, image, 0.05) == expected
+    assert rpn_calls == [model] and backbone_calls == [model]
+    # features the caller already has replace the backbone pass, same result
+    feats = forward_features(model, image)
+    rpn_calls.clear()
+    backbone_calls.clear()
+    assert detect(model, image, 0.05, features=feats) == expected
+    assert rpn_calls == [model] and backbone_calls == []
 
 
 # -- detect ------------------------------------------------------------------------------

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from tripledet.boxes import iou
-from tripledet.synthdata import (DatasetError, filter_incremental_subset,
-                                 generate_dataset, generate_incremental_dataset,
+from tripledet.synthdata import (DatasetError, generate_dataset, generate_incremental_dataset,
                                  load_dataset, make_classes, read_ppm, save_dataset,
                                  write_ppm)
 
@@ -93,15 +92,6 @@ def test_incremental_images_contain_unannotated_old_objects():
                 found += 1
                 break
     assert found >= 10
-
-
-def test_filter_incremental_subset():
-    classes = make_classes(4)
-    scenes = generate_dataset(classes, 60, seed=9)
-    subset = filter_incremental_subset(scenes, [4])
-    assert subset, "some scenes contain the new class"
-    for s in subset:
-        assert all(cid == 4 for _, cid in s.annotations)
 
 
 def test_unique_class_defs_enforced():

@@ -1,9 +1,18 @@
 """Trainer: initialization contracts, frozen old model, determinism,
 switch algebra, and the distillation weight's affine role."""
 
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tripledet
+import tripledet.detector as det
+import tripledet.trainer as trainer
 from tripledet.autodiff import Tensor
 from tripledet.boxes import BBox
 from tripledet.detector import (DetectorConfig, checkpoint_bytes, checkpoint_hash, detect,
@@ -13,8 +22,8 @@ from tripledet.synthdata import (Scene, generate_dataset, generate_incremental_d
                                  make_classes)
 from tripledet.trainer import (BaseTrainConfig, SGDMomentum, TrainConfig, TrainingError,
                                TripleNetwork, compute_losses, finetune_config,
-                               init_incremental, init_residual, rm_local_targets,
-                               train_base, train_incremental)
+                               init_incremental, init_residual, init_triple,
+                               rm_local_targets, train_base, train_incremental)
 from tripledet.verification import check_loss_gradient
 
 
@@ -114,15 +123,6 @@ def test_init_residual_backbone_copied_by_default(om):
     assert rm.num_classes == 1
 
 
-def test_init_residual_random_backbone_mode(om):
-    rm1 = init_residual(om, 1, seed=4, pretrained_backbone=False)
-    rm2 = init_residual(om, 1, seed=5, pretrained_backbone=False)
-    assert not np.array_equal(rm1.params["backbone.conv1.w"].data,
-                              rm2.params["backbone.conv1.w"].data)
-    assert not np.array_equal(rm1.params["backbone.conv1.w"].data,
-                              om.params["backbone.conv1.w"].data)
-
-
 def test_rm_local_targets_mapping():
     gt = [(BBox(0, 0, 5, 5), 4), (BBox(1, 1, 6, 6), 5)]
     assert rm_local_targets(gt, num_old=3) == [(gt[0][0], 1), (gt[1][0], 2)]
@@ -209,20 +209,73 @@ def test_nonfinite_loss_aborts_with_term_name(om, image):
     assert "loss_im" in str(exc.value)
 
 
-def test_rm_distill_stop_gradient_flag(om, image):
-    gt = [(BBox(10, 10, 26, 28), 4)]
-    results = {}
-    for flag in (True, False):
-        triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
-        total, _ = compute_losses(triple, image, gt, small_cfg(rm_distill_grad=flag),
+@pytest.mark.parametrize("term", ["d_fea", "d_res", "d_cls"])
+def test_each_distill_term_reaches_residual_backbone_gradient(om, image, term):
+    # two new classes: the residual side of d_cls is a softmax over the new
+    # classes, constant (zero gradient) with only one
+    gt = [(BBox(10, 10, 26, 28), 4), (BBox(40, 38, 56, 60), 5)]
+    off = dict(d_fea=False, d_res=False, d_cls=False)
+    grads = []
+    for switches in (off, {**off, term: True}):
+        triple = init_triple(om, 2, 1)
+        total, _ = compute_losses(triple, image, gt, small_cfg(**switches),
                                   np.random.default_rng(11))
         total.backward()
-        results[flag] = {k: (p.grad.copy() if p.grad is not None else None)
-                         for k, p in triple.rm.params.items()}
-    # gradients into the residual model must differ once distill terms are detached
-    diffs = [not np.array_equal(results[True][k], results[False][k])
-             for k in results[True] if results[True][k] is not None]
-    assert any(diffs)
+        grads.append(triple.rm.params["backbone.conv1.w"].grad.copy())
+    # the same RoI draws either way, so the term alone makes the difference
+    assert not np.array_equal(grads[0], grads[1])
+
+
+# -- one forward per network per image ------------------------------------------------
+
+def count_forwards(monkeypatch, name):
+    """Count calls of detector.<name> per model, through every binding site."""
+    calls = Counter()
+    real = getattr(det, name)
+
+    def counted(m, *args, **kwargs):
+        calls[id(m)] += 1
+        return real(m, *args, **kwargs)
+
+    for module in (det, trainer):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_compute_losses_runs_each_network_once(om, image, monkeypatch):
+    triple = init_triple(om, 1, 1)
+    rpn = count_forwards(monkeypatch, "rpn_forward")
+    backbone = count_forwards(monkeypatch, "forward_features")
+    compute_losses(triple, image, [(BBox(10, 10, 26, 28), 4)], small_cfg(),
+                   np.random.default_rng(0))
+    once = {id(triple.om): 1, id(triple.im): 1, id(triple.rm): 1}
+    assert rpn == once and backbone == once
+    rpn.clear()
+    backbone.clear()
+    compute_losses(triple, image, [(BBox(10, 10, 26, 28), 4)], finetune_config(small_cfg()),
+                   np.random.default_rng(0))
+    once = {id(triple.im): 1, id(triple.rm): 1}
+    assert rpn == once and backbone == once
+
+
+@pytest.mark.parametrize("variant,om_passes", [
+    ("full", 1), ("pseudo_gt_only", 1), ("finetune", 0)])
+def test_train_incremental_old_model_backbone_once_per_scene(om, inc_scenes, monkeypatch,
+                                                             variant, om_passes):
+    cfg = {"full": small_cfg(epochs=2),
+           "pseudo_gt_only": small_cfg(epochs=2, d_fea=False, d_res=False, d_cls=False),
+           "finetune": finetune_config(small_cfg(epochs=2))}[variant]
+    scenes = inc_scenes[:2]
+    triple = init_triple(om, 1, 1)
+    rpn = count_forwards(monkeypatch, "rpn_forward")
+    backbone = count_forwards(monkeypatch, "forward_features")
+    train_incremental(triple, scenes, cfg)
+    steps = len(scenes) * cfg.epochs
+    assert backbone[id(triple.om)] == om_passes * len(scenes)
+    assert rpn[id(triple.om)] == (len(scenes) if cfg.use_pseudo_gt else 0)
+    for m in (triple.im, triple.rm):
+        assert backbone[id(m)] == rpn[id(m)] == steps
 
 
 # -- training loops ---------------------------------------------------------------------
@@ -298,3 +351,37 @@ def test_train_base_nan_image_names_epoch(base_scenes):
     assert "at epoch 0" in str(exc.value)
     # the check runs before the step, so the model is left finite
     assert all(np.isfinite(p.data).all() for p in model.params.values())
+
+
+# base training then full-method incremental training; prints the OM/IM/RM
+# checkpoint hashes
+_HASH_RUN = """
+from tripledet.detector import DetectorConfig, checkpoint_hash, new_model
+from tripledet.synthdata import generate_dataset, generate_incremental_dataset, make_classes
+from tripledet.trainer import (BaseTrainConfig, TrainConfig, init_triple, train_base,
+                               train_incremental)
+classes = make_classes(4)
+om = new_model(DetectorConfig(), 3, seed=2)
+train_base(om, generate_dataset(classes[:3], 4, seed=78), BaseTrainConfig(epochs=1, seed=6))
+om.freeze()
+triple = init_triple(om, 1, 1)
+train_incremental(triple, generate_incremental_dataset(classes[:3], classes[3:], 3, seed=77),
+                  TrainConfig(epochs=1, seed=5))
+print(checkpoint_hash(triple.om), checkpoint_hash(triple.im), checkpoint_hash(triple.rm))
+"""
+
+
+@pytest.mark.slow
+def test_checkpoints_identical_across_blas_thread_counts():
+    """Same machine, 1 vs 2 OpenBLAS threads: bit-identical checkpoints.
+    Identity across CPUs is not promised (OpenBLAS picks kernels per CPU)."""
+    src = str(Path(tripledet.__file__).resolve().parents[1])
+    hashes = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", _HASH_RUN], env=env, check=True,
+                             capture_output=True, text=True, timeout=600)
+        hashes.append(out.stdout.split())
+    assert len(hashes[0]) == 3
+    assert hashes[0] == hashes[1]
