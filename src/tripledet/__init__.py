@@ -4,8 +4,8 @@ incremental model learns old + new classes, and an assistant residual model
 captures what changed."""
 
 from .autodiff import GradCheckError, ShapeError, Tensor, grad_check
-from .boxes import (BBox, Detection, decode_deltas_array, encode_deltas_array, iou,
-                    nms_per_class)
+from .boxes import (BBox, Detection, annotation_arrays, decode_deltas_array,
+                    encode_deltas_array, iou, nms_per_class)
 from .detector import (DetectorConfig, DetectorModel, checkpoint_hash, detect,
                        forward_features, frcnn_loss, head_forward, load_checkpoint,
                        new_model, propose, roi_pool, save_checkpoint)

@@ -81,29 +81,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __sub__(self, other):
         return subtract(self, _as_tensor(other))
 
-    def __rsub__(self, other):
-        return subtract(_as_tensor(other), self)
-
     def __mul__(self, other):
         return multiply(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return multiply(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return divide(self, _as_tensor(other))
-
-    def __neg__(self):
-        return multiply(self, Tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
@@ -308,19 +290,6 @@ def smooth_l1(x: Tensor) -> Tensor:
 
     val = np.where(inner, 0.5 * x.data * x.data, np.abs(x.data) - 0.5)
     return _make(val, "smooth_l1", (x,), bw)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    pos = x.data >= 0
-    val = np.empty_like(x.data)
-    val[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    expv = np.exp(x.data[~pos])
-    val[~pos] = expv / (1.0 + expv)
-
-    def bw(g):
-        _accum(x, g * val * (1.0 - val))
-
-    return _make(val, "sigmoid", (x,), bw)
 
 
 def softplus(x: Tensor) -> Tensor:

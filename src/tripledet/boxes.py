@@ -1,5 +1,9 @@
 """Axis-aligned box arithmetic: IoU, per-class NMS, and delta coding.
 
+Inside the library, boxes travel as an (n,4) float array plus an (n,) int
+label array; `BBox`/`Detection` only carry annotations and returned
+detections (`annotation_arrays` converts annotations).
+
 Boxes use continuous corner coordinates with area (x2-x1)*(y2-y1); a box is
 valid only when x2 > x1 and y2 > y1. NMS suppresses at strictly greater IoU
 than the threshold, and all score ties break toward the lower original index,
@@ -114,25 +118,28 @@ def nms_indices(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float,
     return keep
 
 
-def nms_per_class(dets: list[Detection], iou_thresh: float) -> list[Detection]:
-    """NMS within each class independently; output sorted by descending score.
+def nms_per_class(boxes: np.ndarray, scores: np.ndarray, labels: np.ndarray,
+                  iou_thresh: float) -> np.ndarray:
+    """NMS within each class label independently over (n,4) boxes, (n,)
+    scores and (n,) labels; returns the kept indices by descending score.
 
     Ties in the output ordering also break toward the lower original index.
     """
     if not (0.0 < iou_thresh < 1.0):
         raise ValueError(f"iou_thresh must lie in (0,1), got {iou_thresh}")
-    kept: list[tuple[float, int, Detection]] = []
-    by_class: dict[int, list[tuple[int, Detection]]] = {}
-    for idx, det in enumerate(dets):
-        by_class.setdefault(det.class_id, []).append((idx, det))
-    for _, group in by_class.items():
-        boxes = np.array([d.bbox.as_array() for _, d in group])
-        scores = np.array([d.score for _, d in group])
-        for local in nms_indices(boxes, scores, iou_thresh):
-            idx, det = group[local]
-            kept.append((-det.score, idx, det))
-    kept.sort(key=lambda t: (t[0], t[1]))
-    return [det for _, _, det in kept]
+    kept = [np.zeros(0, dtype=np.intp)]
+    # classes in order of first appearance; np.unique would import numpy.ma
+    for c in dict.fromkeys(labels.tolist()):
+        idx = np.flatnonzero(labels == c)
+        kept.append(idx[nms_indices(boxes[idx], scores[idx], iou_thresh)])
+    kept = np.concatenate(kept)
+    return kept[np.lexsort((kept, -scores[kept]))]
+
+
+def annotation_arrays(pairs: list[tuple[BBox, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(n,4) float boxes and (n,) int labels of `(BBox, class_id)` pairs."""
+    boxes = np.array([b.as_array() for b, _ in pairs], dtype=np.float64).reshape(-1, 4)
+    return boxes, np.array([c for _, c in pairs], dtype=np.intp)
 
 
 def encode_deltas_array(anchors: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -19,13 +19,13 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .detector import DetectorConfig, load_checkpoint, new_model, save_checkpoint
+from .detector import load_checkpoint, save_checkpoint
 from .evaluate import (ExperimentProtocol, build_datasets, default_variant_grid,
                        evaluate_model, run_experiment, threshold_sweep_variants,
-                       write_report_json)
+                       train_base_model, write_report_json)
 from .pseudo_gt import Thresholds
 from .synthdata import load_dataset, save_dataset
-from .trainer import (BaseTrainConfig, TrainConfig, finetune_config, init_triple, train_base,
+from .trainer import (BaseTrainConfig, TrainConfig, finetune_config, init_triple,
                       train_incremental, write_epoch_log)
 from .verification import GRAD_TOL, run_gradient_suite
 
@@ -72,7 +72,7 @@ class RunConfig:
             self.protocol = ExperimentProtocol(
                 old_class_ids=self.old_class_ids, new_class_ids=self.new_class_ids,
                 n_base=self.n_base, n_incremental=self.n_incremental, n_test=self.n_test,
-                data_seed=self.data_seed, base_seed=self.seed, seeds=self.seeds,
+                data_seed=self.data_seed, seeds=self.seeds,
                 base_cfg=BaseTrainConfig(epochs=self.base_epochs, lr=self.base_lr,
                                          batch_size=self.batch_size, seed=self.seed),
                 inc_cfg=TrainConfig(
@@ -189,9 +189,7 @@ def _load_split(cfg: RunConfig, split: str):
 
 
 def cmd_train_base(cfg: RunConfig) -> int:
-    scenes = _load_split(cfg, "base")
-    model = new_model(DetectorConfig(), len(cfg.old_class_ids), cfg.seed)
-    log = train_base(model, scenes, cfg.protocol.base_cfg)
+    model, log = train_base_model(cfg.protocol, _load_split(cfg, "base"))
     ckpt_dir = Path(cfg.checkpoint_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     out_dir = Path(cfg.out_dir)

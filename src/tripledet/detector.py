@@ -249,17 +249,19 @@ def detect(model: DetectorModel, image, score_thresh: float = 0.5,
     pooled = roi_pool(features, prop_boxes, cfg.pool_size, cfg.stride)
     logits, deltas = head_forward(model, pooled)
     probs = ad.softmax(logits, axis=1).data
-    dets: list[Detection] = []
+    boxes, scores, labels = [], [], []
     for c in range(1, model.num_classes + 1):
         rows = np.flatnonzero(probs[:, c] > score_thresh)
-        if rows.size == 0:
-            continue
         decoded = decode_deltas_array(prop_boxes[rows], deltas.data[rows, c - 1])
         decoded = clip_boxes(decoded, cfg.image_size, cfg.image_size)
-        for r, box in zip(rows, decoded):
-            if box[2] - box[0] > DEGENERATE_EPS and box[3] - box[1] > DEGENERATE_EPS:
-                dets.append(Detection(BBox(*box), c, float(probs[r, c])))
-    return nms_per_class(dets, nms_thresh)
+        valid = (((decoded[:, 2] - decoded[:, 0]) > DEGENERATE_EPS)
+                 & ((decoded[:, 3] - decoded[:, 1]) > DEGENERATE_EPS))
+        boxes.append(decoded[valid])
+        scores.append(probs[rows[valid], c])
+        labels.append(np.full(int(valid.sum()), c))
+    boxes, scores, labels = (np.concatenate(a) for a in (boxes, scores, labels))
+    return [Detection(BBox(*boxes[i]), int(labels[i]), float(scores[i]))
+            for i in nms_per_class(boxes, scores, labels, nms_thresh)]
 
 
 # -- training targets and losses ------------------------------------------------
@@ -328,32 +330,29 @@ class LossInternals:
 
 
 def roi_candidates(config: DetectorConfig, obj: np.ndarray, deltas: np.ndarray,
-                   rcnn_targets: list[tuple[BBox, int]]) -> np.ndarray:
+                   rcnn_boxes: np.ndarray) -> np.ndarray:
     """RoI candidate pool for sampling: the proposals of the RPN outputs
-    `obj`/`deltas` (arrays, see `propose`) plus the target boxes themselves
-    (so positives exist from the first step)."""
+    `obj`/`deltas` (arrays, see `propose`) plus the (k,4) R-CNN target boxes
+    themselves (so positives exist from the first step)."""
     prop_boxes, _ = propose(config, obj, deltas)
-    tgt_boxes = np.array([b.as_array() for b, _ in rcnn_targets]).reshape(-1, 4)
-    if len(tgt_boxes) == 0:
-        return prop_boxes
-    return np.concatenate([prop_boxes, tgt_boxes], axis=0)
+    return np.concatenate([prop_boxes, rcnn_boxes], axis=0)
 
 
-def frcnn_loss(model: DetectorModel, image, rpn_targets: list[BBox],
-               rcnn_targets: list[tuple[BBox, int]], rng: np.random.Generator,
+def frcnn_loss(model: DetectorModel, image, rpn_boxes: np.ndarray,
+               rcnn_boxes: np.ndarray, rcnn_labels: np.ndarray, rng: np.random.Generator,
                features: Tensor | None = None,
                return_internals: bool = False,
                candidate_rois: np.ndarray | None = None):
     """Detection loss: RPN binary cross-entropy + smooth-L1, R-CNN
     cross-entropy + smooth-L1, each term normalized by its sample count.
 
-    `rpn_targets` are class-agnostic boxes; `rcnn_targets` carry class ids in
-    1..num_classes. RoIs are sampled from `roi_candidates`, built from the
-    same RPN outputs the RPN terms read, unless `candidate_rois` pins the
-    pool explicitly; gradient checks pin it because proposal selection is
-    piecewise constant in the parameters (zero gradient almost everywhere)
-    and a selection flip inside the probe step would invalidate the finite
-    difference.
+    `rpn_boxes` (n,4) are class-agnostic targets; `rcnn_boxes` (k,4) carry
+    the class ids `rcnn_labels` (k,) in 1..num_classes. RoIs are sampled
+    from `roi_candidates`, built from the same RPN outputs the RPN terms
+    read, unless `candidate_rois` pins the pool explicitly; gradient checks
+    pin it because proposal selection is piecewise constant in the
+    parameters (zero gradient almost everywhere) and a selection flip inside
+    the probe step would invalidate the finite difference.
     """
     cfg = model.config
     if features is None:
@@ -363,7 +362,6 @@ def frcnn_loss(model: DetectorModel, image, rpn_targets: list[BBox],
     a = len(cfg.anchor_sides)
     fs = cfg.feature_size
     anchors = anchor_boxes(cfg)
-    rpn_boxes = np.array([b.as_array() for b in rpn_targets]).reshape(-1, 4)
     pos, neg, match = match_anchors(anchors, rpn_boxes)
     obj, deltas = rpn_forward(model, features)
     obj_label = pos.astype(np.float64).reshape(a, fs, fs)
@@ -383,13 +381,11 @@ def frcnn_loss(model: DetectorModel, image, rpn_targets: list[BBox],
     rpn_reg = rpn_reg * Tensor(1.0 / max(pos.sum(), 1))
 
     # R-CNN terms on sampled RoIs
-    tgt_boxes = np.array([b.as_array() for b, _ in rcnn_targets]).reshape(-1, 4)
-    tgt_labels = np.array([c for _, c in rcnn_targets], dtype=np.intp)
-    if np.any(tgt_labels > model.num_classes):
+    if np.any(rcnn_labels > model.num_classes):
         raise DetectorError("rcnn target class id exceeds model classes")
     candidates = candidate_rois if candidate_rois is not None else \
-        roi_candidates(cfg, obj.data, deltas.data, rcnn_targets)
-    rois, roi_labels, roi_match = sample_rois(candidates, tgt_boxes, tgt_labels, rng)
+        roi_candidates(cfg, obj.data, deltas.data, rcnn_boxes)
+    rois, roi_labels, roi_match = sample_rois(candidates, rcnn_boxes, rcnn_labels, rng)
 
     pooled = roi_pool(features, rois, cfg.pool_size, cfg.stride)
     logits, pred_deltas = head_forward(model, pooled)
@@ -404,7 +400,7 @@ def frcnn_loss(model: DetectorModel, image, rpn_targets: list[BBox],
     for r in pos_rows:
         c = roi_labels[r] - 1
         dmask[r, c, 0] = 1.0
-        dtgt[r, c] = encode_deltas_array(rois[r:r + 1], tgt_boxes[roi_match[r]:roi_match[r] + 1])[0]
+        dtgt[r, c] = encode_deltas_array(rois[r:r + 1], rcnn_boxes[roi_match[r]:roi_match[r] + 1])[0]
     rcnn_reg = ad.tsum(ad.smooth_l1(pred_deltas - Tensor(dtgt)) * Tensor(dmask))
     rcnn_reg = rcnn_reg * Tensor(1.0 / max(len(pos_rows), 1))
 

@@ -131,6 +131,10 @@ def classification_distill_loss(logits: LogitTriple) -> Tensor:
     the old model (old classes + background) and the residual model (new
     classes, background excluded). Mean over RoIs; the new-class term is 0
     when there are no new classes.
+
+    With exactly one new class the new-class term is also exactly 0, with
+    zero gradient: each side is a softmax over a single logit, identically 1.
+    Only the old-class term then acts, as in the default 3+1 protocol.
     """
     ca, cb = logits.num_old, logits.num_new
     im_old = ad.softmax(logits.y_im_logits, axis=1, index_range=(0, ca + 1))

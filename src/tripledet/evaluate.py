@@ -3,9 +3,9 @@
 AP uses greedy matching (dets in descending score order, ties by input
 order; a detection is a true positive iff it has IoU >= threshold with a
 still-unmatched ground-truth box of its image) and all-point interpolation:
-the area under the running-max precision envelope over recall. An 11-point
-variant is available behind a flag. Classes without ground truth in the
-evaluated split are vacuous and excluded from mAP means.
+the area under the running-max precision envelope over recall. Classes
+without ground truth in the evaluated split are vacuous and excluded from
+mAP means.
 
 The harness trains every requested variant from one shared base checkpoint
 and emits one CSV row per (variant, seed) plus one seed-averaged row per
@@ -26,7 +26,8 @@ from .boxes import BBox, iou
 from .detector import DetectorConfig, DetectorModel, detect, new_model
 from .pseudo_gt import Thresholds
 from .synthdata import Scene, generate_dataset, generate_incremental_dataset, make_classes
-from .trainer import BaseTrainConfig, TrainConfig, init_triple, train_base, train_incremental
+from .trainer import (BaseTrainConfig, EpochStats, TrainConfig, init_triple, train_base,
+                      train_incremental)
 
 EVAL_SCORE_THRESH = 0.05      # low inference floor so the PR curve has full range
 EVAL_NMS_THRESH = 0.3
@@ -56,7 +57,7 @@ class APReport:
 
 
 def voc_ap(dets: list[tuple[int, float, BBox]], gts: dict[int, list[BBox]],
-           iou_thresh: float, eleven_point: bool = False) -> float:
+           iou_thresh: float) -> float:
     """AP for one class; `dets` are (image_id, score, box), `gts` map image
     ids to that image's ground-truth boxes. Returns 0.0 with no ground truth
     (callers flag that case as vacuous)."""
@@ -85,12 +86,6 @@ def voc_ap(dets: list[tuple[int, float, BBox]], gts: dict[int, list[BBox]],
     cum_fp = np.cumsum(fp)
     recall = cum_tp / n_gt
     precision = cum_tp / np.maximum(cum_tp + cum_fp, 1e-12)
-    if eleven_point:
-        ap = 0.0
-        for r in np.linspace(0.0, 1.0, 11):
-            mask = recall >= r
-            ap += (precision[mask].max() if mask.any() else 0.0) / 11.0
-        return float(ap)
     mrec = np.concatenate([[0.0], recall, [1.0]])
     mpre = np.concatenate([[0.0], precision, [0.0]])
     for i in range(len(mpre) - 2, -1, -1):
@@ -102,8 +97,7 @@ def voc_ap(dets: list[tuple[int, float, BBox]], gts: dict[int, list[BBox]],
 def evaluate_model(model: DetectorModel, scenes: list[Scene], iou_thresh: float = 0.5,
                    old_classes=(), new_classes=(),
                    score_thresh: float = EVAL_SCORE_THRESH,
-                   nms_thresh: float = EVAL_NMS_THRESH,
-                   eleven_point: bool = False) -> APReport:
+                   nms_thresh: float = EVAL_NMS_THRESH) -> APReport:
     """Detect on every scene and aggregate per-class AP into a report."""
     old_classes = list(old_classes)
     new_classes = list(new_classes)
@@ -126,8 +120,7 @@ def evaluate_model(model: DetectorModel, scenes: list[Scene], iou_thresh: float 
         n_gt = sum(len(v) for v in gts_by_class[c].values())
         if n_gt == 0:
             vacuous.append(c)
-        per_class_ap[c] = voc_ap(dets_by_class[c], gts_by_class[c], iou_thresh,
-                                 eleven_point=eleven_point)
+        per_class_ap[c] = voc_ap(dets_by_class[c], gts_by_class[c], iou_thresh)
 
     def subset_mean(subset):
         vals = [per_class_ap[c] for c in subset if c not in vacuous]
@@ -168,7 +161,6 @@ class ExperimentProtocol:
     n_incremental: int = 100
     n_test: int = 100
     data_seed: int = 1234
-    base_seed: int = 0
     seeds: list[int] = field(default_factory=lambda: [1, 2, 3])
     base_cfg: BaseTrainConfig = field(default_factory=BaseTrainConfig)
     inc_cfg: TrainConfig = field(default_factory=TrainConfig)
@@ -240,11 +232,13 @@ def build_datasets(protocol: ExperimentProtocol) -> tuple[list[Scene], list[Scen
     return base, inc, test
 
 
-def train_base_model(protocol: ExperimentProtocol, base_scenes: list[Scene]) -> DetectorModel:
-    model = new_model(protocol.detector_cfg, len(protocol.old_class_ids), protocol.base_seed)
-    cfg = replace(protocol.base_cfg, seed=protocol.base_seed)
-    train_base(model, base_scenes, cfg)
-    return model
+def train_base_model(protocol: ExperimentProtocol, base_scenes: list[Scene]
+                     ) -> tuple[DetectorModel, list[EpochStats]]:
+    """The old model, initialized and trained from `protocol.base_cfg.seed`,
+    and its epoch log."""
+    cfg = protocol.base_cfg
+    model = new_model(protocol.detector_cfg, len(protocol.old_class_ids), cfg.seed)
+    return model, train_base(model, base_scenes, cfg)
 
 
 def run_variant(protocol: ExperimentProtocol, variant: Variant, seed: int,
@@ -281,7 +275,7 @@ def run_experiment(protocol: ExperimentProtocol, om: DetectorModel | None = None
     """|variants| x |seeds| rows plus one seed-averaged row per variant."""
     base_scenes, inc_scenes, test_scenes = datasets or build_datasets(protocol)
     if om is None:
-        om = train_base_model(protocol, base_scenes)
+        om, _ = train_base_model(protocol, base_scenes)
     rows: list[ExperimentRow] = []
     for variant in protocol.variants:
         variant_rows = []

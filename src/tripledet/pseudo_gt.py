@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .autodiff import Tensor
-from .boxes import BBox, Detection, iou
+from .boxes import Detection, annotation_arrays, iou_matrix
 from .detector import DetectorModel, detect
 
 
@@ -33,32 +35,34 @@ class Thresholds:
 
 @dataclass
 class PseudoGTSet:
-    rpn_targets: list[BBox]                      # class-agnostic, pseudo + gt
-    rcnn_targets: list[tuple[BBox, int]]         # labeled, pseudo + gt
+    rpn_boxes: np.ndarray        # (n,4) class-agnostic, pseudo + gt
+    rcnn_boxes: np.ndarray       # (k,4) pseudo + gt
+    rcnn_labels: np.ndarray      # (k,) class ids of rcnn_boxes
 
 
-def generate_pseudo_gt(om: DetectorModel, image, new_gt_boxes: list[BBox],
+def generate_pseudo_gt(om: DetectorModel, image, new_gt_boxes: np.ndarray,
                        th: Thresholds, features: Tensor | None = None) -> list[Detection]:
     """Old-model detections that do not conflict with new-class annotations.
 
     Inference uses theta_low as the confidence floor so both threshold splits
     can be taken from this one pass. A detection survives only when its IoU
-    with every new-class box is at most theta_iou. `features` may carry the
-    old model's backbone features of `image` (see `detect`).
+    with every new-class box of the (k,4) `new_gt_boxes` is at most
+    theta_iou. `features` may carry the old model's backbone features of
+    `image` (see `detect`).
     """
     dets = detect(om, image, score_thresh=th.theta_low, nms_thresh=th.theta_iou,
                   features=features)
-    return [d for d in dets
-            if all(iou(d.bbox, g) <= th.theta_iou for g in new_gt_boxes)]
+    det_boxes, _ = annotation_arrays([(d.bbox, d.class_id) for d in dets])
+    keep = (iou_matrix(det_boxes, new_gt_boxes) <= th.theta_iou).all(axis=1)
+    return [d for d, k in zip(dets, keep) if k]
 
 
-def build_training_targets(boxes_p: list[Detection],
-                           new_gt: list[tuple[BBox, int]],
-                           th: Thresholds) -> PseudoGTSet:
+def build_training_targets(boxes_p: list[Detection], gt_boxes: np.ndarray,
+                           gt_labels: np.ndarray, th: Thresholds) -> PseudoGTSet:
     """Split pseudo boxes by score (strict >) and union with new ground truth."""
-    rpn = [d.bbox for d in boxes_p if d.score > th.theta_low]
-    rcnn = [(d.bbox, d.class_id) for d in boxes_p if d.score > th.theta_high]
-    return PseudoGTSet(
-        rpn_targets=rpn + [b for b, _ in new_gt],
-        rcnn_targets=rcnn + list(new_gt),
-    )
+    boxes, labels = annotation_arrays([(d.bbox, d.class_id) for d in boxes_p])
+    scores = np.array([d.score for d in boxes_p])
+    low, high = scores > th.theta_low, scores > th.theta_high
+    return PseudoGTSet(np.concatenate([boxes[low], gt_boxes]),
+                       np.concatenate([boxes[high], gt_boxes]),
+                       np.concatenate([labels[high], gt_labels]))

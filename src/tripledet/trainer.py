@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .autodiff import Tensor
-from .boxes import BBox
+from .boxes import annotation_arrays
 from .detector import (DetectorModel, forward_features, frcnn_loss, head_forward,
                        new_model, roi_pool)
 from .distill import (FeatureTriple, LogitTriple, PooledTriple,
@@ -173,53 +173,42 @@ def init_triple(om: DetectorModel, num_new: int, seed: int) -> TripleNetwork:
                          rm=init_residual(om, num_new, seed))
 
 
-def rm_local_targets(gt_new: list[tuple[BBox, int]], num_old: int) -> list[tuple[BBox, int]]:
-    """Map global new-class ids (num_old+1..) onto the residual model's 1..Cb."""
-    return [(b, cid - num_old) for b, cid in gt_new]
-
-
 # -- loss assembly ----------------------------------------------------------------
 
-def compute_losses(triple: TripleNetwork, image, gt_new: list[tuple[BBox, int]],
+def compute_losses(triple: TripleNetwork, image, gt_boxes: np.ndarray, gt_labels: np.ndarray,
                    cfg: TrainConfig, rng: np.random.Generator,
-                   pseudo: list | None = None,
+                   targets: PseudoGTSet | None = None,
                    om_features: Tensor | None = None,
                    im_candidates: np.ndarray | None = None,
                    rm_candidates: np.ndarray | None = None) -> tuple[Tensor, LossBreakdown]:
-    """Total loss tensor and its per-term breakdown for one image.
+    """Total loss tensor and its per-term breakdown for one image with
+    new-class boxes `gt_boxes` (n,4) and their global class ids `gt_labels`.
 
-    Disabled terms contribute exactly zero. `pseudo` may carry precomputed
-    surviving old-model detections (they depend only on the frozen old model,
-    the image, and the thresholds); `om_features` may carry the old model's
-    backbone features of `image`. Otherwise the old model's backbone runs at
-    most once here. `im_candidates`/`rm_candidates` pin the RoI candidate
-    pools for gradient checking.
+    Disabled terms contribute exactly zero. `targets` may carry the
+    incremental model's precomputed targets (`build_training_targets`), and
+    `om_features` the old model's backbone features of `image`; otherwise
+    the old model's backbone runs at most once here. `im_candidates`/
+    `rm_candidates` pin the RoI candidate pools for gradient checking.
     """
     om, im, rm = triple.om, triple.im, triple.rm
     th = cfg.effective_thresholds()
-    num_old = om.num_classes
     distill_on = cfg.d_fea or cfg.d_res or cfg.d_cls
-    if om_features is None and (distill_on or (cfg.use_pseudo_gt and pseudo is None)):
+    if om_features is None and (distill_on or (cfg.use_pseudo_gt and targets is None)):
         om_features = forward_features(om, image)
-
-    if cfg.use_pseudo_gt:
-        if pseudo is None:
-            pseudo = generate_pseudo_gt(om, image, [b for b, _ in gt_new], th,
-                                        features=om_features)
-        targets = build_training_targets(pseudo, gt_new, th)
-    else:
-        targets = PseudoGTSet(rpn_targets=[b for b, _ in gt_new],
-                              rcnn_targets=list(gt_new))
+    if targets is None:
+        pseudo = generate_pseudo_gt(om, image, gt_boxes, th, features=om_features) \
+            if cfg.use_pseudo_gt else []
+        targets = build_training_targets(pseudo, gt_boxes, gt_labels, th)
 
     f_im = forward_features(im, image)
-    loss_im, internals = frcnn_loss(im, image, targets.rpn_targets, targets.rcnn_targets,
-                                    rng, features=f_im, return_internals=True,
-                                    candidate_rois=im_candidates)
+    loss_im, internals = frcnn_loss(im, image, targets.rpn_boxes, targets.rcnn_boxes,
+                                    targets.rcnn_labels, rng, features=f_im,
+                                    return_internals=True, candidate_rois=im_candidates)
 
     f_rm = forward_features(rm, image)
-    gt_rm = rm_local_targets(gt_new, num_old)
-    loss_rm = frcnn_loss(rm, image, [b for b, _ in gt_rm], gt_rm, rng, features=f_rm,
-                         candidate_rois=rm_candidates)
+    # the residual model numbers the new classes 1..num_new
+    loss_rm = frcnn_loss(rm, image, gt_boxes, gt_boxes, gt_labels - om.num_classes, rng,
+                         features=f_rm, candidate_rois=rm_candidates)
 
     d_fea_t = d_res_t = d_cls_t = None
     if distill_on:
@@ -330,22 +319,24 @@ def train_incremental(triple: TripleNetwork, scenes: list[Scene], cfg: TrainConf
     """Train the incremental and residual models on new-class scenes.
 
     `eval_fn(im_model) -> (map_old, map_new, map_all)` runs after each epoch
-    when provided. Pseudo ground truth and old-model features depend only on
-    frozen state, so they are precomputed: one old-model backbone pass per
-    scene feeds both, and none runs when neither is on.
+    when provided. The incremental model's training targets (pseudo ground
+    truth plus annotations) and the old-model features depend only on frozen
+    state, so they are precomputed: one old-model backbone pass per scene
+    feeds both, and none runs when neither pseudo-GT nor distillation is on.
     """
     om, th = triple.om, cfg.effective_thresholds()
     need_om = cfg.use_pseudo_gt or cfg.d_fea or cfg.d_res or cfg.d_cls
     # detached: the cache keeps the feature values, not the frozen graph
     om_feats = [forward_features(om, s.image).detach() if need_om else None for s in scenes]
-    pseudo = [generate_pseudo_gt(om, s.image, [b for b, _ in s.annotations], th, features=f)
-              if cfg.use_pseudo_gt else [] for s, f in zip(scenes, om_feats)]
+    gts = [annotation_arrays(s.annotations) for s in scenes]
+    pseudo = [generate_pseudo_gt(om, s.image, boxes, th, features=f) if cfg.use_pseudo_gt else []
+              for s, f, (boxes, _) in zip(scenes, om_feats, gts)]
+    targets = [build_training_targets(p, *gt, th) for p, gt in zip(pseudo, gts)]
     rng = np.random.default_rng(cfg.seed)
 
     def image_loss(idx):
-        s = scenes[idx]
-        return compute_losses(triple, s.image, s.annotations, cfg, rng,
-                              pseudo=pseudo[idx], om_features=om_feats[idx])
+        return compute_losses(triple, scenes[idx].image, *gts[idx], cfg, rng,
+                              targets=targets[idx], om_features=om_feats[idx])
 
     optimizers = [SGDMomentum(triple.im.trainable(), cfg.momentum),
                   SGDMomentum(triple.rm.trainable(), cfg.momentum)]
@@ -358,11 +349,12 @@ def train_base(model: DetectorModel, scenes: list[Scene], cfg: BaseTrainConfig,
                eval_fn=None) -> list[EpochStats]:
     """Train a single detector on fully annotated scenes; its epoch log
     reports the detection loss as both loss_im and total."""
+    gts = [annotation_arrays(s.annotations) for s in scenes]
     rng = np.random.default_rng(cfg.seed)
 
     def image_loss(idx):
-        s = scenes[idx]
-        t = frcnn_loss(model, s.image, [b for b, _ in s.annotations], s.annotations, rng)
+        boxes, labels = gts[idx]
+        t = frcnn_loss(model, scenes[idx].image, boxes, boxes, labels, rng)
         return t, LossBreakdown(t.item(), 0.0, 0.0, 0.0, 0.0, t.item())
 
     return _fit(image_loss, len(scenes), cfg, rng,

@@ -13,15 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor, grad_check, topo_order
-from .boxes import BBox
 from .detector import (DetectorConfig, DetectorModel, forward_features, frcnn_loss,
                        new_model, roi_candidates, rpn_forward)
 from .distill import (FeatureTriple, LogitTriple, PooledTriple, attention_pair_loss,
                       classification_distill_loss, feature_distill_loss,
                       residual_base_loss, residual_pool_loss)
 from .pseudo_gt import Thresholds, build_training_targets, generate_pseudo_gt
-from .trainer import (TrainConfig, TripleNetwork, compute_losses, init_incremental,
-                      init_residual, rm_local_targets)
+from .trainer import TrainConfig, TripleNetwork, compute_losses, init_incremental, init_residual
 
 MICRO_CONFIG = DetectorConfig(
     image_size=16,
@@ -90,16 +88,17 @@ def micro_image(rng: np.random.Generator) -> np.ndarray:
 
 
 def micro_targets(rng: np.random.Generator, num_classes: int, n: int = 2,
-                  lo: int = 1) -> list[tuple[BBox, int]]:
-    out = []
+                  lo: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    boxes, labels = np.zeros((n, 4)), np.zeros(n, dtype=np.intp)
     size = MICRO_CONFIG.image_size
-    for _ in range(n):
+    for i in range(n):
         w = rng.uniform(4.0, 9.0)
         h = rng.uniform(4.0, 9.0)
         x1 = rng.uniform(0.0, size - w)
         y1 = rng.uniform(0.0, size - h)
-        out.append((BBox(x1, y1, x1 + w, y1 + h), int(rng.integers(lo, num_classes + 1))))
-    return out
+        boxes[i] = x1, y1, x1 + w, y1 + h
+        labels[i] = rng.integers(lo, num_classes + 1)
+    return boxes, labels
 
 
 def _build_attention_pair(rng: np.random.Generator):
@@ -137,10 +136,10 @@ def _model_param_arrays(model: DetectorModel) -> tuple[list[str], list[np.ndarra
 
 
 def _candidate_pool(model: DetectorModel, image: np.ndarray,
-                    targets: list[tuple[BBox, int]]) -> np.ndarray:
+                    rcnn_boxes: np.ndarray) -> np.ndarray:
     """The RoI candidate pool `frcnn_loss` would sample from at the base point."""
     obj, deltas = rpn_forward(model, forward_features(model, image))
-    return roi_candidates(model.config, obj.data, deltas.data, targets)
+    return roi_candidates(model.config, obj.data, deltas.data, rcnn_boxes)
 
 
 def _build_frcnn(rng: np.random.Generator):
@@ -151,17 +150,16 @@ def _build_frcnn(rng: np.random.Generator):
     for p in model.params.values():
         p.data += rng.normal(0.0, 0.02, p.shape)
     image = micro_image(rng)
-    targets = micro_targets(rng, num_classes)
-    boxes = [b for b, _ in targets]
+    boxes, labels = micro_targets(rng, num_classes)
     names, arrays = _model_param_arrays(model)
     sample_seed = int(rng.integers(0, 2 ** 31))
     # pin the RoI candidate pool at the base point: proposal selection is
     # piecewise constant in the parameters, so this is the a.e. gradient
-    candidates = _candidate_pool(model, image, targets)
+    candidates = _candidate_pool(model, image, boxes)
 
     def f(*tensors):
         m = DetectorModel(MICRO_CONFIG, num_classes, dict(zip(names, tensors)))
-        return frcnn_loss(m, image, boxes, targets, np.random.default_rng(sample_seed),
+        return frcnn_loss(m, image, boxes, boxes, labels, np.random.default_rng(sample_seed),
                           candidate_rois=candidates)
 
     return f, arrays
@@ -187,18 +185,18 @@ def _build_total_loss(rng: np.random.Generator):
     triple = micro_triple(rng)
     cfg = TrainConfig(epochs=1, thresholds=Thresholds(0.1, 0.9, 0.3))
     image = micro_image(rng)
-    gt_new = micro_targets(rng, triple.im.num_classes, n=1, lo=triple.om.num_classes + 1)
+    gt_boxes, gt_labels = micro_targets(rng, triple.im.num_classes, n=1,
+                                        lo=triple.om.num_classes + 1)
     th = cfg.effective_thresholds()
     om_feat = forward_features(triple.om, image).detach()
-    pseudo = generate_pseudo_gt(triple.om, image, [b for b, _ in gt_new], th, features=om_feat)
+    pseudo = generate_pseudo_gt(triple.om, image, gt_boxes, th, features=om_feat)
+    targets = build_training_targets(pseudo, gt_boxes, gt_labels, th)
     im_names, im_arrays = _model_param_arrays(triple.im)
     rm_names, rm_arrays = _model_param_arrays(triple.rm)
     sample_seed = int(rng.integers(0, 2 ** 31))
     # pin both candidate pools at the base point (see _build_frcnn)
-    im_targets = build_training_targets(pseudo, gt_new, th).rcnn_targets
-    cand_im = _candidate_pool(triple.im, image, im_targets)
-    gt_rm = rm_local_targets(gt_new, triple.om.num_classes)
-    cand_rm = _candidate_pool(triple.rm, image, gt_rm)
+    cand_im = _candidate_pool(triple.im, image, targets.rcnn_boxes)
+    cand_rm = _candidate_pool(triple.rm, image, gt_boxes)
 
     def f(*tensors):
         im_t = tensors[:len(im_names)]
@@ -208,9 +206,9 @@ def _build_total_loss(rng: np.random.Generator):
             im=DetectorModel(MICRO_CONFIG, triple.im.num_classes, dict(zip(im_names, im_t))),
             rm=DetectorModel(MICRO_CONFIG, triple.rm.num_classes, dict(zip(rm_names, rm_t))),
         )
-        total, _ = compute_losses(trip, image, gt_new, cfg,
+        total, _ = compute_losses(trip, image, gt_boxes, gt_labels, cfg,
                                   np.random.default_rng(sample_seed),
-                                  pseudo=pseudo, om_features=om_feat,
+                                  targets=targets, om_features=om_feat,
                                   im_candidates=cand_im, rm_candidates=cand_rm)
         return total
 

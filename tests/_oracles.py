@@ -6,7 +6,7 @@ the library code paths they check.
 
 import numpy as np
 
-from tripledet.boxes import BBox, Detection, iou
+from tripledet.boxes import BBox, Detection, annotation_arrays, iou, nms_per_class
 from tripledet.distill import GRAM_EPS
 
 
@@ -43,6 +43,14 @@ def brute_force_nms(dets, thresh):
                          if i != best[0] and iou(d.bbox, best[1].bbox) <= thresh]
     kept.sort(key=lambda t: (-t[1].score, t[0]))
     return [d for _, d in kept]
+
+
+def nms_detections(dets, thresh):
+    """Not an oracle: the library's array `nms_per_class` applied to a list
+    of Detections (to arrays, then the kept Detections back)."""
+    boxes, labels = annotation_arrays([(d.bbox, d.class_id) for d in dets])
+    keep = nms_per_class(boxes, np.array([d.score for d in dets]), labels, thresh)
+    return [dets[i] for i in keep]
 
 
 def exhaustive_filter(dets, gt_boxes, theta_iou):

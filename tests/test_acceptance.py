@@ -6,6 +6,8 @@ Each criterion runs at its stated tolerance and prints one pass/fail line
 variants (finetune, full method, single-threshold) over three seeds.
 
 Run with: pytest tests/test_acceptance.py -v -s
+
+The whole module is marked slow: `pytest tests -m "not slow"` skips it.
 """
 
 import time
@@ -15,10 +17,10 @@ import numpy as np
 import pytest
 
 from _oracles import (brute_force_nms, classification_distill_loss_ref, exhaustive_filter,
-                      feature_distill_loss_ref, prefix_integration_ap, random_ap_case,
-                      random_detections, residual_distill_loss_ref)
+                      feature_distill_loss_ref, nms_detections, prefix_integration_ap,
+                      random_ap_case, random_detections, residual_distill_loss_ref)
 from tripledet.autodiff import Tensor
-from tripledet.boxes import iou_matrix, nms_per_class
+from tripledet.boxes import annotation_arrays, iou_matrix
 from tripledet.detector import (DetectorConfig, checkpoint_bytes, checkpoint_hash, detect,
                                 forward_features, frcnn_loss, new_model, propose,
                                 rpn_forward)
@@ -30,13 +32,15 @@ from tripledet.pseudo_gt import Thresholds, generate_pseudo_gt
 from tripledet.synthdata import Scene, generate_dataset, generate_incremental_dataset, make_classes
 from tripledet.trainer import (BaseTrainConfig, TrainConfig, TripleNetwork, compute_losses,
                                finetune_config, init_incremental, init_residual,
-                               rm_local_targets, train_base, train_incremental)
+                               train_base, train_incremental)
 from tripledet.verification import GRAD_TOL, run_gradient_suite
 
 OLD_IDS = [1, 2, 3]
 NEW_IDS = [4]
 SEEDS = [1, 2, 3]
 IOU_EVAL = 0.5
+
+pytestmark = pytest.mark.slow
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -149,7 +153,7 @@ def test_criterion_3_oracle_equivalence(world):
     for _ in range(1000):
         dets = random_detections(rng, int(rng.integers(0, 11)))
         thresh = float(rng.uniform(0.1, 0.9))
-        assert nms_per_class(dets, thresh) == brute_force_nms(dets, thresh)
+        assert nms_detections(dets, thresh) == brute_force_nms(dets, thresh)
 
     # AP vs explicit prefix integration, 500 cases, 1e-9
     ap_worst = 0.0
@@ -185,7 +189,8 @@ def test_criterion_3_oracle_equivalence(world):
     for scene in world.inc[:10]:
         gt_boxes = [b for b, _ in scene.annotations]
         raw = detect(world.om, scene.image, th.theta_low, th.theta_iou)
-        got = generate_pseudo_gt(world.om, scene.image, gt_boxes, th)
+        got = generate_pseudo_gt(world.om, scene.image,
+                                 annotation_arrays(scene.annotations)[0], th)
         assert got == exhaustive_filter(raw, gt_boxes, th.theta_iou)
         checked += len(raw)
     assert checked > 0
@@ -250,20 +255,19 @@ def test_criterion_7_switch_algebra(world):
     triple = TripleNetwork(om=om, im=init_incremental(om, 1, 21), rm=init_residual(om, 1, 21))
     scene = world.inc[0]
     cfg_off = finetune_config(inc_config(seed=21))
-    _, bd = compute_losses(triple, scene.image, scene.annotations, cfg_off,
+    boxes, labels = annotation_arrays(scene.annotations)
+    _, bd = compute_losses(triple, scene.image, boxes, labels, cfg_off,
                            np.random.default_rng(77))
     rng = np.random.default_rng(77)
-    boxes = [b for b, _ in scene.annotations]
-    li = frcnn_loss(triple.im, scene.image, boxes, scene.annotations, rng).item()
-    gt_rm = rm_local_targets(scene.annotations, om.num_classes)
-    lr = frcnn_loss(triple.rm, scene.image, [b for b, _ in gt_rm], gt_rm, rng).item()
+    li = frcnn_loss(triple.im, scene.image, boxes, boxes, labels, rng).item()
+    lr = frcnn_loss(triple.rm, scene.image, boxes, boxes, labels - om.num_classes, rng).item()
     algebra_ok = (abs(bd.loss_im - li) < 1e-12 and abs(bd.loss_rm - lr) < 1e-12
                   and bd.feature_distill == bd.residual_distill == bd.cls_distill == 0.0
                   and abs(bd.total - (li + lr)) < 1e-12)
 
     lam_results = {}
     for lam in (0.0, 0.5, 1.0, 2.0):
-        _, b = compute_losses(triple, scene.image, scene.annotations,
+        _, b = compute_losses(triple, scene.image, boxes, labels,
                               inc_config(seed=21, lam=lam), np.random.default_rng(78))
         lam_results[lam] = b
     d0 = lam_results[0.0]
@@ -289,7 +293,7 @@ def test_trained_om_quality(world):
     for scene in world.test:
         obj, deltas = rpn_forward(world.om, forward_features(world.om, scene.image))
         boxes, _ = propose(world.om.config, obj.data, deltas.data)
-        gt = np.array([b.as_array() for b, _ in scene.annotations])
+        gt = annotation_arrays(scene.annotations)[0]
         covered += (iou_matrix(boxes, gt).max(axis=0) >= 0.5).sum()
         total += len(gt)
     recall = covered / total
@@ -307,9 +311,8 @@ def test_self_targets_give_small_loss(world):
     scene = world.test[0]
     dets = detect(world.om, scene.image, 0.5, 0.3)
     assert dets, "trained model detects nothing at its inference settings"
-    targets = [(d.bbox, d.class_id) for d in dets]
-    loss = frcnn_loss(world.om, scene.image, [b for b, _ in targets], targets,
-                      np.random.default_rng(5))
+    boxes, labels = annotation_arrays([(d.bbox, d.class_id) for d in dets])
+    loss = frcnn_loss(world.om, scene.image, boxes, boxes, labels, np.random.default_rng(5))
     assert loss.item() < 1.0, f"loss on own detections {loss.item():.3f}"
 
 
@@ -334,10 +337,11 @@ def test_incremental_step_with_two_thresholds_equals_explicit(world):
     om = world.om
     triple = TripleNetwork(om=om, im=init_incremental(om, 1, 5), rm=init_residual(om, 1, 5))
     scene = world.inc[1]
-    _, bd_off = compute_losses(triple, scene.image, scene.annotations,
+    gt = annotation_arrays(scene.annotations)
+    _, bd_off = compute_losses(triple, scene.image, *gt,
                                inc_config(seed=5, two_threshold=False),
                                np.random.default_rng(6))
-    _, bd_explicit = compute_losses(triple, scene.image, scene.annotations,
+    _, bd_explicit = compute_losses(triple, scene.image, *gt,
                                     inc_config(seed=5, thresholds=Thresholds(0.5, 0.5, 0.3)),
                                     np.random.default_rng(6))
     assert bd_off.as_tuple() == bd_explicit.as_tuple()

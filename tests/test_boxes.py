@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_force_nms, random_boxes
-from tripledet.boxes import (BBox, Detection, decode_deltas_array, encode_deltas_array,
-                             iou, iou_matrix, nms_indices, nms_per_class)
+from _oracles import brute_force_nms, nms_detections, random_boxes
+from tripledet.boxes import (BBox, Detection, annotation_arrays, decode_deltas_array,
+                             encode_deltas_array, iou, iou_matrix, nms_indices, nms_per_class)
 
 
 # -- iou ------------------------------------------------------------------------
@@ -70,18 +70,18 @@ def test_nms_two_overlapping_same_class():
     b1 = BBox(0, 0, 10, 10)
     b2 = BBox(1, 0, 11, 10)  # IoU 9/11 = 0.82
     dets = [Detection(b2, 1, 0.8), Detection(b1, 1, 0.9)]
-    out = nms_per_class(dets, 0.3)
+    out = nms_detections(dets, 0.3)
     assert out == [Detection(b1, 1, 0.9)]
 
 
 def test_nms_identical_boxes_different_classes_both_kept():
     b = BBox(0, 0, 10, 10)
     dets = [Detection(b, 1, 0.7), Detection(b, 2, 0.7)]
-    assert len(nms_per_class(dets, 0.3)) == 2
+    assert len(nms_detections(dets, 0.3)) == 2
 
 
 def test_nms_empty():
-    assert nms_per_class([], 0.5) == []
+    assert nms_detections([], 0.5) == []
 
 
 def test_nms_boundary_iou_survives():
@@ -89,12 +89,20 @@ def test_nms_boundary_iou_survives():
     b1 = BBox(0, 0, 10, 10)
     b2 = BBox(5, 0, 15, 10)  # IoU 1/3 with b1
     dets = [Detection(b1, 1, 0.9), Detection(b2, 1, 0.8)]
-    assert len(nms_per_class(dets, 1.0 / 3.0)) == 2
+    assert len(nms_detections(dets, 1.0 / 3.0)) == 2
 
 
 def test_nms_invalid_threshold():
     with pytest.raises(ValueError):
-        nms_per_class([], 0.0)
+        nms_per_class(np.zeros((0, 4)), np.zeros(0), np.zeros(0, dtype=np.intp), 0.0)
+
+
+def test_nms_per_class_indices_by_score_then_index():
+    boxes = np.array([[0, 0, 10, 10], [30, 30, 40, 40], [31, 30, 41, 40], [0, 0, 10, 10]], float)
+    scores = np.array([0.5, 0.9, 0.7, 0.5])
+    labels = np.array([1, 2, 2, 3])
+    # box 2 loses to box 1 of its class; boxes 0 and 3 tie at 0.5 in two classes
+    assert list(nms_per_class(boxes, scores, labels, 0.3)) == [1, 0, 3]
 
 
 def test_nms_matches_brute_force_1000_cases():
@@ -104,7 +112,7 @@ def test_nms_matches_brute_force_1000_cases():
         dets = [Detection(b, int(rng.integers(1, 4)), float(np.round(rng.uniform(), 3)))
                 for b in random_boxes(rng, n)]
         thresh = float(rng.uniform(0.1, 0.9))
-        assert nms_per_class(dets, thresh) == brute_force_nms(dets, thresh)
+        assert nms_detections(dets, thresh) == brute_force_nms(dets, thresh)
 
 
 def test_nms_order_independent_up_to_tiebreak():
@@ -112,8 +120,16 @@ def test_nms_order_independent_up_to_tiebreak():
     dets = [Detection(b, 1, float(rng.uniform())) for b in random_boxes(rng, 8)]
     shuffled = [dets[i] for i in rng.permutation(len(dets))]
     # distinct scores: kept sets must coincide regardless of input order
-    assert {(d.bbox, d.score) for d in nms_per_class(dets, 0.4)} == \
-           {(d.bbox, d.score) for d in nms_per_class(shuffled, 0.4)}
+    assert {(d.bbox, d.score) for d in nms_detections(dets, 0.4)} == \
+           {(d.bbox, d.score) for d in nms_detections(shuffled, 0.4)}
+
+
+def test_annotation_arrays():
+    boxes, labels = annotation_arrays([(BBox(0, 1, 2, 3), 4), (BBox(5, 6, 7, 8), 2)])
+    assert np.array_equal(boxes, [[0, 1, 2, 3], [5, 6, 7, 8]]) and boxes.dtype == np.float64
+    assert np.array_equal(labels, [4, 2]) and labels.dtype == np.intp
+    empty_boxes, empty_labels = annotation_arrays([])
+    assert empty_boxes.shape == (0, 4) and empty_labels.shape == (0,)
 
 
 def test_nms_indices_max_keep_prefix():

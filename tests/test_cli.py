@@ -166,6 +166,26 @@ def test_incremental_report_reuses_last_epoch_eval(tmp_path, monkeypatch):
     assert report == json.loads(json.dumps(fresh.to_dict()))
 
 
+def test_train_base_uses_protocol(tmp_path, monkeypatch):
+    """train-base builds and trains the old model through `train_base_model`,
+    from the resolved protocol, whose base seed is the run's seed."""
+    cfg = write_config(tmp_path, seed=4)
+    assert main(["gen-data", "--config", cfg]) == 0
+    protocols = []
+    real = cli.train_base_model
+
+    def recorded(protocol, scenes):
+        protocols.append(protocol)
+        return real(protocol, scenes)
+
+    monkeypatch.setattr(cli, "train_base_model", recorded)
+    assert main(["train-base", "--config", cfg]) == 0
+    (protocol,) = protocols
+    assert protocol.base_cfg.seed == 4
+    om = load_checkpoint(tmp_path / "ckpt" / "om.ckpt")
+    assert om.seed == 4 and om.config == protocol.detector_cfg
+
+
 @pytest.mark.slow
 def test_incremental_determinism_via_cli(tmp_path):
     cfg = write_config(tmp_path)

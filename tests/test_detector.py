@@ -9,7 +9,7 @@ import pytest
 import tripledet.detector as det
 from tripledet import autodiff as ad
 from tripledet.autodiff import Tensor
-from tripledet.boxes import BBox, iou_matrix, nms_indices
+from tripledet.boxes import BBox, annotation_arrays, iou_matrix, nms_indices
 from tripledet.detector import (DetectorConfig, DetectorError, DetectorModel, anchor_boxes,
                                 checkpoint_bytes, checkpoint_hash, detect, forward_features,
                                 frcnn_loss, head_forward, load_checkpoint, match_anchors,
@@ -183,8 +183,8 @@ def count_calls(monkeypatch, module, name):
 
 def test_frcnn_loss_proposes_from_its_own_rpn_outputs(model, image, monkeypatch):
     calls = count_calls(monkeypatch, det, "rpn_forward")
-    box = BBox(10, 10, 26, 28)
-    frcnn_loss(model, image, [box], [(box, 1)], np.random.default_rng(0))
+    boxes, labels = annotation_arrays([(BBox(10, 10, 26, 28), 1)])
+    frcnn_loss(model, image, boxes, boxes, labels, np.random.default_rng(0))
     assert calls == [model]
 
 
@@ -203,6 +203,29 @@ def test_detect_runs_backbone_and_rpn_once(model, image, monkeypatch):
 
 
 # -- detect ------------------------------------------------------------------------------
+
+def test_detect_builds_one_detection_per_result(model, image, monkeypatch):
+    built = []
+    candidates = []
+    real_detection, real_nms = det.Detection, det.nms_per_class
+
+    def counted_detection(*args, **kwargs):
+        built.append(args)
+        return real_detection(*args, **kwargs)
+
+    def recorded_nms(boxes, scores, labels, iou_thresh):
+        candidates.append(len(scores))
+        return real_nms(boxes, scores, labels, iou_thresh)
+
+    expected = detect(model, image, 0.05)
+    monkeypatch.setattr(det, "Detection", counted_detection)
+    monkeypatch.setattr(det, "nms_per_class", recorded_nms)
+    dets = detect(model, image, 0.05)
+    assert dets == expected
+    # NMS dropped candidates, and none of them became a Detection
+    assert candidates[0] > len(dets) > 0
+    assert len(built) == len(dets)
+
 
 def test_detect_score_thresh_one_empty(model, image):
     assert detect(model, image, score_thresh=1.0) == []
@@ -263,40 +286,41 @@ def test_sample_rois_cap_and_reproducibility():
 # -- losses -----------------------------------------------------------------------------
 
 def test_loss_nonnegative_and_finite(model, image):
-    targets = [(BBox(10, 10, 26, 26), 1), (BBox(40, 40, 58, 60), 2)]
-    loss = frcnn_loss(model, image, [b for b, _ in targets], targets,
-                      np.random.default_rng(0))
+    boxes, labels = annotation_arrays([(BBox(10, 10, 26, 26), 1), (BBox(40, 40, 58, 60), 2)])
+    loss = frcnn_loss(model, image, boxes, boxes, labels, np.random.default_rng(0))
     assert np.isfinite(loss.item()) and loss.item() >= 0.0
 
 
 def test_loss_no_targets_negative_only_defined(model, image):
-    loss = frcnn_loss(model, image, [], [], np.random.default_rng(0))
+    none = np.zeros((0, 4))
+    loss = frcnn_loss(model, image, none, none, np.zeros(0, dtype=np.intp),
+                      np.random.default_rng(0))
     assert np.isfinite(loss.item()) and loss.item() >= 0.0
 
 
 def test_loss_reproducible_under_seed(model, image):
-    targets = [(BBox(5, 5, 20, 22), 3)]
-    a = frcnn_loss(model, image, [b for b, _ in targets], targets, np.random.default_rng(11))
-    b = frcnn_loss(model, image, [b for b, _ in targets], targets, np.random.default_rng(11))
+    boxes, labels = annotation_arrays([(BBox(5, 5, 20, 22), 3)])
+    a = frcnn_loss(model, image, boxes, boxes, labels, np.random.default_rng(11))
+    b = frcnn_loss(model, image, boxes, boxes, labels, np.random.default_rng(11))
     assert a.item() == b.item()
 
 
 def test_loss_rejects_out_of_range_class(model, image):
     with pytest.raises(DetectorError):
-        frcnn_loss(model, image, [], [(BBox(5, 5, 20, 22), 9)], np.random.default_rng(0))
+        frcnn_loss(model, image, np.zeros((0, 4)), *annotation_arrays([(BBox(5, 5, 20, 22), 9)]),
+                   np.random.default_rng(0))
 
 
 def test_loss_gradcheck_micro_one_image():
     rng = np.random.default_rng(12)
     m = new_model(MICRO_CONFIG, 2, seed=13)
     image = micro_image(rng)
-    targets = micro_targets(rng, 2)
+    boxes, labels = micro_targets(rng, 2)
     names = sorted(m.params)
 
     def f(*tensors):
         mm = DetectorModel(MICRO_CONFIG, 2, dict(zip(names, tensors)))
-        return frcnn_loss(mm, image, [b for b, _ in targets], targets,
-                          np.random.default_rng(99))
+        return frcnn_loss(mm, image, boxes, boxes, labels, np.random.default_rng(99))
 
     err = ad.grad_check(f, [m.params[n].data for n in names], step=1e-5)
     assert err < 1e-4

@@ -182,6 +182,24 @@ def test_cls_distill_random_matches_oracle():
     assert got == pytest.approx(classification_distill_loss_ref(om, im, rm), abs=1e-12)
 
 
+def test_cls_distill_one_new_class_side_is_exactly_zero():
+    """With one new class, both sides of the new-class term are a softmax over
+    a single logit, identically 1: the term adds exactly 0.0 and sends no
+    gradient to the residual model's logits."""
+    rng = np.random.default_rng(34)
+    ca, n = 3, 5
+    om = rng.normal(size=(n, ca + 1))
+    im = rng.normal(size=(n, ca + 2))
+    rm = Tensor(rng.normal(size=(n, 2)), requires_grad=True)
+    loss = classification_distill_loss(LogitTriple(Tensor(om), Tensor(im), rm))
+    # the same logits without the new class: the old-class side alone
+    old_side = classification_distill_loss(LogitTriple(
+        Tensor(om), Tensor(im[:, :ca + 1].copy()), Tensor(rm.data[:, :1].copy())))
+    assert loss.item() - old_side.item() == 0.0
+    loss.backward()
+    assert np.array_equal(rm.grad, np.zeros((n, 2)))
+
+
 def test_logit_triple_width_check():
     with pytest.raises(ShapeError):
         LogitTriple(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))),

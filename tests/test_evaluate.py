@@ -68,14 +68,6 @@ def test_fp_inserted_above_all_lowers_or_keeps_ap():
         assert voc_ap(spiked, gts, 0.5) <= base + 1e-12
 
 
-def test_eleven_point_variant_bounds():
-    g = BBox(0, 0, 10, 10)
-    far = BBox(30, 30, 40, 40)
-    dets = [(0, 0.9, far), (0, 0.8, g)]
-    # precision 0.5 reached at recall 1: 11-point mean over thresholds
-    assert voc_ap(dets, {0: [g]}, 0.5, eleven_point=True) == pytest.approx(0.5, abs=1e-12)
-
-
 # -- evaluate_model -----------------------------------------------------------------
 
 class StubModel:
@@ -136,12 +128,20 @@ def tiny_protocol(variants):
     return ExperimentProtocol(
         old_class_ids=[1, 2], new_class_ids=[3],
         n_base=4, n_incremental=3, n_test=3,
-        data_seed=5, base_seed=0, seeds=[1, 2],
-        base_cfg=BaseTrainConfig(epochs=1),
+        data_seed=5, seeds=[1, 2],
+        base_cfg=BaseTrainConfig(epochs=1, seed=0),
         inc_cfg=TrainConfig(epochs=1, thresholds=Thresholds(0.1, 0.9, 0.3)),
         detector_cfg=DetectorConfig(),
         variants=variants,
     )
+
+
+def test_train_base_model_seeds_from_base_cfg():
+    protocol = tiny_protocol([])
+    protocol.base_cfg = BaseTrainConfig(epochs=2, seed=9)
+    base, _, _ = ev.build_datasets(protocol)
+    model, log = ev.train_base_model(protocol, base)
+    assert model.seed == 9 and len(log) == 2
 
 
 def test_protocol_validates_class_split():

@@ -14,7 +14,7 @@ import tripledet
 import tripledet.detector as det
 import tripledet.trainer as trainer
 from tripledet.autodiff import Tensor
-from tripledet.boxes import BBox
+from tripledet.boxes import BBox, annotation_arrays
 from tripledet.detector import (DetectorConfig, checkpoint_bytes, checkpoint_hash, detect,
                                 frcnn_loss, load_checkpoint, new_model, save_checkpoint)
 from tripledet.pseudo_gt import Thresholds
@@ -22,8 +22,8 @@ from tripledet.synthdata import (Scene, generate_dataset, generate_incremental_d
                                  make_classes)
 from tripledet.trainer import (BaseTrainConfig, SGDMomentum, TrainConfig, TrainingError,
                                TripleNetwork, compute_losses, finetune_config,
-                               init_incremental, init_residual, init_triple,
-                               rm_local_targets, train_base, train_incremental)
+                               init_incremental, init_residual, init_triple, train_base,
+                               train_incremental)
 from tripledet.verification import check_loss_gradient
 
 
@@ -123,9 +123,24 @@ def test_init_residual_backbone_copied_by_default(om):
     assert rm.num_classes == 1
 
 
-def test_rm_local_targets_mapping():
-    gt = [(BBox(0, 0, 5, 5), 4), (BBox(1, 1, 6, 6), 5)]
-    assert rm_local_targets(gt, num_old=3) == [(gt[0][0], 1), (gt[1][0], 2)]
+def test_rm_local_targets_mapping(om, image, monkeypatch):
+    """The residual model trains on the new classes renumbered 1..num_new."""
+    triple = init_triple(om, 2, 1)
+    seen = []
+    real = trainer.frcnn_loss
+
+    def recorded(model, image, rpn_boxes, rcnn_boxes, rcnn_labels, *args, **kwargs):
+        seen.append((model, rcnn_boxes, rcnn_labels))
+        return real(model, image, rpn_boxes, rcnn_boxes, rcnn_labels, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "frcnn_loss", recorded)
+    boxes, labels = annotation_arrays([(BBox(0, 0, 5, 5), 4), (BBox(1, 1, 6, 6), 5)])
+    compute_losses(triple, image, boxes, labels, finetune_config(small_cfg()),
+                   np.random.default_rng(0))
+    (im, _, im_labels), (rm, rm_boxes, rm_labels) = seen
+    assert im is triple.im and list(im_labels) == [4, 5]
+    assert rm is triple.rm and list(rm_labels) == [1, 2]
+    assert np.array_equal(rm_boxes, boxes)
 
 
 def test_triple_network_width_validation(om):
@@ -150,18 +165,18 @@ def test_sgd_momentum_formula():
 
 def test_lambda_zero_total_is_exact_sum(om, image):
     triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
-    gt = [(BBox(10, 10, 26, 28), 4)]
-    total, bd = compute_losses(triple, image, gt, small_cfg(lam=0.0),
+    gt = annotation_arrays([(BBox(10, 10, 26, 28), 4)])
+    total, bd = compute_losses(triple, image, *gt, small_cfg(lam=0.0),
                                np.random.default_rng(0))
     assert bd.total == bd.loss_im + bd.loss_rm
 
 
 def test_lambda_affinity(om, image):
     triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
-    gt = [(BBox(10, 10, 26, 28), 4)]
+    gt = annotation_arrays([(BBox(10, 10, 26, 28), 4)])
     results = {}
     for lam in (0.0, 0.5, 1.0, 2.0):
-        _, bd = compute_losses(triple, image, gt, small_cfg(lam=lam),
+        _, bd = compute_losses(triple, image, *gt, small_cfg(lam=lam),
                                np.random.default_rng(123))
         results[lam] = bd
     d0 = results[0.0]
@@ -176,15 +191,13 @@ def test_all_switches_off_equals_plain_finetune_term_by_term(om, image):
     sampling; composing the two detector losses directly with one generator
     must reproduce the breakdown exactly."""
     triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
-    gt = [(BBox(10, 10, 26, 28), 4), (BBox(40, 38, 56, 60), 4)]
+    boxes, labels = annotation_arrays([(BBox(10, 10, 26, 28), 4), (BBox(40, 38, 56, 60), 4)])
     cfg = finetune_config(small_cfg())
-    _, bd = compute_losses(triple, image, gt, cfg, np.random.default_rng(9))
+    _, bd = compute_losses(triple, image, boxes, labels, cfg, np.random.default_rng(9))
 
     rng = np.random.default_rng(9)
-    boxes = [b for b, _ in gt]
-    li = frcnn_loss(triple.im, image, boxes, gt, rng)
-    gt_rm = rm_local_targets(gt, om.num_classes)
-    lr_ = frcnn_loss(triple.rm, image, [b for b, _ in gt_rm], gt_rm, rng)
+    li = frcnn_loss(triple.im, image, boxes, boxes, labels, rng)
+    lr_ = frcnn_loss(triple.rm, image, boxes, boxes, labels - om.num_classes, rng)
     assert abs(bd.loss_im - li.item()) < 1e-12
     assert abs(bd.loss_rm - lr_.item()) < 1e-12
     assert bd.feature_distill == bd.residual_distill == bd.cls_distill == 0.0
@@ -193,8 +206,8 @@ def test_all_switches_off_equals_plain_finetune_term_by_term(om, image):
 
 def test_disabled_terms_report_zero(om, image):
     triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
-    gt = [(BBox(10, 10, 26, 28), 4)]
-    _, bd = compute_losses(triple, image, gt, small_cfg(d_fea=False, d_res=True, d_cls=False),
+    gt = annotation_arrays([(BBox(10, 10, 26, 28), 4)])
+    _, bd = compute_losses(triple, image, *gt, small_cfg(d_fea=False, d_res=True, d_cls=False),
                            np.random.default_rng(4))
     assert bd.feature_distill == 0.0 and bd.cls_distill == 0.0
     assert bd.residual_distill > 0.0
@@ -204,8 +217,8 @@ def test_nonfinite_loss_aborts_with_term_name(om, image):
     triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
     triple.im.params["rcnn.fc1.w"].data[0, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(TrainingError) as exc:
-        compute_losses(triple, image, [(BBox(10, 10, 26, 28), 4)], small_cfg(),
-                       np.random.default_rng(0))
+        compute_losses(triple, image, *annotation_arrays([(BBox(10, 10, 26, 28), 4)]),
+                       small_cfg(), np.random.default_rng(0))
     assert "loss_im" in str(exc.value)
 
 
@@ -213,12 +226,12 @@ def test_nonfinite_loss_aborts_with_term_name(om, image):
 def test_each_distill_term_reaches_residual_backbone_gradient(om, image, term):
     # two new classes: the residual side of d_cls is a softmax over the new
     # classes, constant (zero gradient) with only one
-    gt = [(BBox(10, 10, 26, 28), 4), (BBox(40, 38, 56, 60), 5)]
+    gt = annotation_arrays([(BBox(10, 10, 26, 28), 4), (BBox(40, 38, 56, 60), 5)])
     off = dict(d_fea=False, d_res=False, d_cls=False)
     grads = []
     for switches in (off, {**off, term: True}):
         triple = init_triple(om, 2, 1)
-        total, _ = compute_losses(triple, image, gt, small_cfg(**switches),
+        total, _ = compute_losses(triple, image, *gt, small_cfg(**switches),
                                   np.random.default_rng(11))
         total.backward()
         grads.append(triple.rm.params["backbone.conv1.w"].grad.copy())
@@ -247,14 +260,13 @@ def test_compute_losses_runs_each_network_once(om, image, monkeypatch):
     triple = init_triple(om, 1, 1)
     rpn = count_forwards(monkeypatch, "rpn_forward")
     backbone = count_forwards(monkeypatch, "forward_features")
-    compute_losses(triple, image, [(BBox(10, 10, 26, 28), 4)], small_cfg(),
-                   np.random.default_rng(0))
+    gt = annotation_arrays([(BBox(10, 10, 26, 28), 4)])
+    compute_losses(triple, image, *gt, small_cfg(), np.random.default_rng(0))
     once = {id(triple.om): 1, id(triple.im): 1, id(triple.rm): 1}
     assert rpn == once and backbone == once
     rpn.clear()
     backbone.clear()
-    compute_losses(triple, image, [(BBox(10, 10, 26, 28), 4)], finetune_config(small_cfg()),
-                   np.random.default_rng(0))
+    compute_losses(triple, image, *gt, finetune_config(small_cfg()), np.random.default_rng(0))
     once = {id(triple.im): 1, id(triple.rm): 1}
     assert rpn == once and backbone == once
 
