@@ -16,13 +16,12 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .detector import load_checkpoint, save_checkpoint
-from .evaluate import (ExperimentProtocol, build_datasets, default_variant_grid,
-                       evaluate_model, run_experiment, threshold_sweep_variants,
-                       train_base_model, write_report_json)
+from .evaluate import (ExperimentProtocol, build_datasets, evaluate_model, run_experiment,
+                       train_base_model, variant_grid, write_report_json)
 from .pseudo_gt import Thresholds
 from .synthdata import load_dataset, save_dataset
 from .trainer import (BaseTrainConfig, TrainConfig, finetune_config, init_triple,
@@ -69,19 +68,23 @@ class RunConfig:
         # the library's own config types check the values, once, here
         try:
             pairs = [(float(lo), float(hi)) for lo, hi in self.sweep_pairs]
+            if self.grad_instances < 1:
+                raise ValueError(f"grad_instances must be >= 1, got {self.grad_instances}")
+            thresholds = Thresholds(self.theta_low, self.theta_high, self.theta_iou)
+            if not self.two_threshold:
+                # single-threshold mode: both target sets split the pseudo-GT at 0.5
+                thresholds = replace(thresholds, theta_low=0.5, theta_high=0.5)
+            inc_cfg = TrainConfig(
+                lam=self.lam, epochs=self.epochs, lr=self.lr, batch_size=self.batch_size,
+                seed=self.seed, thresholds=thresholds, d_fea=self.d_fea, d_res=self.d_res,
+                d_cls=self.d_cls, use_pseudo_gt=self.use_pseudo_gt)
             self.protocol = ExperimentProtocol(
                 old_class_ids=self.old_class_ids, new_class_ids=self.new_class_ids,
                 n_base=self.n_base, n_incremental=self.n_incremental, n_test=self.n_test,
                 data_seed=self.data_seed, seeds=self.seeds,
                 base_cfg=BaseTrainConfig(epochs=self.base_epochs, lr=self.base_lr,
                                          batch_size=self.batch_size, seed=self.seed),
-                inc_cfg=TrainConfig(
-                    lam=self.lam, epochs=self.epochs, lr=self.lr, batch_size=self.batch_size,
-                    seed=self.seed,
-                    thresholds=Thresholds(self.theta_low, self.theta_high, self.theta_iou),
-                    d_fea=self.d_fea, d_res=self.d_res, d_cls=self.d_cls,
-                    two_threshold=self.two_threshold, use_pseudo_gt=self.use_pseudo_gt),
-                variants=default_variant_grid() + threshold_sweep_variants(pairs),
+                inc_cfg=inc_cfg, variants=variant_grid(inc_cfg, pairs),
                 iou_thresh=self.iou_thresh)
         except (TypeError, ValueError) as e:
             raise UsageError(f"invalid config: {e}") from None
@@ -133,7 +136,7 @@ def build_parser() -> _Parser:
         p.add_argument("--two-threshold", type=_onoff, default=None, metavar="on|off")
         p.add_argument("--theta-low", type=float, default=None, metavar="X")
         p.add_argument("--theta-high", type=float, default=None, metavar="X")
-        p.add_argument("--out", default=None, metavar="DIR")
+        p.add_argument("--out", dest="out_dir", default=None, metavar="DIR")
         p.add_argument("--data-dir", default=None, metavar="DIR")
         p.add_argument("--checkpoint-dir", default=None, metavar="DIR")
         if name == "eval":
@@ -142,28 +145,14 @@ def build_parser() -> _Parser:
     return parser
 
 
-_FLAG_FIELDS = {
-    "seed": "seed",
-    "d_fea": "d_fea",
-    "d_res": "d_res",
-    "d_cls": "d_cls",
-    "two_threshold": "two_threshold",
-    "theta_low": "theta_low",
-    "theta_high": "theta_high",
-    "out": "out_dir",
-    "data_dir": "data_dir",
-    "checkpoint_dir": "checkpoint_dir",
-}
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then --config file values, then flags; checked once, on the
-    merged values."""
+    """Defaults, then --config file values, then flags (each flag's dest is
+    its RunConfig field); checked once, on the merged values."""
     values = _read_config_file(args.config)
-    for attr, fieldname in _FLAG_FIELDS.items():
-        value = getattr(args, attr, None)
+    for f in dataclasses.fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            values[fieldname] = value
+            values[f.name] = value
     return RunConfig(**values)
 
 

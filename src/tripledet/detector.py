@@ -354,6 +354,9 @@ def frcnn_loss(model: DetectorModel, image, rpn_boxes: np.ndarray,
     parameters (zero gradient almost everywhere) and a selection flip inside
     the probe step would invalidate the finite difference.
     """
+    bad = rcnn_labels[(rcnn_labels < 1) | (rcnn_labels > model.num_classes)]
+    if len(bad):
+        raise DetectorError(f"rcnn target class {bad[0]} outside 1..{model.num_classes}")
     cfg = model.config
     if features is None:
         features = forward_features(model, image)
@@ -381,8 +384,6 @@ def frcnn_loss(model: DetectorModel, image, rpn_boxes: np.ndarray,
     rpn_reg = rpn_reg * Tensor(1.0 / max(pos.sum(), 1))
 
     # R-CNN terms on sampled RoIs
-    if np.any(rcnn_labels > model.num_classes):
-        raise DetectorError("rcnn target class id exceeds model classes")
     candidates = candidate_rois if candidate_rois is not None else \
         roi_candidates(cfg, obj.data, deltas.data, rcnn_boxes)
     rois, roi_labels, roi_match = sample_rois(candidates, rcnn_boxes, rcnn_labels, rng)

@@ -26,8 +26,8 @@ from .boxes import BBox, iou
 from .detector import DetectorConfig, DetectorModel, detect, new_model
 from .pseudo_gt import Thresholds
 from .synthdata import Scene, generate_dataset, generate_incremental_dataset, make_classes
-from .trainer import (BaseTrainConfig, EpochStats, TrainConfig, init_triple, train_base,
-                      train_incremental)
+from .trainer import (BaseTrainConfig, EpochStats, TrainConfig, finetune_config, init_triple,
+                      train_base, train_incremental)
 
 EVAL_SCORE_THRESH = 0.05      # low inference floor so the PR curve has full range
 EVAL_NMS_THRESH = 0.3
@@ -141,16 +141,10 @@ def evaluate_model(model: DetectorModel, scenes: list[Scene], iou_thresh: float 
 
 @dataclass(frozen=True)
 class Variant:
-    """One harness row: either the base model ('base') or an incremental run."""
+    """One harness row: the base model (`cfg` None) or an incremental run
+    of `cfg` (its seed is replaced by each protocol seed)."""
     name: str
-    kind: str = "incremental"            # "base" | "incremental"
-    d_fea: bool = False
-    d_res: bool = False
-    d_cls: bool = False
-    two_threshold: bool = False
-    use_pseudo_gt: bool = True
-    theta_low: float = 0.1
-    theta_high: float = 0.9
+    cfg: TrainConfig | None
 
 
 @dataclass
@@ -177,6 +171,11 @@ class ExperimentProtocol:
             raise ValueError(f"old class ids must be 1..len(old), got {old}")
         if sorted(new) != list(range(len(old) + 1, len(old) + len(new) + 1)):
             raise ValueError(f"new class ids must directly follow the old ids, got {new}")
+        for name in ("n_base", "n_incremental", "n_test"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.seeds:
+            raise ValueError("seeds must not be empty")
 
 
 @dataclass
@@ -194,29 +193,31 @@ class ExperimentRow:
                 round(self.secs, 3))
 
 
-def default_variant_grid() -> list[Variant]:
-    """Component grid: pseudo-GT baseline, each component alone, cumulative
-    combinations, plus the base model and the plain finetune rows."""
+def variant_grid(inc_cfg: TrainConfig, sweep_pairs: list[tuple[float, float]]
+                 ) -> list[Variant]:
+    """The ablation rows, each an `inc_cfg` with its own switches: the base
+    model, plain finetuning, pseudo-GT alone, each component alone,
+    cumulative combinations, then the full method at every (theta_low,
+    theta_high) of `sweep_pairs`. Single-threshold rows split the pseudo-GT
+    at 0.5; the two-threshold rows `2th` and `full` at (0.1, 0.9)."""
+    def row(name, lo=0.5, hi=0.5, d_fea=False, d_res=False, d_cls=False):
+        th = Thresholds(lo, hi, inc_cfg.thresholds.theta_iou)
+        return Variant(name, replace(inc_cfg, thresholds=th, d_fea=d_fea, d_res=d_res,
+                                     d_cls=d_cls, use_pseudo_gt=True))
+
     full = dict(d_fea=True, d_res=True, d_cls=True)
     return [
-        Variant("base", kind="base"),
-        Variant("finetune", use_pseudo_gt=False),
-        Variant("pgt-single", use_pseudo_gt=True),
-        Variant("d_fea", d_fea=True),
-        Variant("d_res", d_res=True),
-        Variant("d_cls", d_cls=True),
-        Variant("2th", two_threshold=True),
-        Variant("d_fea+d_res", d_fea=True, d_res=True),
-        Variant("d_fea+d_res+d_cls", **full),
-        Variant("full", **full, two_threshold=True),
-    ]
-
-
-def threshold_sweep_variants(pairs: list[tuple[float, float]]) -> list[Variant]:
-    return [
-        Variant(f"full-th({lo},{hi})", d_fea=True, d_res=True, d_cls=True,
-                two_threshold=True, theta_low=lo, theta_high=hi)
-        for lo, hi in pairs
+        Variant("base", None),
+        Variant("finetune", finetune_config(inc_cfg)),
+        row("pgt-single"),
+        row("d_fea", d_fea=True),
+        row("d_res", d_res=True),
+        row("d_cls", d_cls=True),
+        row("2th", 0.1, 0.9),
+        row("d_fea+d_res", d_fea=True, d_res=True),
+        row("d_fea+d_res+d_cls", **full),
+        row("full", 0.1, 0.9, **full),
+        *(row(f"full-th({lo},{hi})", lo, hi, **full) for lo, hi in sweep_pairs),
     ]
 
 
@@ -247,18 +248,12 @@ def run_variant(protocol: ExperimentProtocol, variant: Variant, seed: int,
     start = time.perf_counter()
     old_ids, new_ids = protocol.old_class_ids, protocol.new_class_ids
     try:
-        if variant.kind == "base":
+        if variant.cfg is None:
             report = evaluate_model(om, test_scenes, protocol.iou_thresh,
                                     old_classes=old_ids, new_classes=[])
         else:
-            cfg = replace(
-                protocol.inc_cfg, seed=seed,
-                d_fea=variant.d_fea, d_res=variant.d_res, d_cls=variant.d_cls,
-                two_threshold=variant.two_threshold, use_pseudo_gt=variant.use_pseudo_gt,
-                thresholds=Thresholds(variant.theta_low, variant.theta_high,
-                                      protocol.inc_cfg.thresholds.theta_iou))
             triple = init_triple(om.clone(requires_grad=False), len(new_ids), seed)
-            train_incremental(triple, inc_scenes, cfg)
+            train_incremental(triple, inc_scenes, replace(variant.cfg, seed=seed))
             report = evaluate_model(triple.im, test_scenes, protocol.iou_thresh,
                                     old_classes=old_ids, new_classes=new_ids)
         return ExperimentRow(variant.name, str(seed), report.map_old, report.map_new,

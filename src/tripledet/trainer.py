@@ -26,8 +26,6 @@ from .distill import (FeatureTriple, LogitTriple, PooledTriple,
 from .pseudo_gt import PseudoGTSet, Thresholds, build_training_targets, generate_pseudo_gt
 from .synthdata import Scene
 
-SINGLE_THRESHOLD = 0.5
-
 
 class TrainingError(RuntimeError):
     """Raised when a loss term or a gradient leaves the finite range."""
@@ -60,19 +58,12 @@ class TrainConfig:
     d_fea: bool = True
     d_res: bool = True
     d_cls: bool = True
-    two_threshold: bool = True
     use_pseudo_gt: bool = True
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-
-    def effective_thresholds(self) -> Thresholds:
-        if self.two_threshold:
-            return self.thresholds
-        return Thresholds(SINGLE_THRESHOLD, SINGLE_THRESHOLD, self.thresholds.theta_iou)
+        _check_schedule(self)
 
 
 @dataclass
@@ -86,8 +77,14 @@ class BaseTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        _check_schedule(self)
+
+
+def _check_schedule(cfg: TrainConfig | BaseTrainConfig) -> None:
+    if cfg.epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {cfg.epochs}")
+    if cfg.batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
 
 
 @dataclass
@@ -191,7 +188,7 @@ def compute_losses(triple: TripleNetwork, image, gt_boxes: np.ndarray, gt_labels
     `rm_candidates` pin the RoI candidate pools for gradient checking.
     """
     om, im, rm = triple.om, triple.im, triple.rm
-    th = cfg.effective_thresholds()
+    th = cfg.thresholds
     distill_on = cfg.d_fea or cfg.d_res or cfg.d_cls
     if om_features is None and (distill_on or (cfg.use_pseudo_gt and targets is None)):
         om_features = forward_features(om, image)
@@ -324,11 +321,16 @@ def train_incremental(triple: TripleNetwork, scenes: list[Scene], cfg: TrainConf
     state, so they are precomputed: one old-model backbone pass per scene
     feeds both, and none runs when neither pseudo-GT nor distillation is on.
     """
-    om, th = triple.om, cfg.effective_thresholds()
+    om, th = triple.om, cfg.thresholds
+    gts = [annotation_arrays(s.annotations) for s in scenes]
+    for i, (_, labels) in enumerate(gts):
+        bad = labels[(labels <= om.num_classes) | (labels > triple.im.num_classes)]
+        if len(bad):
+            raise ValueError(f"scene {i}: class {bad[0]} is not a new class "
+                             f"({om.num_classes + 1}..{triple.im.num_classes})")
     need_om = cfg.use_pseudo_gt or cfg.d_fea or cfg.d_res or cfg.d_cls
     # detached: the cache keeps the feature values, not the frozen graph
     om_feats = [forward_features(om, s.image).detach() if need_om else None for s in scenes]
-    gts = [annotation_arrays(s.annotations) for s in scenes]
     pseudo = [generate_pseudo_gt(om, s.image, boxes, th, features=f) if cfg.use_pseudo_gt else []
               for s, f, (boxes, _) in zip(scenes, om_feats, gts)]
     targets = [build_training_targets(p, *gt, th) for p, gt in zip(pseudo, gts)]
@@ -365,5 +367,4 @@ def train_base(model: DetectorModel, scenes: list[Scene], cfg: BaseTrainConfig,
 
 def finetune_config(cfg: TrainConfig) -> TrainConfig:
     """The plain finetuning baseline: no pseudo ground truth, no distillation."""
-    return replace(cfg, d_fea=False, d_res=False, d_cls=False,
-                   two_threshold=False, use_pseudo_gt=False)
+    return replace(cfg, d_fea=False, d_res=False, d_cls=False, use_pseudo_gt=False)

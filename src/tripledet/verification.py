@@ -187,7 +187,7 @@ def _build_total_loss(rng: np.random.Generator):
     image = micro_image(rng)
     gt_boxes, gt_labels = micro_targets(rng, triple.im.num_classes, n=1,
                                         lo=triple.om.num_classes + 1)
-    th = cfg.effective_thresholds()
+    th = cfg.thresholds
     om_feat = forward_features(triple.om, image).detach()
     pseudo = generate_pseudo_gt(triple.om, image, gt_boxes, th, features=om_feat)
     targets = build_training_targets(pseudo, gt_boxes, gt_labels, th)

@@ -21,6 +21,7 @@ from _oracles import (brute_force_nms, classification_distill_loss_ref, exhausti
                       random_ap_case, random_detections, residual_distill_loss_ref)
 from tripledet.autodiff import Tensor
 from tripledet.boxes import annotation_arrays, iou_matrix
+from tripledet.cli import RunConfig
 from tripledet.detector import (DetectorConfig, checkpoint_bytes, checkpoint_hash, detect,
                                 forward_features, frcnn_loss, new_model, propose,
                                 rpn_forward)
@@ -101,7 +102,8 @@ def runs(world):
         triple, rep = _run_incremental_variant(world, inc_config(seed))
         out["full"].append(rep)
         out["rm_new"].append(_rm_new_class_map(world, triple.rm))
-        _, rep = _run_incremental_variant(world, inc_config(seed, two_threshold=False))
+        _, rep = _run_incremental_variant(
+            world, inc_config(seed, thresholds=Thresholds(0.5, 0.5, 0.3)))
         out["single"].append(rep)
     return SimpleNamespace(**out, secs=time.perf_counter() - t0,
                            om_hash_before=om_hash_before,
@@ -333,14 +335,13 @@ def test_evaluate_model_matches_oracle_on_trained_om(world):
 
 
 def test_incremental_step_with_two_thresholds_equals_explicit(world):
-    """two_threshold off is exactly Thresholds(0.5, 0.5)."""
+    """The config key two_threshold off is exactly Thresholds(0.5, 0.5)."""
     om = world.om
     triple = TripleNetwork(om=om, im=init_incremental(om, 1, 5), rm=init_residual(om, 1, 5))
     scene = world.inc[1]
     gt = annotation_arrays(scene.annotations)
-    _, bd_off = compute_losses(triple, scene.image, *gt,
-                               inc_config(seed=5, two_threshold=False),
-                               np.random.default_rng(6))
+    off = RunConfig(seed=5, two_threshold=False, theta_iou=0.3).protocol.inc_cfg
+    _, bd_off = compute_losses(triple, scene.image, *gt, off, np.random.default_rng(6))
     _, bd_explicit = compute_losses(triple, scene.image, *gt,
                                     inc_config(seed=5, thresholds=Thresholds(0.5, 0.5, 0.3)),
                                     np.random.default_rng(6))

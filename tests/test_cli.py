@@ -97,13 +97,27 @@ COMMANDS = ["gen-data", "train-base", "finetune", "incremental", "eval", "ablate
 
 
 @pytest.mark.parametrize("bad", [{"theta_low": 0.95, "theta_high": 0.9}, {"lam": "abc"},
-                                 {"base_epochs": 0}])
+                                 {"base_epochs": 0}, {"batch_size": 0}, {"n_base": 0},
+                                 {"n_incremental": 0}, {"n_test": 0}, {"seeds": []},
+                                 {"grad_instances": 0}, {"sweep_pairs": [[0.9, 0.1]]}])
 @pytest.mark.parametrize("command", COMMANDS)
 def test_invalid_config_values_are_usage_errors(tmp_path, capsys, command, bad):
     cfg = write_config(tmp_path, **bad)
     assert main([command, "--config", cfg]) == 1
     assert "invalid config" in capsys.readouterr().err
-    assert not (tmp_path / "data").exists()
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_every_flag_sets_its_config_field(tmp_path):
+    args = build_parser().parse_args(
+        ["incremental", "--seed", "3", "--d-fea", "off", "--d-res", "off", "--d-cls", "off",
+         "--two-threshold", "off", "--theta-low", "0.2", "--theta-high", "0.8",
+         "--out", "o", "--data-dir", "d", "--checkpoint-dir", "c"])
+    cfg = resolve_config(args)
+    assert (cfg.seed, cfg.d_fea, cfg.d_res, cfg.d_cls, cfg.two_threshold) == \
+        (3, False, False, False, False)
+    assert (cfg.theta_low, cfg.theta_high) == (0.2, 0.8)
+    assert (cfg.out_dir, cfg.data_dir, cfg.checkpoint_dir) == ("o", "d", "c")
 
 
 def test_flags_are_checked_after_merging(tmp_path):

@@ -311,6 +311,13 @@ def test_loss_rejects_out_of_range_class(model, image):
                    np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("label", [0, -2])
+def test_loss_rejects_background_and_negative_class(model, image, label):
+    boxes = np.array([[5.0, 5.0, 20.0, 22.0]])
+    with pytest.raises(DetectorError, match=f"class {label} outside"):
+        frcnn_loss(model, image, boxes, boxes, np.array([label]), np.random.default_rng(0))
+
+
 def test_loss_gradcheck_micro_one_image():
     rng = np.random.default_rng(12)
     m = new_model(MICRO_CONFIG, 2, seed=13)

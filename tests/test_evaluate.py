@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from _oracles import prefix_integration_ap, random_ap_case
 from tripledet.boxes import BBox
 from tripledet.detector import DetectorConfig
 from tripledet.evaluate import (CSV_HEADER, ExperimentProtocol, Variant, evaluate_model,
-                                run_experiment, voc_ap, write_rows_csv)
+                                run_experiment, variant_grid, voc_ap, write_rows_csv)
 from tripledet.pseudo_gt import Thresholds
 from tripledet.synthdata import generate_dataset, make_classes
-from tripledet.trainer import BaseTrainConfig, TrainConfig
+from tripledet.trainer import BaseTrainConfig, TrainConfig, finetune_config
 
 
 # -- voc_ap ---------------------------------------------------------------------
@@ -124,13 +125,17 @@ def test_evaluate_model_rejects_uncovered_class():
 
 # -- experiment harness ----------------------------------------------------------------
 
+TINY_INC = TrainConfig(epochs=1, thresholds=Thresholds(0.1, 0.9, 0.3))
+FINETUNE = Variant("finetune", finetune_config(TINY_INC))
+
+
 def tiny_protocol(variants):
     return ExperimentProtocol(
         old_class_ids=[1, 2], new_class_ids=[3],
         n_base=4, n_incremental=3, n_test=3,
         data_seed=5, seeds=[1, 2],
         base_cfg=BaseTrainConfig(epochs=1, seed=0),
-        inc_cfg=TrainConfig(epochs=1, thresholds=Thresholds(0.1, 0.9, 0.3)),
+        inc_cfg=TINY_INC,
         detector_cfg=DetectorConfig(),
         variants=variants,
     )
@@ -151,9 +156,42 @@ def test_protocol_validates_class_split():
         ExperimentProtocol(old_class_ids=[1, 3], new_class_ids=[2])
 
 
+# name: (d_fea, d_res, d_cls, use_pseudo_gt, (theta_low, theta_high))
+DEFAULT_GRID = {
+    "pgt-single": (False, False, False, True, (0.5, 0.5)),
+    "d_fea": (True, False, False, True, (0.5, 0.5)),
+    "d_res": (False, True, False, True, (0.5, 0.5)),
+    "d_cls": (False, False, True, True, (0.5, 0.5)),
+    "2th": (False, False, False, True, (0.1, 0.9)),
+    "d_fea+d_res": (True, True, False, True, (0.5, 0.5)),
+    "d_fea+d_res+d_cls": (True, True, True, True, (0.5, 0.5)),
+    "full": (True, True, True, True, (0.1, 0.9)),
+    "full-th(0.3,0.6)": (True, True, True, True, (0.3, 0.6)),
+}
+
+
+def test_variant_grid_pins_each_rows_components():
+    """Each row's switches and thresholds are its own, whatever the run's;
+    every other setting is the run's."""
+    inc = TrainConfig(lam=2.0, epochs=3, lr=1e-3, batch_size=4, seed=8, d_fea=False,
+                      d_res=False, d_cls=True, use_pseudo_gt=False,
+                      thresholds=Thresholds(0.2, 0.7, 0.35))
+    grid = variant_grid(inc, [(0.3, 0.6)])
+    assert [v.name for v in grid] == ["base", "finetune", *DEFAULT_GRID]
+    assert grid[0].cfg is None
+    # no pseudo-GT, so the finetune row never reads its thresholds
+    assert grid[1].cfg == replace(inc, d_cls=False)
+    for v in grid[2:]:
+        d_fea, d_res, d_cls, pgt, (lo, hi) = DEFAULT_GRID[v.name]
+        assert (v.cfg.d_fea, v.cfg.d_res, v.cfg.d_cls, v.cfg.use_pseudo_gt) == \
+            (d_fea, d_res, d_cls, pgt), v.name
+        assert v.cfg.thresholds == Thresholds(lo, hi, 0.35), v.name
+        assert replace(v.cfg, d_fea=False, d_res=False, d_cls=True, use_pseudo_gt=False,
+                       thresholds=inc.thresholds) == inc, v.name
+
+
 def test_run_experiment_row_structure(tmp_path):
-    protocol = tiny_protocol([Variant("base", kind="base"),
-                              Variant("finetune", use_pseudo_gt=False)])
+    protocol = tiny_protocol([Variant("base", None), FINETUNE])
     rows = run_experiment(protocol, csv_path=tmp_path / "t.csv")
     assert len(rows) == 2 * 2 + 2          # |variants| x |seeds| + |variants| means
     names = [(r.variant, r.seed) for r in rows]
@@ -170,11 +208,18 @@ def test_run_experiment_failed_variant_recorded(monkeypatch, tmp_path):
         raise RuntimeError("training exploded")
 
     monkeypatch.setattr(ev, "train_incremental", boom)
-    protocol = tiny_protocol([Variant("inc", use_pseudo_gt=False)])
+    protocol = tiny_protocol([Variant("inc", finetune_config(TINY_INC))])
     rows = run_experiment(protocol)
     per_seed = [r for r in rows if r.seed != "mean"]
     assert all(r.failed and math.isnan(r.map_old) for r in per_seed)
     assert len(rows) == 3                  # harness kept going and wrote the mean row
+
+
+def test_run_experiment_trains_each_rows_config_per_seed(monkeypatch):
+    cfgs = []
+    monkeypatch.setattr(ev, "train_incremental", lambda triple, scenes, cfg: cfgs.append(cfg))
+    run_experiment(tiny_protocol([FINETUNE]))
+    assert cfgs == [replace(FINETUNE.cfg, seed=1), replace(FINETUNE.cfg, seed=2)]
 
 
 def test_write_rows_csv_header_fixed(tmp_path):
@@ -183,7 +228,7 @@ def test_write_rows_csv_header_fixed(tmp_path):
 
 
 def test_run_experiment_reproducible_under_fixed_seeds():
-    protocol = tiny_protocol([Variant("finetune", use_pseudo_gt=False)])
+    protocol = tiny_protocol([FINETUNE])
     a = run_experiment(protocol)
     b = run_experiment(protocol)
     assert [(r.variant, r.seed, r.map_old, r.map_new, r.map_all) for r in a] == \

@@ -15,6 +15,7 @@ import tripledet.detector as det
 import tripledet.trainer as trainer
 from tripledet.autodiff import Tensor
 from tripledet.boxes import BBox, annotation_arrays
+from tripledet.cli import RunConfig, UsageError
 from tripledet.detector import (DetectorConfig, checkpoint_bytes, checkpoint_hash, detect,
                                 frcnn_loss, load_checkpoint, new_model, save_checkpoint)
 from tripledet.pseudo_gt import Thresholds
@@ -69,13 +70,19 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         BaseTrainConfig(epochs=0)
+    with pytest.raises(ValueError):
+        TrainConfig(batch_size=0)
+    with pytest.raises(ValueError):
+        BaseTrainConfig(batch_size=0)
 
 
 def test_effective_thresholds_single_mode():
-    cfg = TrainConfig(two_threshold=False, thresholds=Thresholds(0.1, 0.9, 0.3))
-    th = cfg.effective_thresholds()
-    assert th.theta_low == th.theta_high == 0.5
-    assert th.theta_iou == 0.3
+    """`two_threshold: false` trains with one pseudo-GT split at 0.5; the
+    configured pair is still checked."""
+    cfg = RunConfig(two_threshold=False, theta_low=0.1, theta_high=0.9, theta_iou=0.3)
+    assert cfg.protocol.inc_cfg.thresholds == Thresholds(0.5, 0.5, 0.3)
+    with pytest.raises(UsageError):
+        RunConfig(two_threshold=False, theta_low=0.95, theta_high=0.9)
 
 
 def old_class_view(im, num_old):
@@ -341,6 +348,21 @@ def test_empty_dataset_rejected(om):
         train_incremental(triple, [], small_cfg())
     with pytest.raises(ValueError):
         train_base(new_model(DetectorConfig(), 3, seed=1), [], BaseTrainConfig())
+
+
+def test_train_incremental_rejects_non_new_class_up_front(om, inc_scenes, monkeypatch):
+    monkeypatch.setattr(trainer, "forward_features", None)   # no network runs
+    scenes = list(inc_scenes)
+    scenes[2] = Scene(image=scenes[2].image,
+                      annotations=[*scenes[2].annotations, (BBox(5, 5, 20, 22), 2)])
+    with pytest.raises(ValueError, match=r"scene 2: class 2 is not a new class \(4\.\.4\)"):
+        train_incremental(init_triple(om, 1, 0), scenes, small_cfg())
+
+
+def test_train_base_rejects_background_class(base_scenes):
+    scenes = [Scene(image=base_scenes[0].image, annotations=[(BBox(5, 5, 20, 22), 0)])]
+    with pytest.raises(det.DetectorError, match="class 0 outside 1..3"):
+        train_base(new_model(DetectorConfig(), 3, seed=0), scenes, BaseTrainConfig(epochs=1))
 
 
 def test_train_base_deterministic(base_scenes):
