@@ -231,17 +231,15 @@ def head_forward(model: DetectorModel, pooled: Tensor) -> tuple[Tensor, Tensor]:
     return logits, deltas
 
 
-def detect(model: DetectorModel, image, score_thresh: float = 0.5,
-           nms_thresh: float = 0.3, features: Tensor | None = None) -> list[Detection]:
-    """Full inference: proposals, per-class scores/boxes, filter, per-class NMS.
+def detect(model: DetectorModel, features: Tensor, score_thresh: float,
+           nms_thresh: float) -> list[Detection]:
+    """Full inference on the model's backbone `features`: proposals,
+    per-class scores/boxes, filter, per-class NMS.
 
     Background (class 0) is never emitted; kept detections have
-    score > score_thresh. `features` may carry the model's backbone features
-    of `image` when the caller already has them.
+    score > score_thresh.
     """
     cfg = model.config
-    if features is None:
-        features = forward_features(model, image)
     obj, deltas = rpn_forward(model, features)
     prop_boxes, _ = propose(cfg, obj.data, deltas.data)
     if len(prop_boxes) == 0:
@@ -323,7 +321,6 @@ def sample_rois(candidates: np.ndarray, targets: np.ndarray, labels: np.ndarray,
 
 @dataclass
 class LossInternals:
-    features: Tensor
     rois: np.ndarray                 # (n, 4) sampled RoIs, image coordinates
     pooled: Tensor                   # (n, c, P, P)
     cls_logits: Tensor               # (n, C+1)
@@ -338,13 +335,13 @@ def roi_candidates(config: DetectorConfig, obj: np.ndarray, deltas: np.ndarray,
     return np.concatenate([prop_boxes, rcnn_boxes], axis=0)
 
 
-def frcnn_loss(model: DetectorModel, image, rpn_boxes: np.ndarray,
+def frcnn_loss(model: DetectorModel, features: Tensor, rpn_boxes: np.ndarray,
                rcnn_boxes: np.ndarray, rcnn_labels: np.ndarray, rng: np.random.Generator,
-               features: Tensor | None = None,
-               return_internals: bool = False,
-               candidate_rois: np.ndarray | None = None):
-    """Detection loss: RPN binary cross-entropy + smooth-L1, R-CNN
-    cross-entropy + smooth-L1, each term normalized by its sample count.
+               candidate_rois: np.ndarray | None = None) -> tuple[Tensor, LossInternals]:
+    """Detection loss on the model's backbone `features`: RPN binary
+    cross-entropy + smooth-L1, R-CNN cross-entropy + smooth-L1, each term
+    normalized by its sample count; returned with the `LossInternals` that
+    distillation reads.
 
     `rpn_boxes` (n,4) are class-agnostic targets; `rcnn_boxes` (k,4) carry
     the class ids `rcnn_labels` (k,) in 1..num_classes. RoIs are sampled
@@ -358,8 +355,6 @@ def frcnn_loss(model: DetectorModel, image, rpn_boxes: np.ndarray,
     if len(bad):
         raise DetectorError(f"rcnn target class {bad[0]} outside 1..{model.num_classes}")
     cfg = model.config
-    if features is None:
-        features = forward_features(model, image)
 
     # RPN terms, laid out as (A, H, W) to match the head tensors
     a = len(cfg.anchor_sides)
@@ -406,10 +401,7 @@ def frcnn_loss(model: DetectorModel, image, rpn_boxes: np.ndarray,
     rcnn_reg = rcnn_reg * Tensor(1.0 / max(len(pos_rows), 1))
 
     total = rpn_cls + rpn_reg + rcnn_cls + rcnn_reg
-    if return_internals:
-        return total, LossInternals(features=features, rois=rois, pooled=pooled,
-                                    cls_logits=logits)
-    return total
+    return total, LossInternals(rois=rois, pooled=pooled, cls_logits=logits)
 
 
 # -- checkpoint I/O -------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .boxes import BBox, iou
-from .detector import DetectorConfig, DetectorModel, detect, new_model
+from .detector import DetectorConfig, DetectorModel, detect, forward_features, new_model
 from .pseudo_gt import Thresholds
 from .synthdata import Scene, generate_dataset, generate_incremental_dataset, make_classes
 from .trainer import (BaseTrainConfig, EpochStats, TrainConfig, finetune_config, init_triple,
@@ -95,23 +95,24 @@ def voc_ap(dets: list[tuple[int, float, BBox]], gts: dict[int, list[BBox]],
 
 
 def evaluate_model(model: DetectorModel, scenes: list[Scene], iou_thresh: float = 0.5,
-                   old_classes=(), new_classes=(),
-                   score_thresh: float = EVAL_SCORE_THRESH,
-                   nms_thresh: float = EVAL_NMS_THRESH) -> APReport:
-    """Detect on every scene and aggregate per-class AP into a report."""
+                   old_classes=(), new_classes=()) -> APReport:
+    """Detect on every scene, with a frozen copy of `model` so that no
+    backward graph is built, and aggregate per-class AP into a report."""
     old_classes = list(old_classes)
     new_classes = list(new_classes)
     classes = old_classes + new_classes
     if classes and max(classes) > model.num_classes:
         raise ValueError(
             f"model covers {model.num_classes} classes, cannot evaluate class {max(classes)}")
+    frozen = model.clone(requires_grad=False)
     dets_by_class: dict[int, list[tuple[int, float, BBox]]] = {c: [] for c in classes}
     gts_by_class: dict[int, dict[int, list[BBox]]] = {c: {} for c in classes}
     for img_id, scene in enumerate(scenes):
         for box, cid in scene.annotations:
             if cid in gts_by_class:
                 gts_by_class[cid].setdefault(img_id, []).append(box)
-        for det in detect(model, scene.image, score_thresh, nms_thresh):
+        features = forward_features(frozen, scene.image)
+        for det in detect(frozen, features, EVAL_SCORE_THRESH, EVAL_NMS_THRESH):
             if det.class_id in dets_by_class:
                 dets_by_class[det.class_id].append((img_id, det.score, det.bbox))
     per_class_ap = {}
@@ -176,6 +177,8 @@ class ExperimentProtocol:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.seeds:
             raise ValueError("seeds must not be empty")
+        if not 0.0 < self.iou_thresh < 1.0:
+            raise ValueError(f"iou_thresh must lie in (0,1), got {self.iou_thresh}")
 
 
 @dataclass

@@ -40,18 +40,17 @@ class PseudoGTSet:
     rcnn_labels: np.ndarray      # (k,) class ids of rcnn_boxes
 
 
-def generate_pseudo_gt(om: DetectorModel, image, new_gt_boxes: np.ndarray,
-                       th: Thresholds, features: Tensor | None = None) -> list[Detection]:
-    """Old-model detections that do not conflict with new-class annotations.
+def generate_pseudo_gt(om: DetectorModel, features: Tensor, new_gt_boxes: np.ndarray,
+                       th: Thresholds) -> list[Detection]:
+    """Old-model detections, from the old model's backbone `features` of a
+    scene, that do not conflict with its new-class annotations.
 
     Inference uses theta_low as the confidence floor so both threshold splits
     can be taken from this one pass. A detection survives only when its IoU
     with every new-class box of the (k,4) `new_gt_boxes` is at most
-    theta_iou. `features` may carry the old model's backbone features of
-    `image` (see `detect`).
+    theta_iou.
     """
-    dets = detect(om, image, score_thresh=th.theta_low, nms_thresh=th.theta_iou,
-                  features=features)
+    dets = detect(om, features, score_thresh=th.theta_low, nms_thresh=th.theta_iou)
     det_boxes, _ = annotation_arrays([(d.bbox, d.class_id) for d in dets])
     keep = (iou_matrix(det_boxes, new_gt_boxes) <= th.theta_iou).all(axis=1)
     return [d for d, k in zip(dets, keep) if k]

@@ -270,6 +270,13 @@ def save_dataset(scenes: list[Scene], directory) -> None:
         json.dump(manifest, f, indent=1)
 
 
+def _class_id(value) -> int:
+    # bool is an int subclass, and JSON true is not a class id
+    if type(value) is not int or value < 1:
+        raise ValueError(f"class_id must be an integer >= 1, got {value!r}")
+    return value
+
+
 def load_dataset(directory) -> list[Scene]:
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
@@ -283,14 +290,14 @@ def load_dataset(directory) -> list[Scene]:
     if not isinstance(manifest, list):
         raise DatasetError(f"malformed manifest {manifest_path}: expected a list of entries")
     scenes = []
-    for entry in manifest:
+    for i, entry in enumerate(manifest):
         try:
             image = read_ppm(directory / entry["file"])
             annotations = [
-                (BBox(o["x1"], o["y1"], o["x2"], o["y2"]), int(o["class_id"]))
+                (BBox(o["x1"], o["y1"], o["x2"], o["y2"]), _class_id(o["class_id"]))
                 for o in entry["objects"]
             ]
         except (KeyError, TypeError, ValueError) as e:
-            raise DatasetError(f"malformed manifest entry in {manifest_path}: {e}") from e
+            raise DatasetError(f"malformed manifest entry {i} in {manifest_path}: {e}") from e
         scenes.append(Scene(image=image, annotations=annotations))
     return scenes

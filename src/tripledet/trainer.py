@@ -27,6 +27,11 @@ from .pseudo_gt import PseudoGTSet, Thresholds, build_training_targets, generate
 from .synthdata import Scene
 
 
+MOMENTUM = 0.9            # SGD momentum of both trainers
+LR_DECAY = 0.1            # learning-rate factor of each decay step
+BASE_DECAY_EVERY = 25     # base training decays every this many epochs
+
+
 class TrainingError(RuntimeError):
     """Raised when a loss term or a gradient leaves the finite range."""
 
@@ -49,9 +54,7 @@ class TripleNetwork:
 class TrainConfig:
     lam: float = 1.0                     # distillation weight in the total loss
     epochs: int = 10
-    lr: float = 5e-4                     # decays by lr_decay halfway through
-    lr_decay: float = 0.1                # applied from epoch epochs//2 on
-    momentum: float = 0.9
+    lr: float = 5e-4                     # times LR_DECAY from epoch epochs//2 on
     batch_size: int = 2
     seed: int = 0
     thresholds: Thresholds = field(default_factory=Thresholds)
@@ -61,18 +64,15 @@ class TrainConfig:
     use_pseudo_gt: bool = True
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < float("inf"):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         _check_schedule(self)
 
 
 @dataclass
 class BaseTrainConfig:
     epochs: int = 50
-    lr: float = 2e-3
-    lr_decay_every: int = 25
-    lr_gamma: float = 0.1
-    momentum: float = 0.9
+    lr: float = 2e-3                     # times LR_DECAY every BASE_DECAY_EVERY epochs
     batch_size: int = 2
     seed: int = 0
 
@@ -83,6 +83,8 @@ class BaseTrainConfig:
 def _check_schedule(cfg: TrainConfig | BaseTrainConfig) -> None:
     if cfg.epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {cfg.epochs}")
+    if not 0.0 < cfg.lr < float("inf"):
+        raise ValueError(f"{type(cfg).__name__}.lr must be finite and > 0, got {cfg.lr}")
     if cfg.batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
 
@@ -172,43 +174,46 @@ def init_triple(om: DetectorModel, num_new: int, seed: int) -> TripleNetwork:
 
 # -- loss assembly ----------------------------------------------------------------
 
+def scene_targets(om: DetectorModel, image, gt_boxes: np.ndarray, gt_labels: np.ndarray,
+                  cfg: TrainConfig) -> tuple[Tensor | None, PseudoGTSet]:
+    """One scene's precompute from the frozen old model: its detached
+    backbone features, None when neither pseudo-GT nor distillation reads
+    them, and the incremental model's training targets, pseudo ground truth
+    from those features (when `cfg.use_pseudo_gt`) united with the new-class
+    boxes `gt_boxes` (n,4) and their global class ids `gt_labels`."""
+    th = cfg.thresholds
+    om_features = None
+    if cfg.use_pseudo_gt or cfg.d_fea or cfg.d_res or cfg.d_cls:
+        # detached: callers keep the feature values, not the frozen graph
+        om_features = forward_features(om, image).detach()
+    pseudo = generate_pseudo_gt(om, om_features, gt_boxes, th) if cfg.use_pseudo_gt else []
+    return om_features, build_training_targets(pseudo, gt_boxes, gt_labels, th)
+
+
 def compute_losses(triple: TripleNetwork, image, gt_boxes: np.ndarray, gt_labels: np.ndarray,
-                   cfg: TrainConfig, rng: np.random.Generator,
-                   targets: PseudoGTSet | None = None,
-                   om_features: Tensor | None = None,
+                   cfg: TrainConfig, rng: np.random.Generator, om_features: Tensor | None,
+                   targets: PseudoGTSet,
                    im_candidates: np.ndarray | None = None,
                    rm_candidates: np.ndarray | None = None) -> tuple[Tensor, LossBreakdown]:
     """Total loss tensor and its per-term breakdown for one image with
     new-class boxes `gt_boxes` (n,4) and their global class ids `gt_labels`.
 
-    Disabled terms contribute exactly zero. `targets` may carry the
-    incremental model's precomputed targets (`build_training_targets`), and
-    `om_features` the old model's backbone features of `image`; otherwise
-    the old model's backbone runs at most once here. `im_candidates`/
+    `om_features` and `targets` are the scene's `scene_targets` under the
+    same `cfg`. Disabled terms contribute exactly zero. `im_candidates`/
     `rm_candidates` pin the RoI candidate pools for gradient checking.
     """
     om, im, rm = triple.om, triple.im, triple.rm
-    th = cfg.thresholds
-    distill_on = cfg.d_fea or cfg.d_res or cfg.d_cls
-    if om_features is None and (distill_on or (cfg.use_pseudo_gt and targets is None)):
-        om_features = forward_features(om, image)
-    if targets is None:
-        pseudo = generate_pseudo_gt(om, image, gt_boxes, th, features=om_features) \
-            if cfg.use_pseudo_gt else []
-        targets = build_training_targets(pseudo, gt_boxes, gt_labels, th)
-
     f_im = forward_features(im, image)
-    loss_im, internals = frcnn_loss(im, image, targets.rpn_boxes, targets.rcnn_boxes,
-                                    targets.rcnn_labels, rng, features=f_im,
-                                    return_internals=True, candidate_rois=im_candidates)
+    loss_im, internals = frcnn_loss(im, f_im, targets.rpn_boxes, targets.rcnn_boxes,
+                                    targets.rcnn_labels, rng, candidate_rois=im_candidates)
 
     f_rm = forward_features(rm, image)
     # the residual model numbers the new classes 1..num_new
-    loss_rm = frcnn_loss(rm, image, gt_boxes, gt_boxes, gt_labels - om.num_classes, rng,
-                         features=f_rm, candidate_rois=rm_candidates)
+    loss_rm, _ = frcnn_loss(rm, f_rm, gt_boxes, gt_boxes, gt_labels - om.num_classes, rng,
+                            candidate_rois=rm_candidates)
 
     d_fea_t = d_res_t = d_cls_t = None
-    if distill_on:
+    if cfg.d_fea or cfg.d_res or cfg.d_cls:
         feat = FeatureTriple(om_features, f_im, f_rm)
         if cfg.d_fea:
             d_fea_t = feature_distill_loss(feat)
@@ -316,39 +321,33 @@ def train_incremental(triple: TripleNetwork, scenes: list[Scene], cfg: TrainConf
     """Train the incremental and residual models on new-class scenes.
 
     `eval_fn(im_model) -> (map_old, map_new, map_all)` runs after each epoch
-    when provided. The incremental model's training targets (pseudo ground
-    truth plus annotations) and the old-model features depend only on frozen
-    state, so they are precomputed: one old-model backbone pass per scene
-    feeds both, and none runs when neither pseudo-GT nor distillation is on.
+    when provided. The incremental model's training targets and the
+    old-model features depend only on frozen state, so each scene's
+    `scene_targets` is computed once, before the first step.
     """
-    om, th = triple.om, cfg.thresholds
+    om = triple.om
     gts = [annotation_arrays(s.annotations) for s in scenes]
     for i, (_, labels) in enumerate(gts):
         bad = labels[(labels <= om.num_classes) | (labels > triple.im.num_classes)]
         if len(bad):
             raise ValueError(f"scene {i}: class {bad[0]} is not a new class "
                              f"({om.num_classes + 1}..{triple.im.num_classes})")
-    need_om = cfg.use_pseudo_gt or cfg.d_fea or cfg.d_res or cfg.d_cls
-    # detached: the cache keeps the feature values, not the frozen graph
-    om_feats = [forward_features(om, s.image).detach() if need_om else None for s in scenes]
-    pseudo = [generate_pseudo_gt(om, s.image, boxes, th, features=f) if cfg.use_pseudo_gt else []
-              for s, f, (boxes, _) in zip(scenes, om_feats, gts)]
-    targets = [build_training_targets(p, *gt, th) for p, gt in zip(pseudo, gts)]
+    precomputed = [scene_targets(om, s.image, *gt, cfg) for s, gt in zip(scenes, gts)]
     rng = np.random.default_rng(cfg.seed)
 
     def image_loss(idx):
         return compute_losses(triple, scenes[idx].image, *gts[idx], cfg, rng,
-                              targets=targets[idx], om_features=om_feats[idx])
+                              *precomputed[idx])
 
-    optimizers = [SGDMomentum(triple.im.trainable(), cfg.momentum),
-                  SGDMomentum(triple.rm.trainable(), cfg.momentum)]
+    optimizers = [SGDMomentum(triple.im.trainable(), MOMENTUM),
+                  SGDMomentum(triple.rm.trainable(), MOMENTUM)]
     return _fit(image_loss, len(scenes), cfg, rng, optimizers,
-                lambda epoch: cfg.lr * (cfg.lr_decay if epoch >= cfg.epochs // 2 else 1.0),
+                lambda epoch: cfg.lr * (LR_DECAY if epoch >= cfg.epochs // 2 else 1.0),
                 None if eval_fn is None else partial(eval_fn, triple.im))
 
 
-def train_base(model: DetectorModel, scenes: list[Scene], cfg: BaseTrainConfig,
-               eval_fn=None) -> list[EpochStats]:
+def train_base(model: DetectorModel, scenes: list[Scene], cfg: BaseTrainConfig
+               ) -> list[EpochStats]:
     """Train a single detector on fully annotated scenes; its epoch log
     reports the detection loss as both loss_im and total."""
     gts = [annotation_arrays(s.annotations) for s in scenes]
@@ -356,13 +355,12 @@ def train_base(model: DetectorModel, scenes: list[Scene], cfg: BaseTrainConfig,
 
     def image_loss(idx):
         boxes, labels = gts[idx]
-        t = frcnn_loss(model, scenes[idx].image, boxes, boxes, labels, rng)
+        t, _ = frcnn_loss(model, forward_features(model, scenes[idx].image), boxes, boxes,
+                          labels, rng)
         return t, LossBreakdown(t.item(), 0.0, 0.0, 0.0, 0.0, t.item())
 
-    return _fit(image_loss, len(scenes), cfg, rng,
-                [SGDMomentum(model.trainable(), cfg.momentum)],
-                lambda epoch: cfg.lr * (cfg.lr_gamma ** (epoch // cfg.lr_decay_every)),
-                None if eval_fn is None else partial(eval_fn, model))
+    return _fit(image_loss, len(scenes), cfg, rng, [SGDMomentum(model.trainable(), MOMENTUM)],
+                lambda epoch: cfg.lr * (LR_DECAY ** (epoch // BASE_DECAY_EVERY)))
 
 
 def finetune_config(cfg: TrainConfig) -> TrainConfig:

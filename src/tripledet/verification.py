@@ -18,8 +18,9 @@ from .detector import (DetectorConfig, DetectorModel, forward_features, frcnn_lo
 from .distill import (FeatureTriple, LogitTriple, PooledTriple, attention_pair_loss,
                       classification_distill_loss, feature_distill_loss,
                       residual_base_loss, residual_pool_loss)
-from .pseudo_gt import Thresholds, build_training_targets, generate_pseudo_gt
-from .trainer import TrainConfig, TripleNetwork, compute_losses, init_incremental, init_residual
+from .pseudo_gt import Thresholds
+from .trainer import (TrainConfig, TripleNetwork, compute_losses, init_incremental,
+                      init_residual, scene_targets)
 
 MICRO_CONFIG = DetectorConfig(
     image_size=16,
@@ -135,10 +136,10 @@ def _model_param_arrays(model: DetectorModel) -> tuple[list[str], list[np.ndarra
     return names, [model.params[n].data.copy() for n in names]
 
 
-def _candidate_pool(model: DetectorModel, image: np.ndarray,
+def _candidate_pool(model: DetectorModel, features: Tensor,
                     rcnn_boxes: np.ndarray) -> np.ndarray:
     """The RoI candidate pool `frcnn_loss` would sample from at the base point."""
-    obj, deltas = rpn_forward(model, forward_features(model, image))
+    obj, deltas = rpn_forward(model, features)
     return roi_candidates(model.config, obj.data, deltas.data, rcnn_boxes)
 
 
@@ -155,12 +156,12 @@ def _build_frcnn(rng: np.random.Generator):
     sample_seed = int(rng.integers(0, 2 ** 31))
     # pin the RoI candidate pool at the base point: proposal selection is
     # piecewise constant in the parameters, so this is the a.e. gradient
-    candidates = _candidate_pool(model, image, boxes)
+    candidates = _candidate_pool(model, forward_features(model, image), boxes)
 
     def f(*tensors):
         m = DetectorModel(MICRO_CONFIG, num_classes, dict(zip(names, tensors)))
-        return frcnn_loss(m, image, boxes, boxes, labels, np.random.default_rng(sample_seed),
-                          candidate_rois=candidates)
+        return frcnn_loss(m, forward_features(m, image), boxes, boxes, labels,
+                          np.random.default_rng(sample_seed), candidate_rois=candidates)[0]
 
     return f, arrays
 
@@ -187,16 +188,13 @@ def _build_total_loss(rng: np.random.Generator):
     image = micro_image(rng)
     gt_boxes, gt_labels = micro_targets(rng, triple.im.num_classes, n=1,
                                         lo=triple.om.num_classes + 1)
-    th = cfg.thresholds
-    om_feat = forward_features(triple.om, image).detach()
-    pseudo = generate_pseudo_gt(triple.om, image, gt_boxes, th, features=om_feat)
-    targets = build_training_targets(pseudo, gt_boxes, gt_labels, th)
+    om_feat, targets = scene_targets(triple.om, image, gt_boxes, gt_labels, cfg)
     im_names, im_arrays = _model_param_arrays(triple.im)
     rm_names, rm_arrays = _model_param_arrays(triple.rm)
     sample_seed = int(rng.integers(0, 2 ** 31))
     # pin both candidate pools at the base point (see _build_frcnn)
-    cand_im = _candidate_pool(triple.im, image, targets.rcnn_boxes)
-    cand_rm = _candidate_pool(triple.rm, image, gt_boxes)
+    cand_im = _candidate_pool(triple.im, forward_features(triple.im, image), targets.rcnn_boxes)
+    cand_rm = _candidate_pool(triple.rm, forward_features(triple.rm, image), gt_boxes)
 
     def f(*tensors):
         im_t = tensors[:len(im_names)]
@@ -207,8 +205,7 @@ def _build_total_loss(rng: np.random.Generator):
             rm=DetectorModel(MICRO_CONFIG, triple.rm.num_classes, dict(zip(rm_names, rm_t))),
         )
         total, _ = compute_losses(trip, image, gt_boxes, gt_labels, cfg,
-                                  np.random.default_rng(sample_seed),
-                                  targets=targets, om_features=om_feat,
+                                  np.random.default_rng(sample_seed), om_feat, targets,
                                   im_candidates=cand_im, rm_candidates=cand_rm)
         return total
 

@@ -32,7 +32,7 @@ from tripledet.evaluate import evaluate_model, voc_ap
 from tripledet.pseudo_gt import Thresholds, generate_pseudo_gt
 from tripledet.synthdata import Scene, generate_dataset, generate_incremental_dataset, make_classes
 from tripledet.trainer import (BaseTrainConfig, TrainConfig, TripleNetwork, compute_losses,
-                               finetune_config, init_incremental, init_residual,
+                               finetune_config, init_incremental, init_residual, scene_targets,
                                train_base, train_incremental)
 from tripledet.verification import GRAD_TOL, run_gradient_suite
 
@@ -53,6 +53,13 @@ def inc_config(seed, **kw):
     defaults = dict(seed=seed, thresholds=Thresholds(0.1, 0.9, 0.3))
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+def scene_losses(triple, image, gt_boxes, gt_labels, cfg, rng):
+    """`compute_losses` on the scene's own `scene_targets`, as a step of
+    `train_incremental` runs it."""
+    return compute_losses(triple, image, gt_boxes, gt_labels, cfg, rng,
+                          *scene_targets(triple.om, image, gt_boxes, gt_labels, cfg))
 
 
 @pytest.fixture(scope="module")
@@ -190,9 +197,9 @@ def test_criterion_3_oracle_equivalence(world):
     checked = 0
     for scene in world.inc[:10]:
         gt_boxes = [b for b, _ in scene.annotations]
-        raw = detect(world.om, scene.image, th.theta_low, th.theta_iou)
-        got = generate_pseudo_gt(world.om, scene.image,
-                                 annotation_arrays(scene.annotations)[0], th)
+        features = forward_features(world.om, scene.image)
+        raw = detect(world.om, features, th.theta_low, th.theta_iou)
+        got = generate_pseudo_gt(world.om, features, annotation_arrays(scene.annotations)[0], th)
         assert got == exhaustive_filter(raw, gt_boxes, th.theta_iou)
         checked += len(raw)
     assert checked > 0
@@ -258,19 +265,20 @@ def test_criterion_7_switch_algebra(world):
     scene = world.inc[0]
     cfg_off = finetune_config(inc_config(seed=21))
     boxes, labels = annotation_arrays(scene.annotations)
-    _, bd = compute_losses(triple, scene.image, boxes, labels, cfg_off,
-                           np.random.default_rng(77))
+    _, bd = scene_losses(triple, scene.image, boxes, labels, cfg_off, np.random.default_rng(77))
     rng = np.random.default_rng(77)
-    li = frcnn_loss(triple.im, scene.image, boxes, boxes, labels, rng).item()
-    lr = frcnn_loss(triple.rm, scene.image, boxes, boxes, labels - om.num_classes, rng).item()
+    li = frcnn_loss(triple.im, forward_features(triple.im, scene.image), boxes, boxes, labels,
+                    rng)[0].item()
+    lr = frcnn_loss(triple.rm, forward_features(triple.rm, scene.image), boxes, boxes,
+                    labels - om.num_classes, rng)[0].item()
     algebra_ok = (abs(bd.loss_im - li) < 1e-12 and abs(bd.loss_rm - lr) < 1e-12
                   and bd.feature_distill == bd.residual_distill == bd.cls_distill == 0.0
                   and abs(bd.total - (li + lr)) < 1e-12)
 
     lam_results = {}
     for lam in (0.0, 0.5, 1.0, 2.0):
-        _, b = compute_losses(triple, scene.image, boxes, labels,
-                              inc_config(seed=21, lam=lam), np.random.default_rng(78))
+        _, b = scene_losses(triple, scene.image, boxes, labels,
+                            inc_config(seed=21, lam=lam), np.random.default_rng(78))
         lam_results[lam] = b
     d0 = lam_results[0.0]
     slope = d0.feature_distill + d0.residual_distill + d0.cls_distill
@@ -311,10 +319,11 @@ def test_rm_alone_learns_new_class(runs):
 
 def test_self_targets_give_small_loss(world):
     scene = world.test[0]
-    dets = detect(world.om, scene.image, 0.5, 0.3)
+    features = forward_features(world.om, scene.image)
+    dets = detect(world.om, features, 0.5, 0.3)
     assert dets, "trained model detects nothing at its inference settings"
     boxes, labels = annotation_arrays([(d.bbox, d.class_id) for d in dets])
-    loss = frcnn_loss(world.om, scene.image, boxes, boxes, labels, np.random.default_rng(5))
+    loss, _ = frcnn_loss(world.om, features, boxes, boxes, labels, np.random.default_rng(5))
     assert loss.item() < 1.0, f"loss on own detections {loss.item():.3f}"
 
 
@@ -327,7 +336,7 @@ def test_evaluate_model_matches_oracle_on_trained_om(world):
             for box, c in scene.annotations:
                 if c == cid:
                     gts.setdefault(idx, []).append(box)
-            for d in detect(world.om, scene.image, 0.05, 0.3):
+            for d in detect(world.om, forward_features(world.om, scene.image), 0.05, 0.3):
                 if d.class_id == cid:
                     dets.append((idx, d.score, d.bbox))
         want = prefix_integration_ap(dets, gts, IOU_EVAL)
@@ -341,8 +350,8 @@ def test_incremental_step_with_two_thresholds_equals_explicit(world):
     scene = world.inc[1]
     gt = annotation_arrays(scene.annotations)
     off = RunConfig(seed=5, two_threshold=False, theta_iou=0.3).protocol.inc_cfg
-    _, bd_off = compute_losses(triple, scene.image, *gt, off, np.random.default_rng(6))
-    _, bd_explicit = compute_losses(triple, scene.image, *gt,
-                                    inc_config(seed=5, thresholds=Thresholds(0.5, 0.5, 0.3)),
-                                    np.random.default_rng(6))
+    _, bd_off = scene_losses(triple, scene.image, *gt, off, np.random.default_rng(6))
+    _, bd_explicit = scene_losses(triple, scene.image, *gt,
+                                  inc_config(seed=5, thresholds=Thresholds(0.5, 0.5, 0.3)),
+                                  np.random.default_rng(6))
     assert bd_off.as_tuple() == bd_explicit.as_tuple()

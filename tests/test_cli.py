@@ -99,7 +99,10 @@ COMMANDS = ["gen-data", "train-base", "finetune", "incremental", "eval", "ablate
 @pytest.mark.parametrize("bad", [{"theta_low": 0.95, "theta_high": 0.9}, {"lam": "abc"},
                                  {"base_epochs": 0}, {"batch_size": 0}, {"n_base": 0},
                                  {"n_incremental": 0}, {"n_test": 0}, {"seeds": []},
-                                 {"grad_instances": 0}, {"sweep_pairs": [[0.9, 0.1]]}])
+                                 {"grad_instances": 0}, {"sweep_pairs": [[0.9, 0.1]]},
+                                 {"iou_thresh": 5.0}, {"iou_thresh": 0.0}, {"lr": -1.0},
+                                 {"lr": float("nan")}, {"base_lr": 0.0},
+                                 {"base_lr": float("inf")}, {"lam": float("nan")}])
 @pytest.mark.parametrize("command", COMMANDS)
 def test_invalid_config_values_are_usage_errors(tmp_path, capsys, command, bad):
     cfg = write_config(tmp_path, **bad)

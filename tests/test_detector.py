@@ -28,6 +28,11 @@ def image():
     return np.random.default_rng(1).uniform(0, 1, (3, 64, 64))
 
 
+@pytest.fixture(scope="module")
+def features(model, image):
+    return forward_features(model, image)
+
+
 def zero_bias_model(seed=0):
     m = new_model(DetectorConfig(), 3, seed=seed)
     for name, p in m.params.items():
@@ -181,30 +186,27 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_frcnn_loss_proposes_from_its_own_rpn_outputs(model, image, monkeypatch):
+def test_frcnn_loss_proposes_from_its_own_rpn_outputs(model, features, monkeypatch):
     calls = count_calls(monkeypatch, det, "rpn_forward")
+    backbone_calls = count_calls(monkeypatch, det, "forward_features")
     boxes, labels = annotation_arrays([(BBox(10, 10, 26, 28), 1)])
-    frcnn_loss(model, image, boxes, boxes, labels, np.random.default_rng(0))
-    assert calls == [model]
+    frcnn_loss(model, features, boxes, boxes, labels, np.random.default_rng(0))
+    assert calls == [model] and backbone_calls == []
 
 
 def test_detect_runs_backbone_and_rpn_once(model, image, monkeypatch):
-    expected = detect(model, image, 0.05)
+    expected = detect(model, forward_features(model, image), 0.05, 0.3)
     rpn_calls = count_calls(monkeypatch, det, "rpn_forward")
     backbone_calls = count_calls(monkeypatch, det, "forward_features")
-    assert detect(model, image, 0.05) == expected
+    # the caller's one backbone pass is the only one: detect takes features
+    feats = det.forward_features(model, image)
+    assert detect(model, feats, 0.05, 0.3) == expected
     assert rpn_calls == [model] and backbone_calls == [model]
-    # features the caller already has replace the backbone pass, same result
-    feats = forward_features(model, image)
-    rpn_calls.clear()
-    backbone_calls.clear()
-    assert detect(model, image, 0.05, features=feats) == expected
-    assert rpn_calls == [model] and backbone_calls == []
 
 
 # -- detect ------------------------------------------------------------------------------
 
-def test_detect_builds_one_detection_per_result(model, image, monkeypatch):
+def test_detect_builds_one_detection_per_result(model, features, monkeypatch):
     built = []
     candidates = []
     real_detection, real_nms = det.Detection, det.nms_per_class
@@ -217,28 +219,28 @@ def test_detect_builds_one_detection_per_result(model, image, monkeypatch):
         candidates.append(len(scores))
         return real_nms(boxes, scores, labels, iou_thresh)
 
-    expected = detect(model, image, 0.05)
+    expected = detect(model, features, 0.05, 0.3)
     monkeypatch.setattr(det, "Detection", counted_detection)
     monkeypatch.setattr(det, "nms_per_class", recorded_nms)
-    dets = detect(model, image, 0.05)
+    dets = detect(model, features, 0.05, 0.3)
     assert dets == expected
     # NMS dropped candidates, and none of them became a Detection
     assert candidates[0] > len(dets) > 0
     assert len(built) == len(dets)
 
 
-def test_detect_score_thresh_one_empty(model, image):
-    assert detect(model, image, score_thresh=1.0) == []
+def test_detect_score_thresh_one_empty(model, features):
+    assert detect(model, features, score_thresh=1.0, nms_thresh=0.3) == []
 
 
-def test_detect_never_emits_background(model, image):
-    for d in detect(model, image, score_thresh=0.05):
+def test_detect_never_emits_background(model, features):
+    for d in detect(model, features, score_thresh=0.05, nms_thresh=0.3):
         assert d.class_id >= 1
 
 
 def test_detect_deterministic(model, image):
-    a = detect(model, image, 0.1, 0.3)
-    b = detect(model, image, 0.1, 0.3)
+    a = detect(model, forward_features(model, image), 0.1, 0.3)
+    b = detect(model, forward_features(model, image), 0.1, 0.3)
     assert a == b
 
 
@@ -285,37 +287,39 @@ def test_sample_rois_cap_and_reproducibility():
 
 # -- losses -----------------------------------------------------------------------------
 
-def test_loss_nonnegative_and_finite(model, image):
+def test_loss_nonnegative_and_finite(model, features):
     boxes, labels = annotation_arrays([(BBox(10, 10, 26, 26), 1), (BBox(40, 40, 58, 60), 2)])
-    loss = frcnn_loss(model, image, boxes, boxes, labels, np.random.default_rng(0))
+    loss, _ = frcnn_loss(model, features, boxes, boxes, labels, np.random.default_rng(0))
     assert np.isfinite(loss.item()) and loss.item() >= 0.0
 
 
-def test_loss_no_targets_negative_only_defined(model, image):
+def test_loss_no_targets_negative_only_defined(model, features):
     none = np.zeros((0, 4))
-    loss = frcnn_loss(model, image, none, none, np.zeros(0, dtype=np.intp),
-                      np.random.default_rng(0))
+    loss, _ = frcnn_loss(model, features, none, none, np.zeros(0, dtype=np.intp),
+                         np.random.default_rng(0))
     assert np.isfinite(loss.item()) and loss.item() >= 0.0
 
 
 def test_loss_reproducible_under_seed(model, image):
     boxes, labels = annotation_arrays([(BBox(5, 5, 20, 22), 3)])
-    a = frcnn_loss(model, image, boxes, boxes, labels, np.random.default_rng(11))
-    b = frcnn_loss(model, image, boxes, boxes, labels, np.random.default_rng(11))
+    a, _ = frcnn_loss(model, forward_features(model, image), boxes, boxes, labels,
+                      np.random.default_rng(11))
+    b, _ = frcnn_loss(model, forward_features(model, image), boxes, boxes, labels,
+                      np.random.default_rng(11))
     assert a.item() == b.item()
 
 
-def test_loss_rejects_out_of_range_class(model, image):
+def test_loss_rejects_out_of_range_class(model, features):
     with pytest.raises(DetectorError):
-        frcnn_loss(model, image, np.zeros((0, 4)), *annotation_arrays([(BBox(5, 5, 20, 22), 9)]),
+        frcnn_loss(model, features, np.zeros((0, 4)), *annotation_arrays([(BBox(5, 5, 20, 22), 9)]),
                    np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("label", [0, -2])
-def test_loss_rejects_background_and_negative_class(model, image, label):
+def test_loss_rejects_background_and_negative_class(model, features, label):
     boxes = np.array([[5.0, 5.0, 20.0, 22.0]])
     with pytest.raises(DetectorError, match=f"class {label} outside"):
-        frcnn_loss(model, image, boxes, boxes, np.array([label]), np.random.default_rng(0))
+        frcnn_loss(model, features, boxes, boxes, np.array([label]), np.random.default_rng(0))
 
 
 def test_loss_gradcheck_micro_one_image():
@@ -327,7 +331,9 @@ def test_loss_gradcheck_micro_one_image():
 
     def f(*tensors):
         mm = DetectorModel(MICRO_CONFIG, 2, dict(zip(names, tensors)))
-        return frcnn_loss(mm, image, boxes, boxes, labels, np.random.default_rng(99))
+        loss, _ = frcnn_loss(mm, forward_features(mm, image), boxes, boxes, labels,
+                             np.random.default_rng(99))
+        return loss
 
     err = ad.grad_check(f, [m.params[n].data for n in names], step=1e-5)
     assert err < 1e-4

@@ -1,6 +1,7 @@
 """AP computation against explicit PR-curve integration, and the harness."""
 
 import csv
+import json
 import math
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ import pytest
 import tripledet.evaluate as ev
 from _oracles import prefix_integration_ap, random_ap_case
 from tripledet.boxes import BBox
-from tripledet.detector import DetectorConfig
+from tripledet.detector import DetectorConfig, new_model
 from tripledet.evaluate import (CSV_HEADER, ExperimentProtocol, Variant, evaluate_model,
                                 run_experiment, variant_grid, voc_ap, write_rows_csv)
 from tripledet.pseudo_gt import Thresholds
@@ -79,6 +80,14 @@ class StubModel:
         self.per_scene = per_scene
         self.calls = 0
 
+    def clone(self, requires_grad=True):
+        return self
+
+
+def stub_backbone(monkeypatch):
+    """The stub has no backbone: its "features" are the image."""
+    monkeypatch.setattr(ev, "forward_features", lambda model, image: image)
+
 
 def test_evaluate_model_aggregates(monkeypatch):
     from tripledet.boxes import Detection
@@ -89,11 +98,12 @@ def test_evaluate_model_aggregates(monkeypatch):
               Scene(image=np.zeros((3, 64, 64)), annotations=[(g2, 2)])]
     stub = StubModel({0: [Detection(g1, 1, 0.9)], 1: []})
 
-    def fake_detect(model, image, score_thresh, nms_thresh):
+    def fake_detect(model, features, score_thresh, nms_thresh):
         out = model.per_scene[model.calls]
         model.calls += 1
         return out
 
+    stub_backbone(monkeypatch)
     monkeypatch.setattr(ev, "detect", fake_detect)
     report = evaluate_model(stub, scenes, 0.5, old_classes=[1], new_classes=[2])
     assert report.per_class_ap[1] == 1.0
@@ -109,11 +119,35 @@ def test_evaluate_model_vacuous_excluded(monkeypatch):
     g1 = BBox(5, 5, 20, 20)
     scenes = [Scene(image=np.zeros((3, 64, 64)), annotations=[(g1, 1)])]
     stub = StubModel({0: []})
-    monkeypatch.setattr(ev, "detect", lambda m, i, s, n: [])
+    stub_backbone(monkeypatch)
+    monkeypatch.setattr(ev, "detect", lambda m, f, s, n: [])
     report = evaluate_model(stub, scenes, 0.5, old_classes=[1], new_classes=[2])
     assert report.vacuous_classes == [2]
     assert report.map_all == report.per_class_ap[1]
     assert math.isnan(report.map_new)
+
+
+def test_evaluate_model_detects_on_a_frozen_copy(monkeypatch):
+    scenes = generate_dataset(make_classes(3), 4, seed=2)
+    trainable = new_model(DetectorConfig(), 3, seed=4)
+    frozen = trainable.clone(requires_grad=False)
+    seen = []
+    real_detect = ev.detect
+
+    def spy(model, features, score_thresh, nms_thresh):
+        seen.append((model is not trainable,
+                     not any(p.requires_grad for p in model.params.values()),
+                     features.requires_grad, features.parents == ()))
+        return real_detect(model, features, score_thresh, nms_thresh)
+
+    monkeypatch.setattr(ev, "detect", spy)
+    reports = [evaluate_model(m, scenes, 0.5, old_classes=[1, 2], new_classes=[3]).to_dict()
+               for m in (trainable, frozen)]
+    assert sum(reports[0]["det_counts"].values()) > 0
+    assert json.dumps(reports[0]) == json.dumps(reports[1])     # NaN-safe equality
+    # every detect call ran on frozen parameters and on features with no graph
+    assert seen == [(True, True, False, True)] * (2 * len(scenes))
+    assert all(p.requires_grad for p in trainable.params.values())
 
 
 def test_evaluate_model_rejects_uncovered_class():

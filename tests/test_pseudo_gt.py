@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import tripledet.pseudo_gt as pgt
 from _oracles import exhaustive_filter, random_detections
 from tripledet.boxes import BBox, Detection, annotation_arrays
-from tripledet.detector import DetectorConfig, detect, new_model
+from tripledet.detector import DetectorConfig, detect, forward_features, new_model
 from tripledet.pseudo_gt import Thresholds, build_training_targets, generate_pseudo_gt
 
 NO_BOXES = np.zeros((0, 4))
@@ -58,10 +58,10 @@ def test_generate_pseudo_gt_empty_when_om_silent():
     # an untrained model with zeroed heads scores 0.5 everywhere; floor above it
     om = new_model(DetectorConfig(), 2, seed=1)
     om.freeze()
-    image = np.random.default_rng(0).uniform(0, 1, (3, 64, 64))
+    features = forward_features(om, np.random.default_rng(0).uniform(0, 1, (3, 64, 64)))
     th = Thresholds(0.6, 0.9, 0.3)
-    dets_at_floor = detect(om, image, score_thresh=th.theta_low, nms_thresh=th.theta_iou)
-    got = generate_pseudo_gt(om, image, NO_BOXES, th)
+    dets_at_floor = detect(om, features, score_thresh=th.theta_low, nms_thresh=th.theta_iou)
+    got = generate_pseudo_gt(om, features, NO_BOXES, th)
     assert got == dets_at_floor   # no new-class boxes: filter is a no-op
     for d in got:
         assert d.score > th.theta_low
@@ -70,13 +70,13 @@ def test_generate_pseudo_gt_empty_when_om_silent():
 def test_generate_pseudo_gt_applies_conflict_filter():
     om = new_model(DetectorConfig(), 2, seed=2)
     om.freeze()
-    image = np.random.default_rng(3).uniform(0, 1, (3, 64, 64))
+    features = forward_features(om, np.random.default_rng(3).uniform(0, 1, (3, 64, 64)))
     th = Thresholds(0.05, 0.9, 0.3)
-    raw = detect(om, image, score_thresh=th.theta_low, nms_thresh=th.theta_iou)
+    raw = detect(om, features, score_thresh=th.theta_low, nms_thresh=th.theta_iou)
     if not raw:
         pytest.skip("untrained model produced no detections above the floor")
     gt = [raw[0].bbox]                 # conflicts with itself at IoU 1
-    got = generate_pseudo_gt(om, image, annotation_arrays([(gt[0], 3)])[0], th)
+    got = generate_pseudo_gt(om, features, annotation_arrays([(gt[0], 3)])[0], th)
     assert got == exhaustive_filter(raw, gt, th.theta_iou)
     assert raw[0] not in got
     # pseudo boxes only ever carry the old model's (old) classes

@@ -149,6 +149,18 @@ def test_missing_file_rejected_with_path(tmp_path):
     assert "scene_00001.ppm" in str(exc.value)
 
 
+@pytest.mark.parametrize("class_id", [2.7, 2.0, "3", True, None, 0, -1])
+def test_manifest_rejects_non_integer_or_nonpositive_class_id(tmp_path, class_id):
+    scenes = generate_dataset(make_classes(2), 2, seed=15)
+    save_dataset(scenes, tmp_path / "ds")
+    path = tmp_path / "ds" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest[1]["objects"][0]["class_id"] = class_id
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(DatasetError, match=r"entry 1 in .*manifest\.json: class_id must be"):
+        load_dataset(tmp_path / "ds")
+
+
 def test_malformed_manifest_rejected(tmp_path):
     d = tmp_path / "ds"
     d.mkdir()

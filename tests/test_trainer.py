@@ -17,14 +17,15 @@ from tripledet.autodiff import Tensor
 from tripledet.boxes import BBox, annotation_arrays
 from tripledet.cli import RunConfig, UsageError
 from tripledet.detector import (DetectorConfig, checkpoint_bytes, checkpoint_hash, detect,
-                                frcnn_loss, load_checkpoint, new_model, save_checkpoint)
+                                forward_features, frcnn_loss, load_checkpoint, new_model,
+                                save_checkpoint)
 from tripledet.pseudo_gt import Thresholds
 from tripledet.synthdata import (Scene, generate_dataset, generate_incremental_dataset,
                                  make_classes)
 from tripledet.trainer import (BaseTrainConfig, SGDMomentum, TrainConfig, TrainingError,
                                TripleNetwork, compute_losses, finetune_config,
-                               init_incremental, init_residual, init_triple, train_base,
-                               train_incremental)
+                               init_incremental, init_residual, init_triple, scene_targets,
+                               train_base, train_incremental)
 from tripledet.verification import check_loss_gradient
 
 
@@ -61,11 +62,20 @@ def small_cfg(**kw):
     return TrainConfig(**defaults)
 
 
+def scene_losses(triple, image, gt_boxes, gt_labels, cfg, rng):
+    """`compute_losses` on the scene's own `scene_targets`, as a step of
+    `train_incremental` runs it."""
+    return compute_losses(triple, image, gt_boxes, gt_labels, cfg, rng,
+                          *scene_targets(triple.om, image, gt_boxes, gt_labels, cfg))
+
+
 # -- initialization -----------------------------------------------------------------
 
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(lam=-0.1)
+    with pytest.raises(ValueError):
+        TrainConfig(lam=float("nan"))
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
@@ -74,6 +84,11 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         BaseTrainConfig(batch_size=0)
+    for lr in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lr must be finite and > 0"):
+            TrainConfig(lr=lr)
+        with pytest.raises(ValueError, match="lr must be finite and > 0"):
+            BaseTrainConfig(lr=lr)
 
 
 def test_effective_thresholds_single_mode():
@@ -99,7 +114,8 @@ def old_class_view(im, num_old):
 def test_init_incremental_restricted_matches_om_detect(om, image):
     im = init_incremental(om, num_new=1, seed=1)
     restricted = old_class_view(im, om.num_classes)
-    assert detect(restricted, image, 0.3, 0.3) == detect(om, image, 0.3, 0.3)
+    assert (detect(restricted, forward_features(restricted, image), 0.3, 0.3)
+            == detect(om, forward_features(om, image), 0.3, 0.3))
 
 
 def test_init_incremental_old_rows_copied_new_rows_seeded(om):
@@ -136,14 +152,14 @@ def test_rm_local_targets_mapping(om, image, monkeypatch):
     seen = []
     real = trainer.frcnn_loss
 
-    def recorded(model, image, rpn_boxes, rcnn_boxes, rcnn_labels, *args, **kwargs):
+    def recorded(model, features, rpn_boxes, rcnn_boxes, rcnn_labels, *args, **kwargs):
         seen.append((model, rcnn_boxes, rcnn_labels))
-        return real(model, image, rpn_boxes, rcnn_boxes, rcnn_labels, *args, **kwargs)
+        return real(model, features, rpn_boxes, rcnn_boxes, rcnn_labels, *args, **kwargs)
 
     monkeypatch.setattr(trainer, "frcnn_loss", recorded)
     boxes, labels = annotation_arrays([(BBox(0, 0, 5, 5), 4), (BBox(1, 1, 6, 6), 5)])
-    compute_losses(triple, image, boxes, labels, finetune_config(small_cfg()),
-                   np.random.default_rng(0))
+    scene_losses(triple, image, boxes, labels, finetune_config(small_cfg()),
+                 np.random.default_rng(0))
     (im, _, im_labels), (rm, rm_boxes, rm_labels) = seen
     assert im is triple.im and list(im_labels) == [4, 5]
     assert rm is triple.rm and list(rm_labels) == [1, 2]
@@ -173,8 +189,7 @@ def test_sgd_momentum_formula():
 def test_lambda_zero_total_is_exact_sum(om, image):
     triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
     gt = annotation_arrays([(BBox(10, 10, 26, 28), 4)])
-    total, bd = compute_losses(triple, image, *gt, small_cfg(lam=0.0),
-                               np.random.default_rng(0))
+    total, bd = scene_losses(triple, image, *gt, small_cfg(lam=0.0), np.random.default_rng(0))
     assert bd.total == bd.loss_im + bd.loss_rm
 
 
@@ -183,8 +198,7 @@ def test_lambda_affinity(om, image):
     gt = annotation_arrays([(BBox(10, 10, 26, 28), 4)])
     results = {}
     for lam in (0.0, 0.5, 1.0, 2.0):
-        _, bd = compute_losses(triple, image, *gt, small_cfg(lam=lam),
-                               np.random.default_rng(123))
+        _, bd = scene_losses(triple, image, *gt, small_cfg(lam=lam), np.random.default_rng(123))
         results[lam] = bd
     d0 = results[0.0]
     slope = d0.feature_distill + d0.residual_distill + d0.cls_distill
@@ -200,11 +214,12 @@ def test_all_switches_off_equals_plain_finetune_term_by_term(om, image):
     triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
     boxes, labels = annotation_arrays([(BBox(10, 10, 26, 28), 4), (BBox(40, 38, 56, 60), 4)])
     cfg = finetune_config(small_cfg())
-    _, bd = compute_losses(triple, image, boxes, labels, cfg, np.random.default_rng(9))
+    _, bd = scene_losses(triple, image, boxes, labels, cfg, np.random.default_rng(9))
 
     rng = np.random.default_rng(9)
-    li = frcnn_loss(triple.im, image, boxes, boxes, labels, rng)
-    lr_ = frcnn_loss(triple.rm, image, boxes, boxes, labels - om.num_classes, rng)
+    li, _ = frcnn_loss(triple.im, forward_features(triple.im, image), boxes, boxes, labels, rng)
+    lr_, _ = frcnn_loss(triple.rm, forward_features(triple.rm, image), boxes, boxes,
+                        labels - om.num_classes, rng)
     assert abs(bd.loss_im - li.item()) < 1e-12
     assert abs(bd.loss_rm - lr_.item()) < 1e-12
     assert bd.feature_distill == bd.residual_distill == bd.cls_distill == 0.0
@@ -214,8 +229,8 @@ def test_all_switches_off_equals_plain_finetune_term_by_term(om, image):
 def test_disabled_terms_report_zero(om, image):
     triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
     gt = annotation_arrays([(BBox(10, 10, 26, 28), 4)])
-    _, bd = compute_losses(triple, image, *gt, small_cfg(d_fea=False, d_res=True, d_cls=False),
-                           np.random.default_rng(4))
+    _, bd = scene_losses(triple, image, *gt, small_cfg(d_fea=False, d_res=True, d_cls=False),
+                         np.random.default_rng(4))
     assert bd.feature_distill == 0.0 and bd.cls_distill == 0.0
     assert bd.residual_distill > 0.0
 
@@ -224,8 +239,8 @@ def test_nonfinite_loss_aborts_with_term_name(om, image):
     triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
     triple.im.params["rcnn.fc1.w"].data[0, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(TrainingError) as exc:
-        compute_losses(triple, image, *annotation_arrays([(BBox(10, 10, 26, 28), 4)]),
-                       small_cfg(), np.random.default_rng(0))
+        scene_losses(triple, image, *annotation_arrays([(BBox(10, 10, 26, 28), 4)]),
+                     small_cfg(), np.random.default_rng(0))
     assert "loss_im" in str(exc.value)
 
 
@@ -238,8 +253,8 @@ def test_each_distill_term_reaches_residual_backbone_gradient(om, image, term):
     grads = []
     for switches in (off, {**off, term: True}):
         triple = init_triple(om, 2, 1)
-        total, _ = compute_losses(triple, image, *gt, small_cfg(**switches),
-                                  np.random.default_rng(11))
+        total, _ = scene_losses(triple, image, *gt, small_cfg(**switches),
+                                np.random.default_rng(11))
         total.backward()
         grads.append(triple.rm.params["backbone.conv1.w"].grad.copy())
     # the same RoI draws either way, so the term alone makes the difference
@@ -268,14 +283,18 @@ def test_compute_losses_runs_each_network_once(om, image, monkeypatch):
     rpn = count_forwards(monkeypatch, "rpn_forward")
     backbone = count_forwards(monkeypatch, "forward_features")
     gt = annotation_arrays([(BBox(10, 10, 26, 28), 4)])
-    compute_losses(triple, image, *gt, small_cfg(), np.random.default_rng(0))
-    once = {id(triple.om): 1, id(triple.im): 1, id(triple.rm): 1}
-    assert rpn == once and backbone == once
-    rpn.clear()
-    backbone.clear()
-    compute_losses(triple, image, *gt, finetune_config(small_cfg()), np.random.default_rng(0))
-    once = {id(triple.im): 1, id(triple.rm): 1}
-    assert rpn == once and backbone == once
+    for cfg, om_once in ((small_cfg(), {id(triple.om): 1}), (finetune_config(small_cfg()), {})):
+        # the old model runs in the scene's precompute only, and not at all
+        # when neither pseudo-GT nor distillation reads it
+        precomputed = scene_targets(triple.om, image, *gt, cfg)
+        assert rpn == om_once and backbone == om_once
+        rpn.clear()
+        backbone.clear()
+        compute_losses(triple, image, *gt, cfg, np.random.default_rng(0), *precomputed)
+        once = {id(triple.im): 1, id(triple.rm): 1}
+        assert rpn == once and backbone == once
+        rpn.clear()
+        backbone.clear()
 
 
 @pytest.mark.parametrize("variant,om_passes", [
