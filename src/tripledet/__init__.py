@@ -12,8 +12,7 @@ from .detector import (DetectorConfig, DetectorModel, checkpoint_hash, detect,
 from .distill import (FeatureTriple, LogitTriple, PooledTriple, attention_map,
                       attention_pair_loss, classification_distill_loss,
                       feature_distill_loss, residual_distill_loss)
-from .evaluate import (APReport, ExperimentProtocol, Variant, evaluate_model,
-                       run_experiment, voc_ap)
+from .evaluate import APReport, evaluate_model, voc_ap
 from .pseudo_gt import PseudoGTSet, Thresholds, build_training_targets, generate_pseudo_gt
 from .synthdata import (ClassDef, Scene, generate_dataset, generate_incremental_dataset,
                         load_dataset, make_classes, save_dataset)

@@ -7,25 +7,34 @@ override defaults. Progress and the resolved configuration go to stderr;
 machine-readable outputs (datasets, checkpoints, CSV tables, JSON reports)
 are written under the configured directories only.
 
+`RunConfig` is the one run config: it checks every value once and holds the
+library configs a run trains with. The `ablate` harness trains each variant of
+its grid from one shared base model, one CSV row per (variant, seed) and one
+seed-averaged row per variant.
+
 Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
+import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .detector import load_checkpoint, save_checkpoint
-from .evaluate import (ExperimentProtocol, build_datasets, evaluate_model, run_experiment,
-                       train_base_model, variant_grid, write_report_json)
+import numpy as np
+
+from .detector import DetectorConfig, DetectorModel, load_checkpoint, new_model, save_checkpoint
+from .evaluate import evaluate_model, write_report_json
 from .pseudo_gt import Thresholds
-from .synthdata import load_dataset, save_dataset
-from .trainer import (BaseTrainConfig, TrainConfig, finetune_config, init_triple,
-                      train_incremental, write_epoch_log)
+from .synthdata import (Scene, generate_dataset, generate_incremental_dataset, load_dataset,
+                        make_classes, save_dataset)
+from .trainer import (BaseTrainConfig, EpochStats, TrainConfig, finetune_config, init_triple,
+                      train_base, train_incremental, write_epoch_log)
 from .verification import GRAD_TOL, run_gradient_suite
 
 
@@ -65,29 +74,52 @@ class RunConfig:
     sweep_pairs: list[list[float]] = field(default_factory=lambda: [[0.5, 0.5], [0.3, 0.7], [0.1, 0.9]])
 
     def __post_init__(self):
-        # the library's own config types check the values, once, here
+        # every value is checked once, here: its type, then its range (partly by
+        # the library configs it builds)
         try:
-            pairs = [(float(lo), float(hi)) for lo, hi in self.sweep_pairs]
-            if self.grad_instances < 1:
-                raise ValueError(f"grad_instances must be >= 1, got {self.grad_instances}")
+            for f in dataclasses.fields(self):
+                value = getattr(self, f.name)
+                if not _has_type(value, f.type):
+                    raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+            # the incremental model widens its heads in id order
+            old, new = self.old_class_ids, self.new_class_ids
+            if set(old) & set(new):
+                raise ValueError(f"old and new class ids overlap: {sorted(set(old) & set(new))}")
+            if sorted(old) != list(range(1, len(old) + 1)):
+                raise ValueError(f"old class ids must be 1..len(old), got {old}")
+            if sorted(new) != list(range(len(old) + 1, len(old) + len(new) + 1)):
+                raise ValueError(f"new class ids must directly follow the old ids, got {new}")
+            for name in ("n_base", "n_incremental", "n_test", "grad_instances"):
+                if getattr(self, name) < 1:
+                    raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            if not self.seeds:
+                raise ValueError("seeds must not be empty")
+            if not 0.0 < self.iou_thresh < 1.0:
+                raise ValueError(f"iou_thresh must lie in (0,1), got {self.iou_thresh}")
             thresholds = Thresholds(self.theta_low, self.theta_high, self.theta_iou)
             if not self.two_threshold:
                 # single-threshold mode: both target sets split the pseudo-GT at 0.5
                 thresholds = replace(thresholds, theta_low=0.5, theta_high=0.5)
-            inc_cfg = TrainConfig(
+            self.base_cfg = BaseTrainConfig(epochs=self.base_epochs, lr=self.base_lr,
+                                            batch_size=self.batch_size, seed=self.seed)
+            self.inc_cfg = TrainConfig(
                 lam=self.lam, epochs=self.epochs, lr=self.lr, batch_size=self.batch_size,
                 seed=self.seed, thresholds=thresholds, d_fea=self.d_fea, d_res=self.d_res,
                 d_cls=self.d_cls, use_pseudo_gt=self.use_pseudo_gt)
-            self.protocol = ExperimentProtocol(
-                old_class_ids=self.old_class_ids, new_class_ids=self.new_class_ids,
-                n_base=self.n_base, n_incremental=self.n_incremental, n_test=self.n_test,
-                data_seed=self.data_seed, seeds=self.seeds,
-                base_cfg=BaseTrainConfig(epochs=self.base_epochs, lr=self.base_lr,
-                                         batch_size=self.batch_size, seed=self.seed),
-                inc_cfg=inc_cfg, variants=variant_grid(inc_cfg, pairs),
-                iou_thresh=self.iou_thresh)
+            self.variants = variant_grid(self.inc_cfg, self.sweep_pairs)
         except (TypeError, ValueError) as e:
             raise UsageError(f"invalid config: {e}") from None
+
+
+def _has_type(value, hint: str) -> bool:
+    """Whether a JSON value fits a field annotation (a string, as this module
+    postpones annotations): `true`/`false` only a bool, an int also a float,
+    a list only of fitting items."""
+    if hint.startswith("list["):
+        return isinstance(value, list) and all(_has_type(v, hint[5:-1]) for v in value)
+    if isinstance(value, bool) or hint == "bool":
+        return isinstance(value, bool) and hint == "bool"
+    return isinstance(value, {"str": str, "int": int, "float": (int, float)}[hint])
 
 
 def _read_config_file(path: str | None) -> dict:
@@ -124,9 +156,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> _Parser:
     parser = _Parser(prog="tripledet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = ("gen-data", "train-base", "finetune", "incremental", "eval",
-                "ablate", "gradcheck")
-    for name in commands:
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, metavar="FILE")
         p.add_argument("--seed", type=int, default=None, metavar="N")
@@ -160,14 +190,131 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
-def _print_resolved(cfg: RunConfig, command: str) -> None:
-    _log(f"[tripledet] command={command} seed={cfg.seed}")
-    _log("[tripledet] resolved config: " + json.dumps(dataclasses.asdict(cfg), sort_keys=True))
+# -- experiment harness ----------------------------------------------------------
+
+CSV_HEADER = ("variant", "seed", "map_old", "map_new", "map_all", "secs")
 
 
-def cmd_gen_data(cfg: RunConfig) -> int:
+@dataclass(frozen=True)
+class Variant:
+    """One harness row: the base model (`cfg` None) or an incremental run
+    of `cfg` (its seed is replaced by each run seed)."""
+    name: str
+    cfg: TrainConfig | None
+
+
+@dataclass
+class ExperimentRow:
+    variant: str
+    seed: str
+    map_old: float
+    map_new: float
+    map_all: float
+    secs: float
+    failed: bool = False
+
+
+def variant_grid(inc_cfg: TrainConfig, sweep_pairs: list[list[float]]) -> list[Variant]:
+    """The ablation rows, each an `inc_cfg` with its own switches: the base
+    model, plain finetuning, pseudo-GT alone, each component alone,
+    cumulative combinations, then the full method at every (theta_low,
+    theta_high) of `sweep_pairs`. Single-threshold rows split the pseudo-GT
+    at 0.5; the two-threshold rows `2th` and `full` at (0.1, 0.9)."""
+    def row(name, lo=0.5, hi=0.5, d_fea=False, d_res=False, d_cls=False):
+        th = Thresholds(lo, hi, inc_cfg.thresholds.theta_iou)
+        return Variant(name, replace(inc_cfg, thresholds=th, d_fea=d_fea, d_res=d_res,
+                                     d_cls=d_cls, use_pseudo_gt=True))
+
+    full = dict(d_fea=True, d_res=True, d_cls=True)
+    return [
+        Variant("base", None),
+        Variant("finetune", finetune_config(inc_cfg)),
+        row("pgt-single"),
+        row("d_fea", d_fea=True),
+        row("d_res", d_res=True),
+        row("d_cls", d_cls=True),
+        row("2th", 0.1, 0.9),
+        row("d_fea+d_res", d_fea=True, d_res=True),
+        row("d_fea+d_res+d_cls", **full),
+        row("full", 0.1, 0.9, **full),
+        *(row(f"full-th({lo},{hi})", lo, hi, **full) for lo, hi in sweep_pairs),
+    ]
+
+
+def build_datasets(cfg: RunConfig) -> tuple[list[Scene], list[Scene], list[Scene]]:
+    """(base train, incremental train, fully annotated test) scene lists."""
+    classes = make_classes(len(cfg.old_class_ids) + len(cfg.new_class_ids))
+    old = [c for c in classes if c.class_id in cfg.old_class_ids]
+    new = [c for c in classes if c.class_id in cfg.new_class_ids]
+    base = generate_dataset(old, cfg.n_base, cfg.data_seed)
+    inc = generate_incremental_dataset(old, new, cfg.n_incremental, cfg.data_seed + 1)
+    test = generate_dataset(classes, cfg.n_test, cfg.data_seed + 2)
+    return base, inc, test
+
+
+def train_base_model(cfg: RunConfig, base_scenes: list[Scene]
+                     ) -> tuple[DetectorModel, list[EpochStats]]:
+    """The old model, initialized and trained from `cfg.base_cfg.seed`, and
+    its epoch log."""
+    model = new_model(DetectorConfig(), len(cfg.old_class_ids), cfg.base_cfg.seed)
+    return model, train_base(model, base_scenes, cfg.base_cfg)
+
+
+def run_variant(cfg: RunConfig, variant: Variant, seed: int, om: DetectorModel,
+                inc_scenes: list[Scene], test_scenes: list[Scene]) -> ExperimentRow:
+    start = time.perf_counter()
+    try:
+        if variant.cfg is None:
+            report = evaluate_model(om, test_scenes, cfg.iou_thresh,
+                                    old_classes=cfg.old_class_ids, new_classes=[])
+        else:
+            triple = init_triple(om.clone(requires_grad=False), len(cfg.new_class_ids), seed)
+            train_incremental(triple, inc_scenes, replace(variant.cfg, seed=seed))
+            report = evaluate_model(triple.im, test_scenes, cfg.iou_thresh,
+                                    old_classes=cfg.old_class_ids, new_classes=cfg.new_class_ids)
+        return ExperimentRow(variant.name, str(seed), report.map_old, report.map_new,
+                             report.map_all, time.perf_counter() - start)
+    except Exception as e:  # record the failure, keep the harness running
+        _log(f"variant {variant.name!r} seed {seed} failed: {e}")
+        nan = float("nan")
+        return ExperimentRow(variant.name, str(seed), nan, nan, nan,
+                             time.perf_counter() - start, failed=True)
+
+
+def run_experiment(cfg: RunConfig) -> list[ExperimentRow]:
+    """Builds the data and the base model, then |variants| x |seeds| rows
+    plus one seed-averaged row per variant, logging each row."""
+    base_scenes, inc_scenes, test_scenes = build_datasets(cfg)
+    om, _ = train_base_model(cfg, base_scenes)
+    rows: list[ExperimentRow] = []
+    for variant in cfg.variants:
+        variant_rows = []
+        for seed in cfg.seeds:
+            row = run_variant(cfg, variant, seed, om, inc_scenes, test_scenes)
+            _log(f"  {row.variant} seed={row.seed}: map_old={row.map_old:.3f} "
+                 f"map_new={row.map_new:.3f} ({row.secs:.1f}s)")
+            variant_rows.append(row)
+        rows.extend(variant_rows)
+        means = [float(np.mean([getattr(r, k) for r in variant_rows]))
+                 for k in ("map_old", "map_new", "map_all")]
+        rows.append(ExperimentRow(variant.name, "mean", *means,
+                                  float(np.sum([r.secs for r in variant_rows]))))
+    return rows
+
+
+def write_rows_csv(path, rows: list[ExperimentRow]) -> None:
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(CSV_HEADER)
+        writer.writerows((r.variant, r.seed, r.map_old, r.map_new, r.map_all, round(r.secs, 3))
+                         for r in rows)
+
+
+# -- commands: each takes the resolved config and the parsed flags ----------------
+
+def cmd_gen_data(cfg: RunConfig, args: argparse.Namespace) -> int:
     root = Path(cfg.data_dir)
-    for name, scenes in zip(("base", "incremental", "test"), build_datasets(cfg.protocol)):
+    for name, scenes in zip(("base", "incremental", "test"), build_datasets(cfg)):
         save_dataset(scenes, root / name)
         _log(f"[tripledet] wrote {len(scenes)} scenes to {root / name}")
     return 0
@@ -177,12 +324,15 @@ def _load_split(cfg: RunConfig, split: str):
     return load_dataset(Path(cfg.data_dir) / split)
 
 
-def cmd_train_base(cfg: RunConfig) -> int:
-    model, log = train_base_model(cfg.protocol, _load_split(cfg, "base"))
-    ckpt_dir = Path(cfg.checkpoint_dir)
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _made_dir(path: str) -> Path:
+    Path(path).mkdir(parents=True, exist_ok=True)
+    return Path(path)
+
+
+def cmd_train_base(cfg: RunConfig, args: argparse.Namespace) -> int:
+    model, log = train_base_model(cfg, _load_split(cfg, "base"))
+    ckpt_dir = _made_dir(cfg.checkpoint_dir)
+    out_dir = _made_dir(cfg.out_dir)
     save_checkpoint(model, ckpt_dir / "om.ckpt")
     write_epoch_log(out_dir / "base_log.csv", log)
     _log(f"[tripledet] base model saved to {ckpt_dir / 'om.ckpt'}; "
@@ -206,10 +356,8 @@ def _run_incremental(cfg: RunConfig, train_cfg: TrainConfig, tag: str) -> int:
     log = train_incremental(triple, scenes, train_cfg, eval_fn=eval_fn)
     # the last epoch's evaluation is of the final model
     report = reports[-1]
-    ckpt_dir = Path(cfg.checkpoint_dir)
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    ckpt_dir = _made_dir(cfg.checkpoint_dir)
+    out_dir = _made_dir(cfg.out_dir)
     save_checkpoint(triple.im, ckpt_dir / f"{tag}_im.ckpt")
     save_checkpoint(triple.rm, ckpt_dir / f"{tag}_rm.ckpt")
     write_epoch_log(out_dir / f"{tag}_log.csv", log)
@@ -219,12 +367,12 @@ def _run_incremental(cfg: RunConfig, train_cfg: TrainConfig, tag: str) -> int:
     return 0
 
 
-def cmd_incremental(cfg: RunConfig) -> int:
-    return _run_incremental(cfg, cfg.protocol.inc_cfg, "incremental")
+def cmd_incremental(cfg: RunConfig, args: argparse.Namespace) -> int:
+    return _run_incremental(cfg, cfg.inc_cfg, "incremental")
 
 
-def cmd_finetune(cfg: RunConfig) -> int:
-    return _run_incremental(cfg, finetune_config(cfg.protocol.inc_cfg), "finetune")
+def cmd_finetune(cfg: RunConfig, args: argparse.Namespace) -> int:
+    return _run_incremental(cfg, finetune_config(cfg.inc_cfg), "finetune")
 
 
 def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -234,30 +382,28 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     old = [c for c in cfg.old_class_ids if c <= model.num_classes]
     new = [c for c in cfg.new_class_ids if c <= model.num_classes]
     report = evaluate_model(model, scenes, cfg.iou_thresh, old_classes=old, new_classes=new)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _made_dir(cfg.out_dir)
     write_report_json(out_dir / "eval_report.json", report)
     _log(f"[tripledet] eval({ckpt}, {args.split}): map_old={report.map_old:.4f} "
          f"map_new={report.map_new:.4f} map_all={report.map_all:.4f}")
     return 0
 
 
-def cmd_ablate(cfg: RunConfig) -> int:
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = run_experiment(cfg.protocol, csv_path=out_dir / "ablation.csv", progress=True)
+def cmd_ablate(cfg: RunConfig, args: argparse.Namespace) -> int:
+    out_dir = _made_dir(cfg.out_dir)
+    rows = run_experiment(cfg)
+    write_rows_csv(out_dir / "ablation.csv", rows)
     _log(f"[tripledet] wrote {len(rows)} rows to {out_dir / 'ablation.csv'}")
     return 0
 
 
-def cmd_gradcheck(cfg: RunConfig) -> int:
+def cmd_gradcheck(cfg: RunConfig, args: argparse.Namespace) -> int:
     results = run_gradient_suite(instances=cfg.grad_instances, seed=cfg.seed or 20240)
     worst = max(results.values())
     for name, err in results.items():
         status = "ok" if err < GRAD_TOL else "FAIL"
         _log(f"[gradcheck] {name}: max relative error {err:.3e} [{status}]")
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _made_dir(cfg.out_dir)
     with open(out_dir / "gradcheck.json", "w") as f:
         json.dump(results, f, indent=1)
     if worst >= GRAD_TOL:
@@ -267,27 +413,25 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
     return 0
 
 
+COMMANDS = {
+    "gen-data": cmd_gen_data,
+    "train-base": cmd_train_base,
+    "finetune": cmd_finetune,
+    "incremental": cmd_incremental,
+    "eval": cmd_eval,
+    "ablate": cmd_ablate,
+    "gradcheck": cmd_gradcheck,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         cfg = resolve_config(args)
-        _print_resolved(cfg, args.command)
-        if args.command == "gen-data":
-            return cmd_gen_data(cfg)
-        if args.command == "train-base":
-            return cmd_train_base(cfg)
-        if args.command == "incremental":
-            return cmd_incremental(cfg)
-        if args.command == "finetune":
-            return cmd_finetune(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg, args)
-        if args.command == "ablate":
-            return cmd_ablate(cfg)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(cfg)
-        raise UsageError(f"unknown command {args.command!r}")
+        _log(f"[tripledet] command={args.command} seed={cfg.seed}")
+        _log("[tripledet] resolved config: " + json.dumps(dataclasses.asdict(cfg), sort_keys=True))
+        return COMMANDS[args.command](cfg, args)
     except UsageError as e:
         _log(f"[tripledet] usage error: {e}")
         return 1

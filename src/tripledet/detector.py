@@ -430,8 +430,9 @@ def load_checkpoint(path, requires_grad: bool = True) -> DetectorModel:
     """Read a checkpoint written by `save_checkpoint`.
 
     A file that is not one, is cut short, carries trailing bytes, has another
-    format tag, or lists parameters other than the header's architecture
-    needs raises DetectorError naming the file.
+    format tag or a non-integer size, class count or seed, lists parameters
+    other than the header's architecture needs, or holds a non-finite
+    parameter raises DetectorError naming the file (and the parameter).
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -452,6 +453,12 @@ def load_checkpoint(path, requires_grad: bool = True) -> DetectorModel:
         raise DetectorError(f"{path}: checkpoint header lacks {e}") from None
     except (ValueError, TypeError) as e:
         raise DetectorError(f"{path}: malformed checkpoint header: {e}") from None
+    # sizes, class count and seed are integers; anchor sides may also be floats
+    for key, value in dict(asdict(config), num_classes=num_classes, seed=seed).items():
+        kind, types = ("number", (int, float)) if key == "anchor_sides" else ("integer", int)
+        if any(isinstance(v, bool) or not isinstance(v, types)
+               for v in (value if isinstance(value, tuple) else (value,))):
+            raise DetectorError(f"{path}: checkpoint header {key} must be {kind}s, got {value!r}")
     if fmt != CHECKPOINT_FORMAT:
         raise DetectorError(f"{path}: checkpoint format {fmt!r}, expected {CHECKPOINT_FORMAT!r}")
     if stored != expected:
@@ -467,6 +474,8 @@ def load_checkpoint(path, requires_grad: bool = True) -> DetectorModel:
     for name, shape in stored:
         size = int(np.prod(shape)) * 8
         arr = np.frombuffer(blob[pos:pos + size], dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise DetectorError(f"{path}: parameter {name} holds non-finite values")
         params[name] = Tensor(arr, requires_grad=requires_grad)
         pos += size
     return DetectorModel(config, num_classes, params, seed)

@@ -107,18 +107,17 @@ class LossBreakdown:
 
 
 class SGDMomentum:
-    """Plain SGD with momentum: v <- mu*v + g; p <- p - lr*v. No weight decay."""
+    """Plain SGD with momentum: v <- MOMENTUM*v + g; p <- p - lr*v. No weight decay."""
 
-    def __init__(self, params: dict[str, Tensor], momentum: float):
+    def __init__(self, params: dict[str, Tensor]):
         self.params = params
-        self.momentum = momentum
         self.velocity = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self, lr: float) -> None:
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else 0.0
             v = self.velocity[name]
-            v *= self.momentum
+            v *= MOMENTUM
             v += g
             p.data -= lr * v
 
@@ -339,8 +338,7 @@ def train_incremental(triple: TripleNetwork, scenes: list[Scene], cfg: TrainConf
         return compute_losses(triple, scenes[idx].image, *gts[idx], cfg, rng,
                               *precomputed[idx])
 
-    optimizers = [SGDMomentum(triple.im.trainable(), MOMENTUM),
-                  SGDMomentum(triple.rm.trainable(), MOMENTUM)]
+    optimizers = [SGDMomentum(triple.im.trainable()), SGDMomentum(triple.rm.trainable())]
     return _fit(image_loss, len(scenes), cfg, rng, optimizers,
                 lambda epoch: cfg.lr * (LR_DECAY if epoch >= cfg.epochs // 2 else 1.0),
                 None if eval_fn is None else partial(eval_fn, triple.im))
@@ -359,7 +357,7 @@ def train_base(model: DetectorModel, scenes: list[Scene], cfg: BaseTrainConfig
                           labels, rng)
         return t, LossBreakdown(t.item(), 0.0, 0.0, 0.0, 0.0, t.item())
 
-    return _fit(image_loss, len(scenes), cfg, rng, [SGDMomentum(model.trainable(), MOMENTUM)],
+    return _fit(image_loss, len(scenes), cfg, rng, [SGDMomentum(model.trainable())],
                 lambda epoch: cfg.lr * (LR_DECAY ** (epoch // BASE_DECAY_EVERY)))
 
 

@@ -349,7 +349,7 @@ def test_incremental_step_with_two_thresholds_equals_explicit(world):
     triple = TripleNetwork(om=om, im=init_incremental(om, 1, 5), rm=init_residual(om, 1, 5))
     scene = world.inc[1]
     gt = annotation_arrays(scene.annotations)
-    off = RunConfig(seed=5, two_threshold=False, theta_iou=0.3).protocol.inc_cfg
+    off = RunConfig(seed=5, two_threshold=False, theta_iou=0.3).inc_cfg
     _, bd_off = scene_losses(triple, scene.image, *gt, off, np.random.default_rng(6))
     _, bd_explicit = scene_losses(triple, scene.image, *gt,
                                   inc_config(seed=5, thresholds=Thresholds(0.5, 0.5, 0.3)),

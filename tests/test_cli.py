@@ -1,13 +1,17 @@
 """Command-line behavior: exit codes, config precedence, end-to-end pipeline."""
 
+import dataclasses
 import json
 import os
+import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tripledet.cli as cli
 from tripledet.cli import RunConfig, UsageError, build_parser, main, resolve_config
-from tripledet.detector import load_checkpoint
+from tripledet.detector import DetectorConfig, load_checkpoint
 from tripledet.synthdata import load_dataset
 
 
@@ -102,13 +106,50 @@ COMMANDS = ["gen-data", "train-base", "finetune", "incremental", "eval", "ablate
                                  {"grad_instances": 0}, {"sweep_pairs": [[0.9, 0.1]]},
                                  {"iou_thresh": 5.0}, {"iou_thresh": 0.0}, {"lr": -1.0},
                                  {"lr": float("nan")}, {"base_lr": 0.0},
-                                 {"base_lr": float("inf")}, {"lam": float("nan")}])
+                                 {"base_lr": float("inf")}, {"lam": float("nan")},
+                                 {"epochs": 1.5}, {"batch_size": 1.5}, {"n_test": 2.5},
+                                 {"seeds": [1.5]}, {"old_class_ids": [1.0, 2.0]},
+                                 {"seed": 1.5}, {"epochs": True}, {"two_threshold": 0},
+                                 {"d_fea": "off"}, {"lam": True}, {"out_dir": 3}])
 @pytest.mark.parametrize("command", COMMANDS)
 def test_invalid_config_values_are_usage_errors(tmp_path, capsys, command, bad):
     cfg = write_config(tmp_path, **bad)
     assert main([command, "--config", cfg]) == 1
     assert "invalid config" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["config.json"]
+
+
+def _has_declared_type(value, hint) -> bool:
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_has_declared_type(v, item) for v in value)
+    return type(value) in ((int, float) if hint is float else (hint,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8) | st.integers() | st.floats()
+    | st.floats(0, 1) | st.text(max_size=3) | st.lists(st.integers(1, 5), max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.dictionaries(st.sampled_from([f.name for f in dataclasses.fields(RunConfig)]),
+                              JSON_VALUES, max_size=5))
+def test_resolve_config_gives_typed_config_or_usage_error(tmp_path_factory, values):
+    """Any JSON object over RunConfig keys resolves to a config whose every
+    field has its declared type (an int counts as a float), or is a usage
+    error; no other exception escapes."""
+    path = tmp_path_factory.getbasetemp() / "random_config.json"
+    path.write_text(json.dumps(values))
+    try:
+        cfg = resolve_config(build_parser().parse_args(["gen-data", "--config", str(path)]))
+    except UsageError:
+        return
+    hints = typing.get_type_hints(RunConfig)
+    for f in dataclasses.fields(RunConfig):
+        assert _has_declared_type(getattr(cfg, f.name), hints[f.name]), f.name
 
 
 def test_every_flag_sets_its_config_field(tmp_path):
@@ -129,8 +170,8 @@ def test_flags_are_checked_after_merging(tmp_path):
     args = build_parser().parse_args(["incremental", "--config", cfg_path,
                                       "--theta-high", "0.99"])
     cfg = resolve_config(args)
-    assert cfg.protocol.inc_cfg.thresholds.theta_low == 0.95
-    assert cfg.protocol.inc_cfg.thresholds.theta_high == 0.99
+    assert cfg.inc_cfg.thresholds.theta_low == 0.95
+    assert cfg.inc_cfg.thresholds.theta_high == 0.99
     bad = build_parser().parse_args(["incremental", "--theta-low", "0.95"])
     with pytest.raises(UsageError):
         resolve_config(bad)
@@ -180,27 +221,27 @@ def test_incremental_report_reuses_last_epoch_eval(tmp_path, monkeypatch):
     im = load_checkpoint(tmp_path / "ckpt" / "incremental_im.ckpt", requires_grad=False)
     fresh = real(im, load_dataset(tmp_path / "data" / "test"), 0.5,
                  old_classes=[1, 2], new_classes=[3])
-    assert report == json.loads(json.dumps(fresh.to_dict()))
+    assert report == json.loads(json.dumps(dataclasses.asdict(fresh)))
 
 
 def test_train_base_uses_protocol(tmp_path, monkeypatch):
     """train-base builds and trains the old model through `train_base_model`,
-    from the resolved protocol, whose base seed is the run's seed."""
+    from the resolved config, whose base seed is the run's seed."""
     cfg = write_config(tmp_path, seed=4)
     assert main(["gen-data", "--config", cfg]) == 0
-    protocols = []
+    configs = []
     real = cli.train_base_model
 
-    def recorded(protocol, scenes):
-        protocols.append(protocol)
-        return real(protocol, scenes)
+    def recorded(run_cfg, scenes):
+        configs.append(run_cfg)
+        return real(run_cfg, scenes)
 
     monkeypatch.setattr(cli, "train_base_model", recorded)
     assert main(["train-base", "--config", cfg]) == 0
-    (protocol,) = protocols
-    assert protocol.base_cfg.seed == 4
+    (run_cfg,) = configs
+    assert run_cfg.base_cfg.seed == 4
     om = load_checkpoint(tmp_path / "ckpt" / "om.ckpt")
-    assert om.seed == 4 and om.config == protocol.detector_cfg
+    assert om.seed == 4 and om.config == DetectorConfig()
 
 
 @pytest.mark.slow

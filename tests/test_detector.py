@@ -427,3 +427,37 @@ def test_checkpoint_rejects_params_that_do_not_fit_the_architecture(model, tmp_p
     p = tmp_path / f"{edit}.ckpt"
     p.write_bytes(_join_checkpoint(header, blob))
     _assert_rejected(p, "parameter names/shapes")
+
+
+# (header path, bad value): each loads into a DetectorConfig or a model field
+# that later code uses as an integer (or, for anchor sides, as a number)
+NON_INTEGER_HEADERS = {
+    "num_classes": (("num_classes",), 3.0),
+    "image_size": (("config", "image_size"), 64.0),
+    "channels": (("config", "channels"), [8, 16.0, 16]),
+    "seed": (("seed",), "x"),
+    "seed_bool": (("seed",), True),
+    "anchor_sides": (("config", "anchor_sides"), [8.0, "16", 32.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_HEADERS))
+def test_checkpoint_rejects_non_integer_header_values(model, tmp_path, case):
+    (*parents, key), value = NON_INTEGER_HEADERS[case]
+    header, blob = _split_checkpoint(model)
+    node = header
+    for name in parents:
+        node = node[name]
+    node[key] = value
+    p = tmp_path / f"{case}.ckpt"
+    p.write_bytes(_join_checkpoint(header, blob))
+    _assert_rejected(p, f"header {key} must be")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_parameters(model, tmp_path, value):
+    bad = model.clone()
+    bad.params["rcnn.cls.b"].data[0] = value
+    p = tmp_path / "nonfinite.ckpt"
+    save_checkpoint(bad, p)
+    _assert_rejected(p, "parameter rcnn.cls.b", "non-finite")

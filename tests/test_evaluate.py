@@ -1,19 +1,22 @@
-"""AP computation against explicit PR-curve integration, and the harness."""
+"""AP computation against explicit PR-curve integration, and the `ablate`
+harness in `tripledet.cli`."""
 
 import csv
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+import tripledet.cli as cli
 import tripledet.evaluate as ev
 from _oracles import prefix_integration_ap, random_ap_case
 from tripledet.boxes import BBox
+from tripledet.cli import (CSV_HEADER, RunConfig, UsageError, Variant, run_experiment,
+                           variant_grid, write_rows_csv)
 from tripledet.detector import DetectorConfig, new_model
-from tripledet.evaluate import (CSV_HEADER, ExperimentProtocol, Variant, evaluate_model,
-                                run_experiment, variant_grid, voc_ap, write_rows_csv)
+from tripledet.evaluate import evaluate_model, voc_ap
 from tripledet.pseudo_gt import Thresholds
 from tripledet.synthdata import generate_dataset, make_classes
 from tripledet.trainer import BaseTrainConfig, TrainConfig, finetune_config
@@ -141,7 +144,7 @@ def test_evaluate_model_detects_on_a_frozen_copy(monkeypatch):
         return real_detect(model, features, score_thresh, nms_thresh)
 
     monkeypatch.setattr(ev, "detect", spy)
-    reports = [evaluate_model(m, scenes, 0.5, old_classes=[1, 2], new_classes=[3]).to_dict()
+    reports = [asdict(evaluate_model(m, scenes, 0.5, old_classes=[1, 2], new_classes=[3]))
                for m in (trainable, frozen)]
     assert sum(reports[0]["det_counts"].values()) > 0
     assert json.dumps(reports[0]) == json.dumps(reports[1])     # NaN-safe equality
@@ -164,30 +167,25 @@ FINETUNE = Variant("finetune", finetune_config(TINY_INC))
 
 
 def tiny_protocol(variants):
-    return ExperimentProtocol(
-        old_class_ids=[1, 2], new_class_ids=[3],
-        n_base=4, n_incremental=3, n_test=3,
-        data_seed=5, seeds=[1, 2],
-        base_cfg=BaseTrainConfig(epochs=1, seed=0),
-        inc_cfg=TINY_INC,
-        detector_cfg=DetectorConfig(),
-        variants=variants,
-    )
+    cfg = RunConfig(old_class_ids=[1, 2], new_class_ids=[3], n_base=4, n_incremental=3,
+                    n_test=3, data_seed=5, seeds=[1, 2], base_epochs=1, seed=0, epochs=1)
+    cfg.variants = variants
+    return cfg
 
 
 def test_train_base_model_seeds_from_base_cfg():
     protocol = tiny_protocol([])
     protocol.base_cfg = BaseTrainConfig(epochs=2, seed=9)
-    base, _, _ = ev.build_datasets(protocol)
-    model, log = ev.train_base_model(protocol, base)
+    base, _, _ = cli.build_datasets(protocol)
+    model, log = cli.train_base_model(protocol, base)
     assert model.seed == 9 and len(log) == 2
 
 
 def test_protocol_validates_class_split():
-    with pytest.raises(ValueError):
-        ExperimentProtocol(old_class_ids=[1, 2], new_class_ids=[2])
-    with pytest.raises(ValueError):
-        ExperimentProtocol(old_class_ids=[1, 3], new_class_ids=[2])
+    with pytest.raises(UsageError, match="overlap"):
+        RunConfig(old_class_ids=[1, 2], new_class_ids=[2])
+    with pytest.raises(UsageError, match="1..len"):
+        RunConfig(old_class_ids=[1, 3], new_class_ids=[2])
 
 
 # name: (d_fea, d_res, d_cls, use_pseudo_gt, (theta_low, theta_high))
@@ -226,7 +224,8 @@ def test_variant_grid_pins_each_rows_components():
 
 def test_run_experiment_row_structure(tmp_path):
     protocol = tiny_protocol([Variant("base", None), FINETUNE])
-    rows = run_experiment(protocol, csv_path=tmp_path / "t.csv")
+    rows = run_experiment(protocol)
+    write_rows_csv(tmp_path / "t.csv", rows)
     assert len(rows) == 2 * 2 + 2          # |variants| x |seeds| + |variants| means
     names = [(r.variant, r.seed) for r in rows]
     assert names == [("base", "1"), ("base", "2"), ("base", "mean"),
@@ -241,7 +240,7 @@ def test_run_experiment_failed_variant_recorded(monkeypatch, tmp_path):
     def boom(*a, **k):
         raise RuntimeError("training exploded")
 
-    monkeypatch.setattr(ev, "train_incremental", boom)
+    monkeypatch.setattr(cli, "train_incremental", boom)
     protocol = tiny_protocol([Variant("inc", finetune_config(TINY_INC))])
     rows = run_experiment(protocol)
     per_seed = [r for r in rows if r.seed != "mean"]
@@ -251,7 +250,7 @@ def test_run_experiment_failed_variant_recorded(monkeypatch, tmp_path):
 
 def test_run_experiment_trains_each_rows_config_per_seed(monkeypatch):
     cfgs = []
-    monkeypatch.setattr(ev, "train_incremental", lambda triple, scenes, cfg: cfgs.append(cfg))
+    monkeypatch.setattr(cli, "train_incremental", lambda triple, scenes, cfg: cfgs.append(cfg))
     run_experiment(tiny_protocol([FINETUNE]))
     assert cfgs == [replace(FINETUNE.cfg, seed=1), replace(FINETUNE.cfg, seed=2)]
 

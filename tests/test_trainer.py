@@ -95,7 +95,7 @@ def test_effective_thresholds_single_mode():
     """`two_threshold: false` trains with one pseudo-GT split at 0.5; the
     configured pair is still checked."""
     cfg = RunConfig(two_threshold=False, theta_low=0.1, theta_high=0.9, theta_iou=0.3)
-    assert cfg.protocol.inc_cfg.thresholds == Thresholds(0.5, 0.5, 0.3)
+    assert cfg.inc_cfg.thresholds == Thresholds(0.5, 0.5, 0.3)
     with pytest.raises(UsageError):
         RunConfig(two_threshold=False, theta_low=0.95, theta_high=0.9)
 
@@ -175,7 +175,7 @@ def test_triple_network_width_validation(om):
 
 def test_sgd_momentum_formula():
     p = Tensor(np.array([1.0]), requires_grad=True)
-    opt = SGDMomentum({"p": p}, momentum=0.9)
+    opt = SGDMomentum({"p": p})
     p.grad = np.array([2.0])
     opt.step(lr=0.1)                       # v = 2.0; p = 1 - 0.2
     assert np.allclose(p.data, [0.8])
