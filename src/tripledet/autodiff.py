@@ -414,12 +414,19 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     return _make(out, "conv2d", (x, w), bw)
 
 
+def pool_windows(x: np.ndarray) -> np.ndarray:
+    """The 2x2 stride-2 windows of a (c, h, w) array as (c, h/2, w/2, 4),
+    cells in row-major order; `max_pool2` breaks ties toward the first."""
+    c, h, w = x.shape
+    return x.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h // 2, w // 2, 4)
+
+
 def max_pool2(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2; ties go to the first window cell."""
     if x.data.ndim != 3 or x.shape[1] % 2 or x.shape[2] % 2:
         raise ShapeError(f"max_pool2: need (c, even, even), got {x.shape}")
     c, h, w = x.shape
-    win = x.data.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h // 2, w // 2, 4)
+    win = pool_windows(x.data)
     idx = win.argmax(axis=3)
     out = np.take_along_axis(win, idx[..., None], axis=3)[..., 0]
 

@@ -394,6 +394,10 @@ def cmd_ablate(cfg: RunConfig, args: argparse.Namespace) -> int:
     rows = run_experiment(cfg)
     write_rows_csv(out_dir / "ablation.csv", rows)
     _log(f"[tripledet] wrote {len(rows)} rows to {out_dir / 'ablation.csv'}")
+    failed = sum(r.failed for r in rows)
+    if failed:
+        _log(f"[tripledet] {failed} of {len(cfg.variants) * len(cfg.seeds)} runs failed")
+        return 2
     return 0
 
 

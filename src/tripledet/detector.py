@@ -81,10 +81,6 @@ class DetectorModel:
     def trainable(self) -> dict[str, Tensor]:
         return {k: v for k, v in self.params.items() if v.requires_grad}
 
-    def freeze(self) -> None:
-        for p in self.params.values():
-            p.requires_grad = False
-
     def clone(self, requires_grad: bool = True) -> "DetectorModel":
         params = {k: Tensor(v.data.copy(), requires_grad=requires_grad)
                   for k, v in self.params.items()}
@@ -185,6 +181,16 @@ def anchor_boxes(config: DetectorConfig) -> np.ndarray:
     return np.concatenate(boxes, axis=0)
 
 
+def _decode_clipped(config: DetectorConfig, boxes: np.ndarray, deltas: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(k,4) `boxes` decoded by `deltas` and clipped to the image, without
+    those that collapse to zero width or height, and the kept row indices."""
+    out = clip_boxes(decode_deltas_array(boxes, deltas), config.image_size, config.image_size)
+    keep = np.flatnonzero(((out[:, 2] - out[:, 0]) > DEGENERATE_EPS)
+                          & ((out[:, 3] - out[:, 1]) > DEGENERATE_EPS))
+    return out[keep], keep
+
+
 def propose(config: DetectorConfig, obj: np.ndarray, deltas: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray]:
     """Proposal boxes (K,4) and objectness scores (K,), highest score first,
@@ -201,13 +207,9 @@ def propose(config: DetectorConfig, obj: np.ndarray, deltas: np.ndarray
     scores = 1.0 / (1.0 + np.exp(-obj.reshape(-1)))
     # (4A,H,W) -> (A,4,H,W) -> (A,H,W,4) -> rows in (anchor, y, x) order
     d = deltas.reshape(a, 4, fs, fs).transpose(0, 2, 3, 1).reshape(-1, 4)
-    boxes = clip_boxes(decode_deltas_array(anchor_boxes(config), d),
-                       config.image_size, config.image_size)
-    valid = ((boxes[:, 2] - boxes[:, 0]) > DEGENERATE_EPS) & ((boxes[:, 3] - boxes[:, 1]) > DEGENERATE_EPS)
-    idx = np.flatnonzero(valid)
-    keep = nms_indices(boxes[idx], scores[idx], RPN_NMS_THRESH, max_keep=config.num_proposals)
-    chosen = idx[keep]
-    return boxes[chosen], scores[chosen]
+    boxes, idx = _decode_clipped(config, anchor_boxes(config), d)
+    keep = nms_indices(boxes, scores[idx], RPN_NMS_THRESH, max_keep=config.num_proposals)
+    return boxes[keep], scores[idx[keep]]
 
 
 def roi_pool(features: Tensor, rois: np.ndarray, pool_size: int, stride: int = 1) -> Tensor:
@@ -247,17 +249,11 @@ def detect(model: DetectorModel, features: Tensor, score_thresh: float,
     pooled = roi_pool(features, prop_boxes, cfg.pool_size, cfg.stride)
     logits, deltas = head_forward(model, pooled)
     probs = ad.softmax(logits, axis=1).data
-    boxes, scores, labels = [], [], []
-    for c in range(1, model.num_classes + 1):
-        rows = np.flatnonzero(probs[:, c] > score_thresh)
-        decoded = decode_deltas_array(prop_boxes[rows], deltas.data[rows, c - 1])
-        decoded = clip_boxes(decoded, cfg.image_size, cfg.image_size)
-        valid = (((decoded[:, 2] - decoded[:, 0]) > DEGENERATE_EPS)
-                 & ((decoded[:, 3] - decoded[:, 1]) > DEGENERATE_EPS))
-        boxes.append(decoded[valid])
-        scores.append(probs[rows[valid], c])
-        labels.append(np.full(int(valid.sum()), c))
-    boxes, scores, labels = (np.concatenate(a) for a in (boxes, scores, labels))
+    # candidates class-major, proposals ascending: the order NMS breaks ties by
+    cls, rows = np.nonzero(probs[:, 1:].T > score_thresh)
+    boxes, keep = _decode_clipped(cfg, prop_boxes[rows], deltas.data[rows, cls])
+    rows, labels = rows[keep], cls[keep] + 1
+    scores = probs[rows, labels]
     return [Detection(BBox(*boxes[i]), int(labels[i]), float(scores[i]))
             for i in nms_per_class(boxes, scores, labels, nms_thresh)]
 
@@ -280,10 +276,9 @@ def match_anchors(anchors: np.ndarray, targets: np.ndarray
     best = ious.max(axis=1)
     match = ious.argmax(axis=1)
     pos = best >= RPN_POS_IOU
-    col_best = ious.max(axis=0)
-    for t in range(len(targets)):
-        if col_best[t] > 0.0:
-            pos[ious[:, t].argmax()] = True
+    # each target's best anchor, unless the target overlaps no anchor at all
+    hit = np.flatnonzero(ious.max(axis=0) > 0.0)
+    pos[ious[:, hit].argmax(axis=0)] = True
     neg = (best <= RPN_NEG_IOU) & ~pos
     return pos, neg, match.astype(np.intp)
 
@@ -369,9 +364,8 @@ def frcnn_loss(model: DetectorModel, features: Tensor, rpn_boxes: np.ndarray,
     rpn_cls = ad.tsum(bce * Tensor(obj_mask)) * Tensor(1.0 / max(n_cls, 1.0))
 
     delta_targets = np.zeros((len(anchors), 4))
-    if pos.any() and len(rpn_boxes):
-        pidx = np.flatnonzero(pos)
-        delta_targets[pidx] = encode_deltas_array(anchors[pidx], rpn_boxes[match[pidx]])
+    pidx = np.flatnonzero(pos)
+    delta_targets[pidx] = encode_deltas_array(anchors[pidx], rpn_boxes[match[pidx]])
     delta_targets = delta_targets.reshape(a, fs, fs, 4).transpose(0, 3, 1, 2)
     pos_mask = pos.reshape(a, 1, fs, fs).astype(np.float64)
     pred = ad.reshape(deltas, (a, 4, fs, fs))
@@ -393,10 +387,9 @@ def frcnn_loss(model: DetectorModel, features: Tensor, rpn_boxes: np.ndarray,
     dmask = np.zeros((n, model.num_classes, 1))
     dtgt = np.zeros((n, model.num_classes, 4))
     pos_rows = np.flatnonzero(roi_labels > 0)
-    for r in pos_rows:
-        c = roi_labels[r] - 1
-        dmask[r, c, 0] = 1.0
-        dtgt[r, c] = encode_deltas_array(rois[r:r + 1], rcnn_boxes[roi_match[r]:roi_match[r] + 1])[0]
+    pos_cls = roi_labels[pos_rows] - 1
+    dmask[pos_rows, pos_cls, 0] = 1.0
+    dtgt[pos_rows, pos_cls] = encode_deltas_array(rois[pos_rows], rcnn_boxes[roi_match[pos_rows]])
     rcnn_reg = ad.tsum(ad.smooth_l1(pred_deltas - Tensor(dtgt)) * Tensor(dmask))
     rcnn_reg = rcnn_reg * Tensor(1.0 / max(len(pos_rows), 1))
 

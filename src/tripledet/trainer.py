@@ -11,7 +11,7 @@ reproduce bit-identical checkpoints.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -98,13 +98,6 @@ class LossBreakdown:
     cls_distill: float
     total: float
 
-    FIELDS = ("loss_im", "loss_rm", "feature_distill", "residual_distill",
-              "cls_distill", "total")
-
-    def as_tuple(self):
-        return (self.loss_im, self.loss_rm, self.feature_distill,
-                self.residual_distill, self.cls_distill, self.total)
-
 
 class SGDMomentum:
     """Plain SGD with momentum: v <- MOMENTUM*v + g; p <- p - lr*v. No weight decay."""
@@ -136,17 +129,11 @@ def init_incremental(om: DetectorModel, num_new: int, seed: int) -> DetectorMode
     rng = np.random.default_rng(seed)
     im = om.clone(requires_grad=True)
     fw = om.config.fc_width
-    cls_w = im.params["rcnn.cls.w"].data
-    new_cls = rng.normal(0.0, 0.01, (fw, num_new))
-    im.params["rcnn.cls.w"] = Tensor(np.hstack([cls_w, new_cls]), requires_grad=True)
-    im.params["rcnn.cls.b"] = Tensor(
-        np.concatenate([im.params["rcnn.cls.b"].data, np.zeros(num_new)]), requires_grad=True)
-    delta_w = im.params["rcnn.delta.w"].data
-    new_delta = rng.normal(0.0, 0.01, (fw, num_new * 4))
-    im.params["rcnn.delta.w"] = Tensor(np.hstack([delta_w, new_delta]), requires_grad=True)
-    im.params["rcnn.delta.b"] = Tensor(
-        np.concatenate([im.params["rcnn.delta.b"].data, np.zeros(num_new * 4)]),
-        requires_grad=True)
+    for head, width in (("rcnn.cls", num_new), ("rcnn.delta", num_new * 4)):
+        w, b = im.params[f"{head}.w"].data, im.params[f"{head}.b"].data
+        im.params[f"{head}.w"] = Tensor(np.hstack([w, rng.normal(0.0, 0.01, (fw, width))]),
+                                        requires_grad=True)
+        im.params[f"{head}.b"] = Tensor(np.concatenate([b, np.zeros(width)]), requires_grad=True)
     im.num_classes = om.num_classes + num_new
     im.seed = seed
     return im
@@ -236,15 +223,9 @@ def compute_losses(triple: TripleNetwork, image, gt_boxes: np.ndarray, gt_labels
             distill_sum = distill_sum + t
         total = total + Tensor(cfg.lam) * distill_sum
 
-    breakdown = LossBreakdown(
-        loss_im=loss_im.item(),
-        loss_rm=loss_rm.item(),
-        feature_distill=d_fea_t.item() if d_fea_t is not None else 0.0,
-        residual_distill=d_res_t.item() if d_res_t is not None else 0.0,
-        cls_distill=d_cls_t.item() if d_cls_t is not None else 0.0,
-        total=total.item(),
-    )
-    for name, value in zip(LossBreakdown.FIELDS, breakdown.as_tuple()):
+    breakdown = LossBreakdown(*(0.0 if t is None else t.item()
+                                for t in (loss_im, loss_rm, d_fea_t, d_res_t, d_cls_t, total)))
+    for name, value in asdict(breakdown).items():
         if not np.isfinite(value):
             raise TrainingError(f"non-finite loss term {name!r}: {value}")
     return total, breakdown
@@ -260,16 +241,17 @@ class EpochStats:
 
 
 def _mean_breakdown(items: list[LossBreakdown]) -> LossBreakdown:
-    arr = np.array([b.as_tuple() for b in items])
+    arr = np.array([astuple(b) for b in items])
     return LossBreakdown(*arr.mean(axis=0))
 
 
 def write_epoch_log(path, log: list[EpochStats]) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["epoch", *LossBreakdown.FIELDS, "map_old", "map_new", "map_all"])
+        writer.writerow(["epoch", *(f.name for f in fields(LossBreakdown)),
+                         "map_old", "map_new", "map_all"])
         for e in log:
-            writer.writerow([e.epoch, *e.losses.as_tuple(), e.map_old, e.map_new, e.map_all])
+            writer.writerow([e.epoch, *astuple(e.losses), e.map_old, e.map_new, e.map_all])
 
 
 def _fit(image_loss, n: int, cfg: TrainConfig | BaseTrainConfig, rng: np.random.Generator,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, grad_check, topo_order
+from .autodiff import Tensor, grad_check, pool_windows, topo_order
 from .detector import (DetectorConfig, DetectorModel, forward_features, frcnn_loss,
                        new_model, roi_candidates, rpn_forward)
 from .distill import (FeatureTriple, LogitTriple, PooledTriple, attention_pair_loss,
@@ -60,8 +60,7 @@ def nonsmooth_margin(root: Tensor) -> float:
             if nonzero.size:
                 worst = min(worst, nonzero.min())
         elif node.op == "max_pool2":
-            c, h, w = x.shape
-            win = x.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4)
+            win = pool_windows(x).reshape(-1, 4)
             top2 = np.sort(win, axis=1)[:, -2:]
             live = top2[:, 1] != 0.0       # max of an all-clamped window cannot move
             if live.any():
@@ -102,33 +101,17 @@ def micro_targets(rng: np.random.Generator, num_classes: int, n: int = 2,
     return boxes, labels
 
 
-def _build_attention_pair(rng: np.random.Generator):
-    ma = rng.normal(0.0, 1.0, (3, 4))
-    mb = rng.normal(0.0, 1.0, (3, 4))
-    return (lambda a, b: attention_pair_loss(a, b)), [ma, mb]
+def _normal_inputs(loss, *shapes):
+    """Builder of `loss` on standard normal arrays of `shapes`, drawn in order."""
+    return lambda rng: (loss, [rng.normal(0.0, 1.0, shape) for shape in shapes])
 
 
-def _build_feature_distill(rng: np.random.Generator):
-    ts = [rng.normal(0.0, 1.0, (2, 4, 4)) for _ in range(3)]
-    return (lambda o, i, r: feature_distill_loss(FeatureTriple(o, i, r))), ts
-
-
-def _build_residual_base(rng: np.random.Generator):
-    ts = [rng.normal(0.0, 1.0, (2, 4, 4)) for _ in range(3)]
-    return (lambda o, i, r: residual_base_loss(FeatureTriple(o, i, r))), ts
-
-
-def _build_residual_pool(rng: np.random.Generator):
-    ts = [rng.normal(0.0, 1.0, (2, 2, 2, 2)) for _ in range(3)]
-    return (lambda o, i, r: residual_pool_loss(PooledTriple(o, i, r))), ts
-
-
-def _build_cls_distill(rng: np.random.Generator):
-    n, ca, cb = 3, 2, 2
-    om = rng.normal(0.0, 1.0, (n, ca + 1))
-    im = rng.normal(0.0, 1.0, (n, ca + cb + 1))
-    rm = rng.normal(0.0, 1.0, (n, cb + 1))
-    return (lambda o, y, r: classification_distill_loss(LogitTriple(o, y, r))), [om, im, rm]
+def _nudge(model: DetectorModel, rng: np.random.Generator) -> DetectorModel:
+    """`model` with N(0, 0.02^2) added to every parameter, biases included,
+    so no relu input sits exactly on its kink."""
+    for p in model.params.values():
+        p.data += rng.normal(0.0, 0.02, p.shape)
+    return model
 
 
 def _model_param_arrays(model: DetectorModel) -> tuple[list[str], list[np.ndarray]]:
@@ -145,11 +128,7 @@ def _candidate_pool(model: DetectorModel, features: Tensor,
 
 def _build_frcnn(rng: np.random.Generator):
     num_classes = 2
-    model = new_model(MICRO_CONFIG, num_classes, int(rng.integers(0, 2 ** 31)))
-    # nudge every parameter (biases included) so no relu input sits exactly
-    # on its kink
-    for p in model.params.values():
-        p.data += rng.normal(0.0, 0.02, p.shape)
+    model = _nudge(new_model(MICRO_CONFIG, num_classes, int(rng.integers(0, 2 ** 31))), rng)
     image = micro_image(rng)
     boxes, labels = micro_targets(rng, num_classes)
     names, arrays = _model_param_arrays(model)
@@ -168,17 +147,11 @@ def _build_frcnn(rng: np.random.Generator):
 
 def micro_triple(rng: np.random.Generator) -> TripleNetwork:
     num_old, num_new = 1, 1
-    om = new_model(MICRO_CONFIG, num_old, int(rng.integers(0, 2 ** 31)))
-    # a short random walk so the frozen model is not at its raw initialization
-    for p in om.params.values():
-        p.data += rng.normal(0.0, 0.02, p.shape)
-    om.freeze()
-    im = init_incremental(om, num_new, int(rng.integers(0, 2 ** 31)))
-    for p in im.params.values():
-        p.data += rng.normal(0.0, 0.02, p.shape)
-    rm = init_residual(om, num_new, int(rng.integers(0, 2 ** 31)))
-    for p in rm.params.values():
-        p.data += rng.normal(0.0, 0.02, p.shape)
+    # the frozen model takes a short random walk away from its raw initialization
+    om = _nudge(new_model(MICRO_CONFIG, num_old, int(rng.integers(0, 2 ** 31))), rng)
+    om = om.clone(requires_grad=False)
+    im = _nudge(init_incremental(om, num_new, int(rng.integers(0, 2 ** 31))), rng)
+    rm = _nudge(init_residual(om, num_new, int(rng.integers(0, 2 ** 31))), rng)
     return TripleNetwork(om=om, im=im, rm=rm)
 
 
@@ -212,12 +185,20 @@ def _build_total_loss(rng: np.random.Generator):
     return f, im_arrays + rm_arrays
 
 
+# losses are looked up when called, so a wrapped module binding is seen;
+# cls_distill has 3 rows, 2 old and 2 new classes
+FEAT, POOLED = (2, 4, 4), (2, 2, 2, 2)
 SUITE = {
-    "attention_pair_loss": (_build_attention_pair, ELEMENTWISE_MARGIN),
-    "feature_distill": (_build_feature_distill, ELEMENTWISE_MARGIN),
-    "residual_distill_base": (_build_residual_base, ELEMENTWISE_MARGIN),
-    "residual_distill_pool": (_build_residual_pool, ELEMENTWISE_MARGIN),
-    "cls_distill": (_build_cls_distill, ELEMENTWISE_MARGIN),
+    "attention_pair_loss": (_normal_inputs(lambda a, b: attention_pair_loss(a, b), (3, 4), (3, 4)),
+                            ELEMENTWISE_MARGIN),
+    "feature_distill": (_normal_inputs(lambda o, i, r: feature_distill_loss(FeatureTriple(o, i, r)),
+                                       FEAT, FEAT, FEAT), ELEMENTWISE_MARGIN),
+    "residual_distill_base": (_normal_inputs(lambda o, i, r: residual_base_loss(FeatureTriple(o, i, r)),
+                                             FEAT, FEAT, FEAT), ELEMENTWISE_MARGIN),
+    "residual_distill_pool": (_normal_inputs(lambda o, i, r: residual_pool_loss(PooledTriple(o, i, r)),
+                                             POOLED, POOLED, POOLED), ELEMENTWISE_MARGIN),
+    "cls_distill": (_normal_inputs(lambda o, y, r: classification_distill_loss(LogitTriple(o, y, r)),
+                                   (3, 3), (3, 5), (3, 3)), ELEMENTWISE_MARGIN),
     "frcnn_loss": (_build_frcnn, NETWORK_MARGIN),
     "total_loss": (_build_total_loss, NETWORK_MARGIN),
 }

@@ -6,7 +6,11 @@ the library code paths they check.
 
 import numpy as np
 
-from tripledet.boxes import BBox, Detection, annotation_arrays, iou, nms_per_class
+from tripledet import autodiff as ad
+from tripledet.boxes import (BBox, Detection, annotation_arrays, clip_boxes, decode_deltas_array,
+                             iou, iou_matrix, nms_per_class)
+from tripledet.detector import (DEGENERATE_EPS, RPN_NEG_IOU, RPN_POS_IOU, head_forward,
+                                propose, roi_pool, rpn_forward)
 from tripledet.distill import GRAM_EPS
 
 
@@ -51,6 +55,50 @@ def nms_detections(dets, thresh):
     boxes, labels = annotation_arrays([(d.bbox, d.class_id) for d in dets])
     keep = nms_per_class(boxes, np.array([d.score for d in dets]), labels, thresh)
     return [dets[i] for i in keep]
+
+
+# -- detector steps, as per-class and per-target loops --------------------------
+
+def per_class_detect(model, features, score_thresh, nms_thresh):
+    """`detect` with one candidate pass per foreground class: decode, clip
+    and drop degenerate boxes class by class, concatenate, then NMS."""
+    cfg = model.config
+    obj, rpn_deltas = rpn_forward(model, features)
+    prop_boxes, _ = propose(cfg, obj.data, rpn_deltas.data)
+    if len(prop_boxes) == 0:
+        return []
+    logits, deltas = head_forward(model, roi_pool(features, prop_boxes, cfg.pool_size,
+                                                  cfg.stride))
+    probs = ad.softmax(logits, axis=1).data
+    boxes, scores, labels = [], [], []
+    for c in range(1, model.num_classes + 1):
+        rows = np.flatnonzero(probs[:, c] > score_thresh)
+        decoded = decode_deltas_array(prop_boxes[rows], deltas.data[rows, c - 1])
+        decoded = clip_boxes(decoded, cfg.image_size, cfg.image_size)
+        valid = (((decoded[:, 2] - decoded[:, 0]) > DEGENERATE_EPS)
+                 & ((decoded[:, 3] - decoded[:, 1]) > DEGENERATE_EPS))
+        boxes.append(decoded[valid])
+        scores.append(probs[rows[valid], c])
+        labels.append(np.full(int(valid.sum()), c))
+    boxes, scores, labels = (np.concatenate(a) for a in (boxes, scores, labels))
+    return [Detection(BBox(*boxes[i]), int(labels[i]), float(scores[i]))
+            for i in nms_per_class(boxes, scores, labels, nms_thresh)]
+
+
+def per_target_match_anchors(anchors, targets):
+    """`match_anchors` forcing each target's best anchor positive one target
+    at a time, skipping targets that overlap no anchor."""
+    n = len(anchors)
+    if len(targets) == 0:
+        return np.zeros(n, bool), np.ones(n, bool), np.full(n, -1, dtype=np.intp)
+    ious = iou_matrix(anchors, targets)
+    best = ious.max(axis=1)
+    pos = best >= RPN_POS_IOU
+    for t in range(len(targets)):
+        if ious[:, t].max() > 0.0:
+            pos[ious[:, t].argmax()] = True
+    neg = (best <= RPN_NEG_IOU) & ~pos
+    return pos, neg, ious.argmax(axis=1).astype(np.intp)
 
 
 def exhaustive_filter(dets, gt_boxes, theta_iou):

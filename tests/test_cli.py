@@ -1,7 +1,9 @@
 """Command-line behavior: exit codes, config precedence, end-to-end pipeline."""
 
+import csv
 import dataclasses
 import json
+import math
 import os
 import typing
 
@@ -261,9 +263,8 @@ def test_ablate_command(tmp_path):
     cfg = write_config(tmp_path, sweep_pairs=[[0.5, 0.5]])
     assert main(["gen-data", "--config", cfg]) == 0
     assert main(["ablate", "--config", cfg]) == 0
-    import csv as csv_mod
     with open(tmp_path / "out" / "ablation.csv") as f:
-        rows = list(csv_mod.reader(f))
+        rows = list(csv.reader(f))
     header, body = rows[0], rows[1:]
     assert header == ["variant", "seed", "map_old", "map_new", "map_all", "secs"]
     variants = {r[0] for r in body}
@@ -272,6 +273,21 @@ def test_ablate_command(tmp_path):
             "d_fea+d_res", "d_fea+d_res+d_cls", "full"} <= variants
     n_variants = len(variants)
     assert len(body) == n_variants * 1 + n_variants  # one seed configured
+
+
+def test_ablate_exits_2_when_a_run_fails(tmp_path, monkeypatch, capsys):
+    def boom(*a, **k):
+        raise RuntimeError("training exploded")
+
+    monkeypatch.setattr(cli, "train_incremental", boom)
+    cfg = write_config(tmp_path)
+    assert main(["ablate", "--config", cfg]) == 2
+    with open(tmp_path / "out" / "ablation.csv") as f:
+        runs = [r for r in csv.DictReader(f) if r["seed"] != "mean"]
+    failed = [r for r in runs if r["variant"] != "base"]
+    assert failed and all(math.isnan(float(r[k])) for r in failed
+                          for k in ("map_old", "map_new", "map_all"))
+    assert f"{len(failed)} of {len(runs)} runs failed" in capsys.readouterr().err
 
 
 @pytest.mark.slow

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import tripledet.detector as det
+from _oracles import per_class_detect, per_target_match_anchors
 from tripledet import autodiff as ad
 from tripledet.autodiff import Tensor
 from tripledet.boxes import BBox, annotation_arrays, iou_matrix, nms_indices
@@ -244,23 +245,54 @@ def test_detect_deterministic(model, image):
     assert a == b
 
 
+def test_detect_equals_per_class_oracle():
+    """One pass over every (class, proposal) candidate gives exactly the
+    per-class loop's detections, on random nudged models with uneven class
+    biases, so some classes clear a floor that others never reach."""
+    rng = np.random.default_rng(11)
+    partial = {0.05: 0, 0.9: 0}
+    for _ in range(6):
+        model = new_model(DetectorConfig(), 3, int(rng.integers(0, 2 ** 31)))
+        for p in model.params.values():
+            p.data += rng.normal(0.0, 0.02, p.shape)
+        model.params["rcnn.cls.b"].data[:] = rng.normal(0.0, 3.0, 4)
+        features = forward_features(model, rng.uniform(0, 1, (3, 64, 64)))
+        for floor in partial:
+            dets = detect(model, features, floor, 0.3)
+            assert dets == per_class_detect(model, features, floor, 0.3)
+            partial[floor] += 0 < len({d.class_id for d in dets}) < 3
+    # each floor met a class with no candidate above it beside one with some
+    assert all(partial.values())
+
+
 # -- anchor matching and RoI sampling -------------------------------------------------------
 
 def test_match_anchors_disjoint_and_cover_targets():
     cfg = DetectorConfig()
     anchors = anchor_boxes(cfg)
     rng = np.random.default_rng(6)
-    for _ in range(20):
-        targets = np.array([[x, y, x + w, y + h] for x, y, w, h in
-                            zip(rng.uniform(0, 36, 3), rng.uniform(0, 36, 3),
-                                rng.uniform(10, 28, 3), rng.uniform(10, 28, 3))])
+    cases = [np.array([[x, y, x + w, y + h] for x, y, w, h in
+                       zip(rng.uniform(0, 36, 3), rng.uniform(0, 36, 3),
+                           rng.uniform(10, 28, 3), rng.uniform(10, 28, 3))])
+             for _ in range(20)]
+    # outside every anchor: zero IoU, so no forced positive
+    outside = np.array([[90.0, 90.0, 100.0, 100.0]])
+    # both targets' best anchor is the side-16 anchor at (18, 18)
+    shared = np.array([[10.0, 10.0, 26.0, 26.0], [10.5, 10.0, 26.0, 26.5]])
+    cases += [outside, np.concatenate([[[20.0, 20.0, 40.0, 36.0]], outside]), shared]
+    for targets in cases:
         pos, neg, match = match_anchors(anchors, targets)
+        for got, want in zip((pos, neg, match), per_target_match_anchors(anchors, targets)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
         assert not np.any(pos & neg)
         ious = iou_matrix(anchors, targets)
-        # every target owns at least one positive anchor
-        for t in range(len(targets)):
+        # every target that overlaps an anchor owns at least one positive anchor
+        for t in np.flatnonzero(ious.max(axis=0) > 0.0):
             assert pos[ious[:, t].argmax()]
         assert np.all(ious[neg].max(axis=1) <= det.RPN_NEG_IOU)
+    assert not match_anchors(anchors, outside)[0].any()
+    best = iou_matrix(anchors, shared).argmax(axis=0)
+    assert best[0] == best[1]
 
 
 def test_match_anchors_no_targets_all_negative():

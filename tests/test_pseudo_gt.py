@@ -56,8 +56,7 @@ def test_filter_matches_exhaustive_oracle(monkeypatch):
 
 def test_generate_pseudo_gt_empty_when_om_silent():
     # an untrained model with zeroed heads scores 0.5 everywhere; floor above it
-    om = new_model(DetectorConfig(), 2, seed=1)
-    om.freeze()
+    om = new_model(DetectorConfig(), 2, seed=1).clone(requires_grad=False)
     features = forward_features(om, np.random.default_rng(0).uniform(0, 1, (3, 64, 64)))
     th = Thresholds(0.6, 0.9, 0.3)
     dets_at_floor = detect(om, features, score_thresh=th.theta_low, nms_thresh=th.theta_iou)
@@ -68,8 +67,7 @@ def test_generate_pseudo_gt_empty_when_om_silent():
 
 
 def test_generate_pseudo_gt_applies_conflict_filter():
-    om = new_model(DetectorConfig(), 2, seed=2)
-    om.freeze()
+    om = new_model(DetectorConfig(), 2, seed=2).clone(requires_grad=False)
     features = forward_features(om, np.random.default_rng(3).uniform(0, 1, (3, 64, 64)))
     th = Thresholds(0.05, 0.9, 0.3)
     raw = detect(om, features, score_thresh=th.theta_low, nms_thresh=th.theta_iou)

@@ -1,6 +1,7 @@
 """Trainer: initialization contracts, frozen old model, determinism,
 switch algebra, and the distillation weight's affine role."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -36,8 +37,7 @@ def om():
     rng = np.random.default_rng(7)
     for p in m.params.values():
         p.data += rng.normal(0.0, 0.02, p.shape)
-    m.freeze()
-    return m
+    return m.clone(requires_grad=False)
 
 
 @pytest.fixture(scope="module")
@@ -390,7 +390,7 @@ def test_train_base_deterministic(base_scenes):
         model = new_model(DetectorConfig(), 3, seed=2)
         # 5 scenes in batches of 3 also exercises the short last batch
         log = train_base(model, base_scenes, BaseTrainConfig(epochs=2, batch_size=3, seed=6))
-        outs.append((checkpoint_bytes(model), [e.losses.as_tuple() for e in log]))
+        outs.append((checkpoint_bytes(model), [dataclasses.astuple(e.losses) for e in log]))
     assert outs[0] == outs[1]
     assert len(outs[0][1]) == 2
 
@@ -416,7 +416,7 @@ from tripledet.trainer import (BaseTrainConfig, TrainConfig, init_triple, train_
 classes = make_classes(4)
 om = new_model(DetectorConfig(), 3, seed=2)
 train_base(om, generate_dataset(classes[:3], 4, seed=78), BaseTrainConfig(epochs=1, seed=6))
-om.freeze()
+om = om.clone(requires_grad=False)
 triple = init_triple(om, 1, 1)
 train_incremental(triple, generate_incremental_dataset(classes[:3], classes[3:], 3, seed=77),
                   TrainConfig(epochs=1, seed=5))
