@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 EPS = 1e-12
+FD_STEP = 1e-5          # central-difference step of grad_check
 
 
 class ShapeError(ValueError):
@@ -309,53 +310,40 @@ def softplus(x: Tensor) -> Tensor:
 
 # -- softmax family ----------------------------------------------------------
 
-def _slices_for_range(ndim: int, axis: int, lo: int, hi: int):
-    sl = [slice(None)] * ndim
-    sl[axis] = slice(lo, hi)
-    return tuple(sl)
+def softmax(x: Tensor, index_range: tuple[int, int] | None = None) -> Tensor:
+    """Softmax of each row of (n, C) logits, optionally over columns [lo, hi) only.
 
-
-def softmax(x: Tensor, axis: int = -1,
-            index_range: tuple[int, int] | None = None) -> Tensor:
-    """Softmax along `axis`, optionally over logits [lo, hi) only.
-
-    With a restriction the output keeps only the hi-lo restricted entries
-    along `axis`; logits outside the range receive zero gradient. The usual
-    max subtraction is applied before exponentiation.
+    With a restriction the output keeps only the hi-lo restricted columns;
+    logits outside the range receive zero gradient. The usual max subtraction
+    is applied before exponentiation.
     """
-    axis = axis % x.data.ndim
-    if index_range is not None:
-        lo, hi = index_range
-        if not (0 <= lo < hi <= x.shape[axis]):
-            raise ShapeError(
-                f"softmax: index_range {index_range} invalid for axis size {x.shape[axis]}")
-        sub = x.data[_slices_for_range(x.data.ndim, axis, lo, hi)]
-    else:
-        lo, hi = 0, x.shape[axis]
-        sub = x.data
-    shifted = sub - sub.max(axis=axis, keepdims=True)
+    if x.data.ndim != 2:
+        raise ShapeError(f"softmax: need (n, C) logits, got shape {x.shape}")
+    lo, hi = (0, x.shape[1]) if index_range is None else index_range
+    if not (0 <= lo < hi <= x.shape[1]):
+        raise ShapeError(f"softmax: index_range {index_range} invalid for {x.shape[1]} columns")
+    sub = x.data[:, lo:hi]
+    shifted = sub - sub.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    val = e / e.sum(axis=axis, keepdims=True)
+    val = e / e.sum(axis=1, keepdims=True)
 
     def bw(g):
-        gz = (g - (g * val).sum(axis=axis, keepdims=True)) * val
-        if index_range is None:
-            _accum(x, gz)
-        else:
-            full = np.zeros_like(x.data)
-            full[_slices_for_range(x.data.ndim, axis, lo, hi)] = gz
-            _accum(x, full)
+        full = np.zeros_like(x.data)
+        full[:, lo:hi] = (g - (g * val).sum(axis=1, keepdims=True)) * val
+        _accum(x, full)
 
     return _make(val, "softmax", (x,), bw)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    axis = axis % x.data.ndim
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    val = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+def log_softmax(x: Tensor) -> Tensor:
+    """Log-softmax of each row of (n, C) logits."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"log_softmax: need (n, C) logits, got shape {x.shape}")
+    shifted = x.data - x.data.max(axis=1, keepdims=True)
+    val = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
     def bw(g):
-        _accum(x, g - np.exp(val) * g.sum(axis=axis, keepdims=True))
+        _accum(x, g - np.exp(val) * g.sum(axis=1, keepdims=True))
 
     return _make(val, "log_softmax", (x,), bw)
 
@@ -371,44 +359,42 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 # -- convolution / pooling -----------------------------------------------------
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int,
-            oh: int, ow: int) -> np.ndarray:
+def _im2col(xp: np.ndarray, k: int, h: int, w: int) -> np.ndarray:
     cin = xp.shape[0]
-    cols = np.empty((cin, kh, kw, oh, ow), dtype=np.float64)
-    for ki in range(kh):
-        for kj in range(kw):
-            cols[:, ki, kj] = xp[:, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride]
-    return cols.reshape(cin * kh * kw, oh * ow)
+    cols = np.empty((cin, k, k, h, w), dtype=np.float64)
+    for ki in range(k):
+        for kj in range(k):
+            cols[:, ki, kj] = xp[:, ki:ki + h, kj:kj + w]
+    return cols.reshape(cin * k * k, h * w)
 
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D convolution of a (cin,h,w) map with (cout,cin,kh,kw) kernels.
-
-    Zero padding `pad` on both spatial sides; no bias (add one separately).
+def conv2d(x: Tensor, w: Tensor) -> Tensor:
+    """Stride-1 "same" convolution of a (cin,h,w) map with (cout,cin,k,k)
+    kernels, k odd, zero-padded by k//2 so the output keeps the input's size.
+    No bias (add one separately).
     """
     if x.data.ndim != 3 or w.data.ndim != 4 or x.shape[0] != w.shape[1]:
         raise ShapeError(f"conv2d: incompatible shapes {x.shape} and {w.shape}")
     cin, h, wd = x.shape
-    cout, _, kh, kw = w.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (wd + 2 * pad - kw) // stride + 1
-    if oh <= 0 or ow <= 0:
-        raise ShapeError(f"conv2d: kernel {w.shape} too large for input {x.shape} (pad={pad})")
+    cout, _, k, kw = w.shape
+    if k != kw or k % 2 == 0:
+        raise ShapeError(f"conv2d: need an odd square kernel, got {w.shape}")
+    pad = k // 2
     xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    cols = _im2col(xp, kh, kw, stride, oh, ow)
-    wm = w.data.reshape(cout, cin * kh * kw)
-    out = (wm @ cols).reshape(cout, oh, ow)
+    cols = _im2col(xp, k, h, wd)
+    wm = w.data.reshape(cout, cin * k * k)
+    out = (wm @ cols).reshape(cout, h, wd)
 
     def bw(g):
-        gm = g.reshape(cout, oh * ow)
+        gm = g.reshape(cout, h * wd)
         if w.requires_grad:
             _accum(w, (gm @ cols.T).reshape(w.shape))
         if x.requires_grad:
-            gcols = (wm.T @ gm).reshape(cin, kh, kw, oh, ow)
+            gcols = (wm.T @ gm).reshape(cin, k, k, h, wd)
             gxp = np.zeros_like(xp)
-            for ki in range(kh):
-                for kj in range(kw):
-                    gxp[:, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += gcols[:, ki, kj]
+            for ki in range(k):
+                for kj in range(k):
+                    gxp[:, ki:ki + h, kj:kj + wd] += gcols[:, ki, kj]
             _accum(x, gxp[:, pad:pad + h, pad:pad + wd] if pad else gxp)
 
     return _make(out, "conv2d", (x, w), bw)
@@ -475,16 +461,13 @@ def roi_pool(features: Tensor, rois: np.ndarray, size: int) -> Tensor:
 
 # -- gradient checking --------------------------------------------------------
 
-def grad_check(f: Callable[..., Tensor], points: Sequence[np.ndarray],
-               step: float = 1e-5) -> float:
+def grad_check(f: Callable[..., Tensor], points: Sequence[np.ndarray]) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     `f` maps one Tensor per entry of `points` to a scalar Tensor and must be
     deterministic (re-seed any internal sampling per call). The error at each
     coordinate is |analytic - numeric| / max(1, |analytic|, |numeric|).
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     arrays = [np.array(p, dtype=np.float64) for p in points]
 
     def evaluate(arrs) -> tuple[float, list[np.ndarray]]:
@@ -500,15 +483,15 @@ def grad_check(f: Callable[..., Tensor], points: Sequence[np.ndarray],
         flat = base.reshape(-1)
         for ci in range(flat.size):
             orig = flat[ci]
-            flat[ci] = orig + step
+            flat[ci] = orig + FD_STEP
             f_plus = f(*[Tensor(a.copy()) for a in arrays]).item()
-            flat[ci] = orig - step
+            flat[ci] = orig - FD_STEP
             f_minus = f(*[Tensor(a.copy()) for a in arrays]).item()
             flat[ci] = orig
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                 raise GradCheckError(
                     f"non-finite value at input {ti}, coordinate {ci}")
-            numeric = (f_plus - f_minus) / (2.0 * step)
+            numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
             analytic_c = analytic[ti].reshape(-1)[ci]
             err = abs(analytic_c - numeric) / max(1.0, abs(analytic_c), abs(numeric))
             worst = max(worst, err)

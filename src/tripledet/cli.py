@@ -35,11 +35,15 @@ from .synthdata import (Scene, generate_dataset, generate_incremental_dataset, l
                         make_classes, save_dataset)
 from .trainer import (BaseTrainConfig, EpochStats, TrainConfig, finetune_config, init_triple,
                       train_base, train_incremental, write_epoch_log)
-from .verification import GRAD_TOL, run_gradient_suite
+from .verification import GRAD_TOL, SUITE_SEED, run_gradient_suite
 
 
 class UsageError(ValueError):
     pass
+
+
+# single-threshold mode splits the pseudo-GT here for both target sets
+SINGLE_THRESHOLD = 0.5
 
 
 @dataclass
@@ -89,23 +93,27 @@ class RunConfig:
                 raise ValueError(f"old class ids must be 1..len(old), got {old}")
             if sorted(new) != list(range(len(old) + 1, len(old) + len(new) + 1)):
                 raise ValueError(f"new class ids must directly follow the old ids, got {new}")
-            for name in ("n_base", "n_incremental", "n_test", "grad_instances"):
-                if getattr(self, name) < 1:
-                    raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-            if not self.seeds:
-                raise ValueError("seeds must not be empty")
+            for name, least in (("n_base", 1), ("n_incremental", 1), ("n_test", 1),
+                                ("grad_instances", 1), ("seed", 0), ("data_seed", 0)):
+                if getattr(self, name) < least:
+                    raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+            if not self.seeds or min(self.seeds) < 0:
+                raise ValueError(f"seeds must be non-empty and all >= 0, got {self.seeds}")
             if not 0.0 < self.iou_thresh < 1.0:
                 raise ValueError(f"iou_thresh must lie in (0,1), got {self.iou_thresh}")
             thresholds = Thresholds(self.theta_low, self.theta_high, self.theta_iou)
             if not self.two_threshold:
-                # single-threshold mode: both target sets split the pseudo-GT at 0.5
-                thresholds = replace(thresholds, theta_low=0.5, theta_high=0.5)
+                thresholds = replace(thresholds, theta_low=SINGLE_THRESHOLD,
+                                     theta_high=SINGLE_THRESHOLD)
             self.base_cfg = BaseTrainConfig(epochs=self.base_epochs, lr=self.base_lr,
                                             batch_size=self.batch_size, seed=self.seed)
             self.inc_cfg = TrainConfig(
                 lam=self.lam, epochs=self.epochs, lr=self.lr, batch_size=self.batch_size,
                 seed=self.seed, thresholds=thresholds, d_fea=self.d_fea, d_res=self.d_res,
                 d_cls=self.d_cls, use_pseudo_gt=self.use_pseudo_gt)
+            for pair in self.sweep_pairs:
+                if len(pair) != 2:
+                    raise ValueError(f"sweep_pairs entry {pair} must be [theta_low, theta_high]")
             self.variants = variant_grid(self.inc_cfg, self.sweep_pairs)
         except (TypeError, ValueError) as e:
             raise UsageError(f"invalid config: {e}") from None
@@ -219,8 +227,9 @@ def variant_grid(inc_cfg: TrainConfig, sweep_pairs: list[list[float]]) -> list[V
     model, plain finetuning, pseudo-GT alone, each component alone,
     cumulative combinations, then the full method at every (theta_low,
     theta_high) of `sweep_pairs`. Single-threshold rows split the pseudo-GT
-    at 0.5; the two-threshold rows `2th` and `full` at (0.1, 0.9)."""
-    def row(name, lo=0.5, hi=0.5, d_fea=False, d_res=False, d_cls=False):
+    at SINGLE_THRESHOLD; the two-threshold rows `2th` and `full` at (0.1, 0.9)."""
+    def row(name, lo=SINGLE_THRESHOLD, hi=SINGLE_THRESHOLD, d_fea=False, d_res=False,
+            d_cls=False):
         th = Thresholds(lo, hi, inc_cfg.thresholds.theta_iou)
         return Variant(name, replace(inc_cfg, thresholds=th, d_fea=d_fea, d_res=d_res,
                                      d_cls=d_cls, use_pseudo_gt=True))
@@ -402,7 +411,7 @@ def cmd_ablate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(cfg: RunConfig, args: argparse.Namespace) -> int:
-    results = run_gradient_suite(instances=cfg.grad_instances, seed=cfg.seed or 20240)
+    results = run_gradient_suite(instances=cfg.grad_instances, seed=cfg.seed or SUITE_SEED)
     worst = max(results.values())
     for name, err in results.items():
         status = "ok" if err < GRAD_TOL else "FAIL"

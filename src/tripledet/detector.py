@@ -123,7 +123,7 @@ _HEAD_PARAMS = ("rpn.obj.w", "rpn.delta.w", "rcnn.cls.w", "rcnn.delta.w")
 
 
 def new_model(config: DetectorConfig, num_classes: int, seed: int) -> DetectorModel:
-    """He-initialized model; prediction heads use std 0.01; biases zero."""
+    """He-initialized model; prediction heads use std HEAD_STD; biases zero."""
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
     for name, shape in _param_shapes(config, num_classes):
@@ -141,7 +141,7 @@ def new_model(config: DetectorConfig, num_classes: int, seed: int) -> DetectorMo
 # -- forward passes -----------------------------------------------------------
 
 def _conv_block(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return ad.relu(ad.conv2d(x, w, stride=1, pad=1) + b)
+    return ad.relu(ad.conv2d(x, w) + b)
 
 
 def forward_features(model: DetectorModel, image) -> Tensor:
@@ -162,7 +162,7 @@ def forward_features(model: DetectorModel, image) -> Tensor:
 def rpn_forward(model: DetectorModel, features: Tensor) -> tuple[Tensor, Tensor]:
     """(objectness logits (A,H,W), box deltas (4A,H,W)) from features."""
     p = model.params
-    h = ad.relu(ad.conv2d(features, p["rpn.conv.w"], stride=1, pad=1) + p["rpn.conv.b"])
+    h = _conv_block(features, p["rpn.conv.w"], p["rpn.conv.b"])
     obj = ad.conv2d(h, p["rpn.obj.w"]) + p["rpn.obj.b"]
     deltas = ad.conv2d(h, p["rpn.delta.w"]) + p["rpn.delta.b"]
     return obj, deltas
@@ -212,11 +212,11 @@ def propose(config: DetectorConfig, obj: np.ndarray, deltas: np.ndarray
     return boxes[keep], scores[idx[keep]]
 
 
-def roi_pool(features: Tensor, rois: np.ndarray, pool_size: int, stride: int = 1) -> Tensor:
+def roi_pool(config: DetectorConfig, features: Tensor, rois: np.ndarray) -> Tensor:
     """(n, c, P, P) nearest-neighbor pooled features for (n, 4) image-space
-    RoIs; `stride` maps image coordinates onto the feature grid."""
+    RoIs, mapped onto the feature grid by the backbone stride."""
     arr = np.asarray(rois, dtype=np.float64).reshape(-1, 4)
-    return ad.roi_pool(features, arr / float(stride), pool_size)
+    return ad.roi_pool(features, arr / float(config.stride), config.pool_size)
 
 
 def head_forward(model: DetectorModel, pooled: Tensor) -> tuple[Tensor, Tensor]:
@@ -246,9 +246,9 @@ def detect(model: DetectorModel, features: Tensor, score_thresh: float,
     prop_boxes, _ = propose(cfg, obj.data, deltas.data)
     if len(prop_boxes) == 0:
         return []
-    pooled = roi_pool(features, prop_boxes, cfg.pool_size, cfg.stride)
+    pooled = roi_pool(cfg, features, prop_boxes)
     logits, deltas = head_forward(model, pooled)
-    probs = ad.softmax(logits, axis=1).data
+    probs = ad.softmax(logits).data
     # candidates class-major, proposals ascending: the order NMS breaks ties by
     cls, rows = np.nonzero(probs[:, 1:].T > score_thresh)
     boxes, keep = _decode_clipped(cfg, prop_boxes[rows], deltas.data[rows, cls])
@@ -377,12 +377,12 @@ def frcnn_loss(model: DetectorModel, features: Tensor, rpn_boxes: np.ndarray,
         roi_candidates(cfg, obj.data, deltas.data, rcnn_boxes)
     rois, roi_labels, roi_match = sample_rois(candidates, rcnn_boxes, rcnn_labels, rng)
 
-    pooled = roi_pool(features, rois, cfg.pool_size, cfg.stride)
+    pooled = roi_pool(cfg, features, rois)
     logits, pred_deltas = head_forward(model, pooled)
     n = len(rois)
     onehot = np.zeros((n, model.num_classes + 1))
     onehot[np.arange(n), roi_labels] = 1.0
-    rcnn_cls = ad.tsum(ad.log_softmax(logits, axis=1) * Tensor(onehot)) * Tensor(-1.0 / n)
+    rcnn_cls = ad.tsum(ad.log_softmax(logits) * Tensor(onehot)) * Tensor(-1.0 / n)
 
     dmask = np.zeros((n, model.num_classes, 1))
     dtgt = np.zeros((n, model.num_classes, 4))

@@ -137,11 +137,11 @@ def classification_distill_loss(logits: LogitTriple) -> Tensor:
     Only the old-class term then acts, as in the default 3+1 protocol.
     """
     ca, cb = logits.num_old, logits.num_new
-    im_old = ad.softmax(logits.y_im_logits, axis=1, index_range=(0, ca + 1))
-    om = ad.softmax(logits.p_om_logits, axis=1)
+    im_old = ad.softmax(logits.y_im_logits, index_range=(0, ca + 1))
+    om = ad.softmax(logits.p_om_logits)
     per_roi = ad.tsum(ad.square(im_old - om), axis=1) * Tensor(1.0 / (ca + 1))
     if cb > 0:
-        im_new = ad.softmax(logits.y_im_logits, axis=1, index_range=(ca + 1, ca + 1 + cb))
-        rm = ad.softmax(logits.p_rm_logits, axis=1, index_range=(1, cb + 1))
+        im_new = ad.softmax(logits.y_im_logits, index_range=(ca + 1, ca + 1 + cb))
+        rm = ad.softmax(logits.p_rm_logits, index_range=(1, cb + 1))
         per_roi = per_roi + ad.tsum(ad.square(im_new - rm), axis=1) * Tensor(1.0 / cb)
     return ad.tmean(per_roi)

@@ -113,5 +113,8 @@ def evaluate_model(model: DetectorModel, scenes: list[Scene], iou_thresh: float,
 
 
 def write_report_json(path, report: APReport) -> None:
+    """The report as strict JSON: a mean over no classes (NaN) is null."""
+    fields = {k: None if isinstance(v, float) and np.isnan(v) else v
+              for k, v in asdict(report).items()}
     with open(path, "w") as f:
-        json.dump(asdict(report), f, indent=1)
+        json.dump(fields, f, indent=1, allow_nan=False)

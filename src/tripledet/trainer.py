@@ -18,8 +18,8 @@ import numpy as np
 
 from .autodiff import Tensor
 from .boxes import annotation_arrays
-from .detector import (DetectorModel, forward_features, frcnn_loss, head_forward,
-                       new_model, roi_pool)
+from .detector import (HEAD_STD, DetectorModel, forward_features, frcnn_loss,
+                       head_forward, new_model, roi_pool)
 from .distill import (FeatureTriple, LogitTriple, PooledTriple,
                       classification_distill_loss, feature_distill_loss,
                       residual_distill_loss)
@@ -121,7 +121,7 @@ def init_incremental(om: DetectorModel, num_new: int, seed: int) -> DetectorMode
     """Copy of the old model widened by num_new classes.
 
     Old class columns of the classification and delta heads are copied; new
-    columns draw from Normal(0, 0.01^2) with zero bias. Draw order: new
+    columns draw from Normal(0, HEAD_STD^2) with zero bias. Draw order: new
     classification columns, then new delta columns.
     """
     if num_new < 1:
@@ -131,7 +131,7 @@ def init_incremental(om: DetectorModel, num_new: int, seed: int) -> DetectorMode
     fw = om.config.fc_width
     for head, width in (("rcnn.cls", num_new), ("rcnn.delta", num_new * 4)):
         w, b = im.params[f"{head}.w"].data, im.params[f"{head}.b"].data
-        im.params[f"{head}.w"] = Tensor(np.hstack([w, rng.normal(0.0, 0.01, (fw, width))]),
+        im.params[f"{head}.w"] = Tensor(np.hstack([w, rng.normal(0.0, HEAD_STD, (fw, width))]),
                                         requires_grad=True)
         im.params[f"{head}.b"] = Tensor(np.concatenate([b, np.zeros(width)]), requires_grad=True)
     im.num_classes = om.num_classes + num_new
@@ -205,8 +205,8 @@ def compute_losses(triple: TripleNetwork, image, gt_boxes: np.ndarray, gt_labels
             d_fea_t = feature_distill_loss(feat)
         if cfg.d_res or cfg.d_cls:
             rois = internals.rois
-            p_om = roi_pool(om_features, rois, om.config.pool_size, om.config.stride)
-            p_rm = roi_pool(f_rm, rois, rm.config.pool_size, rm.config.stride)
+            p_om = roi_pool(om.config, om_features, rois)
+            p_rm = roi_pool(rm.config, f_rm, rois)
             if cfg.d_res:
                 d_res_t = residual_distill_loss(feat, PooledTriple(p_om, internals.pooled, p_rm))
             if cfg.d_cls:

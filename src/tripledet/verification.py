@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, grad_check, pool_windows, topo_order
+from .autodiff import FD_STEP, Tensor, grad_check, pool_windows, topo_order
 from .detector import (DetectorConfig, DetectorModel, forward_features, frcnn_loss,
                        new_model, roi_candidates, rpn_forward)
 from .distill import (FeatureTriple, LogitTriple, PooledTriple, attention_pair_loss,
@@ -33,7 +33,8 @@ MICRO_CONFIG = DetectorConfig(
 )
 
 GRAD_TOL = 1e-4
-FD_STEP = 1e-5
+SUITE_SEED = 20240
+DRAW_ATTEMPTS = 50      # redraws before an instance is given up
 # elementwise losses keep a wide berth; through a whole network only
 # crossings within reach of the probe step matter, so 10x the step suffices
 ELEMENTWISE_MARGIN = 1e-3
@@ -68,14 +69,13 @@ def nonsmooth_margin(root: Tensor) -> float:
     return float(worst)
 
 
-def _draw_safe_instance(rng: np.random.Generator, build, margin: float,
-                        attempts: int = 50):
+def _draw_safe_instance(rng: np.random.Generator, build, margin: float):
     """Rejection-sample an instance whose base-point margin is comfortable.
 
     `build(rng)` returns (f, points); f(*tensors) is the loss. Instances too
     close to a relu/abs/max-pool boundary are redrawn.
     """
-    for _ in range(attempts):
+    for _ in range(DRAW_ATTEMPTS):
         f, points = build(rng)
         loss = f(*[Tensor(p, requires_grad=True) for p in points])
         if nonsmooth_margin(loss) > margin:
@@ -208,10 +208,10 @@ def check_loss_gradient(name: str, rng: np.random.Generator) -> float:
     """One margin-safe random instance of the named loss, grad-checked."""
     build, margin = SUITE[name]
     f, points = _draw_safe_instance(rng, build, margin)
-    return grad_check(f, points, FD_STEP)
+    return grad_check(f, points)
 
 
-def run_gradient_suite(instances: int = 10, seed: int = 20240) -> dict[str, float]:
+def run_gradient_suite(instances: int = 10, seed: int = SUITE_SEED) -> dict[str, float]:
     """Max relative gradient error per loss over `instances` random cases."""
     results = {}
     for k, name in enumerate(SUITE):

@@ -67,9 +67,8 @@ def per_class_detect(model, features, score_thresh, nms_thresh):
     prop_boxes, _ = propose(cfg, obj.data, rpn_deltas.data)
     if len(prop_boxes) == 0:
         return []
-    logits, deltas = head_forward(model, roi_pool(features, prop_boxes, cfg.pool_size,
-                                                  cfg.stride))
-    probs = ad.softmax(logits, axis=1).data
+    logits, deltas = head_forward(model, roi_pool(cfg, features, prop_boxes))
+    probs = ad.softmax(logits).data
     boxes, scores, labels = [], [], []
     for c in range(1, model.num_classes + 1):
         rows = np.flatnonzero(probs[:, c] > score_thresh)

@@ -20,20 +20,20 @@ def test_matmul_identity():
 
 
 def test_softmax_uniform_on_zero_logits():
-    out = ad.softmax(Tensor([[0.0, 0.0, 0.0]]), axis=1)
+    out = ad.softmax(Tensor([[0.0, 0.0, 0.0]]))
     assert np.allclose(out.data, 1.0 / 3.0, atol=0, rtol=0)
 
 
 def test_softmax_index_range_width():
     x = Tensor(np.arange(10.0).reshape(2, 5))
-    out = ad.softmax(x, axis=1, index_range=(1, 4))
+    out = ad.softmax(x, index_range=(1, 4))
     assert out.shape == (2, 3)
     assert np.allclose(out.data.sum(axis=1), 1.0)
 
 
 def test_softmax_bad_range_rejected():
     with pytest.raises(ShapeError):
-        ad.softmax(Tensor(np.zeros((2, 3))), axis=1, index_range=(1, 5))
+        ad.softmax(Tensor(np.zeros((2, 3))), index_range=(1, 5))
 
 
 def test_sum_square_gradient():
@@ -70,8 +70,8 @@ def test_forward_deterministic():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(2, 8, 8))
     w = rng.normal(size=(3, 2, 3, 3))
-    a = ad.conv2d(Tensor(x), Tensor(w), stride=1, pad=1).data
-    b = ad.conv2d(Tensor(x), Tensor(w), stride=1, pad=1).data
+    a = ad.conv2d(Tensor(x), Tensor(w)).data
+    b = ad.conv2d(Tensor(x), Tensor(w)).data
     assert np.array_equal(a, b)
 
 
@@ -90,6 +90,21 @@ def test_shape_mismatch_rejected_with_shapes():
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
         ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+
+
+@pytest.mark.parametrize("op,args", [
+    (ad.softmax, (np.zeros(3),)),
+    (ad.softmax, (np.zeros((2, 3, 4)),)),
+    (ad.log_softmax, (np.zeros(3),)),
+    (ad.log_softmax, (np.zeros((2, 3, 4)),)),
+    (ad.conv2d, (np.zeros((2, 6, 6)), np.zeros((3, 2, 2, 2)))),     # even kernel
+    (ad.conv2d, (np.zeros((2, 6, 6)), np.zeros((3, 2, 3, 1)))),     # not square
+], ids=["softmax-1d", "softmax-3d", "log_softmax-1d", "log_softmax-3d", "conv2d-even",
+        "conv2d-nonsquare"])
+def test_row_ops_and_same_conv_reject_other_shapes(op, args):
+    """softmax/log_softmax take (n, C) logits; conv2d takes odd square kernels."""
+    with pytest.raises(ShapeError):
+        op(*[Tensor(a) for a in args])
 
 
 def test_maxpool_tie_goes_to_first_cell():
@@ -116,7 +131,7 @@ def test_smooth_l1_values_and_slope():
 
 
 def test_grad_check_cubic():
-    err = ad.grad_check(lambda t: ad.tsum(t * t * t), [np.array([2.0])], step=1e-5)
+    err = ad.grad_check(lambda t: ad.tsum(t * t * t), [np.array([2.0])])
     assert err < 1e-6
 
 
@@ -124,9 +139,9 @@ def test_grad_check_reports_nonfinite_coordinate():
     def f(t):
         return ad.tsum(ad.divide(Tensor([1.0]), t))
 
-    # t - step hits exactly zero, so the probe divides by zero
+    # t - FD_STEP hits exactly zero, so the probe divides by zero
     with np.errstate(divide="ignore"), pytest.raises(GradCheckError) as exc:
-        ad.grad_check(f, [np.array([1e-5])], step=1e-5)
+        ad.grad_check(f, [np.array([ad.FD_STEP])])
     assert "coordinate" in str(exc.value)
 
 
@@ -165,10 +180,8 @@ def test_broadcast_bias_add_gradient():
     ("matmul", lambda rng: (lambda a, b: ad.tsum(ad.matmul(a, b)),
                             [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))])),
     ("gram", lambda rng: (lambda m: ad.tsum(ad.gram(m)), [rng.normal(size=(3, 5))])),
-    ("conv2d", lambda rng: (lambda x, w: ad.tsum(ad.conv2d(x, w, stride=1, pad=1)),
+    ("conv2d", lambda rng: (lambda x, w: ad.tsum(ad.conv2d(x, w)),
                             [rng.normal(size=(2, 6, 6)), rng.normal(size=(3, 2, 3, 3))])),
-    ("conv2d_s2", lambda rng: (lambda x, w: ad.tsum(ad.square(ad.conv2d(x, w, stride=2, pad=1))),
-                               [rng.normal(size=(2, 8, 8)), rng.normal(size=(2, 2, 3, 3))])),
     ("relu", lambda rng: (lambda x: ad.tsum(ad.relu(x)), [rng.normal(size=(4, 4)) + 0.01])),
     ("max_pool2", lambda rng: (lambda x: ad.tsum(ad.max_pool2(x)), [rng.normal(size=(2, 4, 4))])),
     ("mean_axis", lambda rng: (lambda x: ad.tsum(ad.square(ad.tmean(x, axis=0))),
@@ -177,11 +190,11 @@ def test_broadcast_bias_add_gradient():
                               [rng.normal(size=(3, 4))])),
     ("abs", lambda rng: (lambda x: ad.tsum(ad.tabs(x)), [rng.normal(size=(4, 4)) + 3.0])),
     ("square", lambda rng: (lambda x: ad.tsum(ad.square(x)), [rng.normal(size=(4, 4))])),
-    ("softmax", lambda rng: (lambda x: ad.tsum(ad.square(ad.softmax(x, axis=1))),
+    ("softmax", lambda rng: (lambda x: ad.tsum(ad.square(ad.softmax(x))),
                              [rng.normal(size=(3, 5))])),
-    ("softmax_range", lambda rng: (lambda x: ad.tsum(ad.square(ad.softmax(x, axis=1, index_range=(1, 4)))),
+    ("softmax_range", lambda rng: (lambda x: ad.tsum(ad.square(ad.softmax(x, index_range=(1, 4)))),
                                    [rng.normal(size=(3, 5))])),
-    ("log_softmax", lambda rng: (lambda x: ad.tsum(ad.multiply(ad.log_softmax(x, axis=1),
+    ("log_softmax", lambda rng: (lambda x: ad.tsum(ad.multiply(ad.log_softmax(x),
                                                                Tensor(np.eye(3, 5)))),
                                  [rng.normal(size=(3, 5))])),
     ("frobenius_norm", lambda rng: (ad.frobenius_norm, [rng.normal(size=(3, 3))])),
@@ -200,7 +213,7 @@ def test_primitive_gradients_ten_instances(kind, builder):
     for i in range(10):
         rng = np.random.default_rng([17, i, sum(ord(c) for c in kind)])
         f, points = builder(rng)
-        worst = max(worst, ad.grad_check(f, points, step=1e-5))
+        worst = max(worst, ad.grad_check(f, points))
     assert worst < 1e-4, f"{kind}: max relative error {worst}"
 
 

@@ -112,12 +112,17 @@ COMMANDS = ["gen-data", "train-base", "finetune", "incremental", "eval", "ablate
                                  {"epochs": 1.5}, {"batch_size": 1.5}, {"n_test": 2.5},
                                  {"seeds": [1.5]}, {"old_class_ids": [1.0, 2.0]},
                                  {"seed": 1.5}, {"epochs": True}, {"two_threshold": 0},
-                                 {"d_fea": "off"}, {"lam": True}, {"out_dir": 3}])
+                                 {"d_fea": "off"}, {"lam": True}, {"out_dir": 3},
+                                 {"seed": -1}, {"data_seed": -1}, {"seeds": [-1]},
+                                 {"sweep_pairs": [[0.3]]}, {"sweep_pairs": [[0.1, 0.5, 0.9]]}])
 @pytest.mark.parametrize("command", COMMANDS)
 def test_invalid_config_values_are_usage_errors(tmp_path, capsys, command, bad):
     cfg = write_config(tmp_path, **bad)
     assert main([command, "--config", cfg]) == 1
-    assert "invalid config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid config" in err
+    if any(len(pair) != 2 for pair in bad.get("sweep_pairs", [])):
+        assert "sweep_pairs" in err
     assert os.listdir(tmp_path) == ["config.json"]
 
 

@@ -18,7 +18,7 @@ from tripledet.cli import (CSV_HEADER, RunConfig, UsageError, Variant, run_exper
 from tripledet.detector import DetectorConfig, new_model
 from tripledet.evaluate import evaluate_model, voc_ap
 from tripledet.pseudo_gt import Thresholds
-from tripledet.synthdata import generate_dataset, make_classes
+from tripledet.synthdata import Scene, generate_dataset, make_classes
 from tripledet.trainer import BaseTrainConfig, TrainConfig, finetune_config
 
 
@@ -128,6 +128,28 @@ def test_evaluate_model_vacuous_excluded(monkeypatch):
     assert report.vacuous_classes == [2]
     assert report.map_all == report.per_class_ap[1]
     assert math.isnan(report.map_new)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_report_json_is_strict_when_a_class_group_is_empty(tmp_path, monkeypatch):
+    """A mean over no classes is written as null; other reports keep their bytes."""
+    scenes = [Scene(image=np.zeros((3, 64, 64)),
+                    annotations=[(BBox(5, 5, 20, 20), 1), (BBox(30, 30, 50, 50), 2)])]
+    stub_backbone(monkeypatch)
+    monkeypatch.setattr(ev, "detect", lambda m, f, s, n: [])
+    path = tmp_path / "report.json"
+
+    no_new = evaluate_model(StubModel({0: []}), scenes, 0.5, old_classes=[1, 2])
+    ev.write_report_json(path, no_new)
+    parsed = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert parsed["map_new"] is None and parsed["map_old"] == no_new.map_old == 0.0
+
+    both = evaluate_model(StubModel({0: []}), scenes, 0.5, old_classes=[1], new_classes=[2])
+    ev.write_report_json(path, both)
+    assert path.read_text() == json.dumps(asdict(both), indent=1)
 
 
 def test_evaluate_model_detects_on_a_frozen_copy(monkeypatch):
