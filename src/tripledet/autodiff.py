@@ -478,6 +478,10 @@ def grad_check(f: Callable[..., Tensor], points: Sequence[np.ndarray]) -> float:
         return out.item(), grads
 
     _, analytic = evaluate(arrays)
+    for ti, grad in enumerate(analytic):
+        bad = np.flatnonzero(~np.isfinite(grad))
+        if bad.size:
+            raise GradCheckError(f"non-finite analytic gradient at input {ti}, coordinate {bad[0]}")
     worst = 0.0
     for ti, base in enumerate(arrays):
         flat = base.reshape(-1)

@@ -31,7 +31,7 @@ import numpy as np
 from .detector import DetectorConfig, DetectorModel, load_checkpoint, new_model, save_checkpoint
 from .evaluate import evaluate_model, write_report_json
 from .pseudo_gt import Thresholds
-from .synthdata import (Scene, generate_dataset, generate_incremental_dataset, load_dataset,
+from .synthdata import (SHAPES, Scene, generate_dataset, generate_incremental_dataset, load_dataset,
                         make_classes, save_dataset)
 from .trainer import (BaseTrainConfig, EpochStats, TrainConfig, finetune_config, init_triple,
                       train_base, train_incremental, write_epoch_log)
@@ -87,6 +87,9 @@ class RunConfig:
                     raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
             # the incremental model widens its heads in id order
             old, new = self.old_class_ids, self.new_class_ids
+            if not old or not new or len(old) + len(new) > len(SHAPES):
+                raise ValueError(f"old and new class ids must both be non-empty and number at "
+                                 f"most {len(SHAPES)} together, got {old} and {new}")
             if set(old) & set(new):
                 raise ValueError(f"old and new class ids overlap: {sorted(set(old) & set(new))}")
             if sorted(old) != list(range(1, len(old) + 1)):

@@ -14,6 +14,8 @@ JSON manifest: a list of per-image entries
 from __future__ import annotations
 
 import json
+import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -109,16 +111,14 @@ def _place_objects(class_choices: list[ClassDef], rng: np.random.Generator
     placed: list[tuple[BBox, ClassDef]] = []
     for cdef in class_choices:
         w, h = _draw_size(cdef.shape, rng)
-        ok = False
         for _ in range(MAX_PLACE_ATTEMPTS):
             x1 = int(rng.integers(0, IMAGE_SIZE - w + 1))
             y1 = int(rng.integers(0, IMAGE_SIZE - h + 1))
             box = BBox(float(x1), float(y1), float(x1 + w), float(y1 + h))
             if all(iou(box, other) <= MAX_GT_IOU for other, _ in placed):
                 placed.append((box, cdef))
-                ok = True
                 break
-        if not ok:
+        else:
             return None
     return placed
 
@@ -129,35 +129,38 @@ def _render_scene(placed: list[tuple[BBox, ClassDef]], rng: np.random.Generator)
         x1, y1 = int(box.x1), int(box.y1)
         w, h = int(box.width), int(box.height)
         mask = _shape_mask(cdef.shape, w, h)
-        for ch in range(3):
-            region = img[ch, y1:y1 + h, x1:x1 + w]
-            region[mask] = cdef.color[ch]
+        np.copyto(img[:, y1:y1 + h, x1:x1 + w], np.array(cdef.color)[:, None, None], where=mask)
     img += rng.normal(0.0, NOISE_SIGMA, size=img.shape)
     np.clip(img, 0.0, 1.0, out=img)
     return Scene(image=img, annotations=[(box, c.class_id) for box, c in placed])
 
 
-def _scene_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, index)))
+def _draw(pool: list[ClassDef], rng: np.random.Generator) -> ClassDef:
+    return pool[int(rng.integers(0, len(pool)))]
+
+
+def _generate(n: int, seed: int, picker: Callable[[np.random.Generator], Callable]
+              ) -> list[Scene]:
+    """The one scene loop. Scene i draws its object count, then `picker(rng)`'s
+    per-scene draws, then per attempt `pick(k)`'s k classes and their placement
+    (one object fewer after a failed attempt), then the noise."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    scenes = []
+    for i in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+        n_obj = int(rng.integers(1, 5))
+        pick = picker(rng)
+        while (placed := _place_objects(pick(n_obj), rng)) is None:
+            n_obj = max(1, n_obj - 1)
+        scenes.append(_render_scene(placed, rng))
+    return scenes
 
 
 def generate_dataset(classes: list[ClassDef], n: int, seed: int) -> list[Scene]:
     """n scenes with 1-4 objects each, class per object uniform over `classes`."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     _check_unique(classes)
-    scenes = []
-    for i in range(n):
-        rng = _scene_rng(seed, i)
-        n_obj = int(rng.integers(1, 5))
-        while True:
-            choices = [classes[int(rng.integers(0, len(classes)))] for _ in range(n_obj)]
-            placed = _place_objects(choices, rng)
-            if placed is not None:
-                break
-            n_obj = max(1, n_obj - 1)
-        scenes.append(_render_scene(placed, rng))
-    return scenes
+    return _generate(n, seed, lambda rng: lambda k: [_draw(classes, rng) for _ in range(k)])
 
 
 def generate_incremental_dataset(old_classes: list[ClassDef],
@@ -169,30 +172,23 @@ def generate_incremental_dataset(old_classes: list[ClassDef],
     a multi-object scene also contains an old-class object, which stays
     visible in the image but is stripped from the annotations.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     _check_unique(old_classes + new_classes)
-    new_ids = {c.class_id for c in new_classes}
-    scenes = []
-    for i in range(n):
-        rng = _scene_rng(seed, i)
-        n_obj = int(rng.integers(1, 5))
+
+    def picker(rng: np.random.Generator) -> Callable[[int], list[ClassDef]]:
         include_old = rng.random() < 0.5
-        while True:
-            choices = [new_classes[int(rng.integers(0, len(new_classes)))]]
-            for k in range(1, n_obj):
-                if include_old and k == 1:
-                    choices.append(old_classes[int(rng.integers(0, len(old_classes)))])
-                else:
-                    pool = old_classes + new_classes if include_old else new_classes
-                    choices.append(pool[int(rng.integers(0, len(pool)))])
-            placed = _place_objects(choices, rng)
-            if placed is not None:
-                break
-            n_obj = max(1, n_obj - 1)
-        scene = _render_scene(placed, rng)
+        pool = old_classes + new_classes if include_old else new_classes
+
+        def pick(k: int) -> list[ClassDef]:
+            choices = [_draw(new_classes, rng)]
+            if include_old and k > 1:
+                choices.append(_draw(old_classes, rng))
+            return choices + [_draw(pool, rng) for _ in range(k - len(choices))]
+        return pick
+
+    new_ids = {c.class_id for c in new_classes}
+    scenes = _generate(n, seed, picker)
+    for scene in scenes:
         scene.annotations = [(b, cid) for b, cid in scene.annotations if cid in new_ids]
-        scenes.append(scene)
     return scenes
 
 
@@ -214,38 +210,25 @@ def write_ppm(path: Path, image: np.ndarray) -> None:
         f.write(data.transpose(1, 2, 0).tobytes())
 
 
+# magic, width, height and maxval, each after whitespace or '#' comments
+# running to a newline, then the one whitespace byte that ends the header
+_PPM_HEADER = re.compile(rb"P6" + rb"(?:\s|#[^\n]*\n)+(\d{1,9})" * 3 + rb"\s")
+
+
 def read_ppm(path: Path) -> np.ndarray:
     try:
         raw = Path(path).read_bytes()
     except OSError as e:
         raise DatasetError(f"cannot read image {path}: {e}") from e
-    # header: magic, width, height, maxval as whitespace-separated tokens,
-    # with '#' comments allowed between them
-    tokens: list[bytes] = []
-    pos = 0
-    while len(tokens) < 4 and pos < len(raw):
-        ch = raw[pos:pos + 1]
-        if ch == b"#":
-            pos = raw.find(b"\n", pos)
-            if pos < 0:
-                break
-            pos += 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(raw) and not raw[end:end + 1].isspace():
-                end += 1
-            tokens.append(raw[pos:end])
-            pos = end
-    if len(tokens) < 4 or tokens[0] != b"P6":
+    header = _PPM_HEADER.match(raw)
+    if header is None:
         raise DatasetError(f"malformed PPM header in {path}")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if maxval != 255:
-        raise DatasetError(f"unsupported maxval {maxval} in {path}")
-    pixels = np.frombuffer(raw[pos + 1:pos + 1 + 3 * w * h], dtype=np.uint8)
+    w, h, maxval = map(int, header.groups())
+    if maxval != 255 or w < 1 or h < 1:
+        raise DatasetError(f"unsupported {w}x{h} image with maxval {maxval} in {path}")
+    pixels = np.frombuffer(raw[header.end():], dtype=np.uint8)
     if pixels.size != 3 * w * h:
-        raise DatasetError(f"truncated pixel data in {path}")
+        raise DatasetError(f"{pixels.size} bytes of pixel data in {path}, expected {3 * w * h}")
     return pixels.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
 
 
@@ -293,6 +276,9 @@ def load_dataset(directory) -> list[Scene]:
     for i, entry in enumerate(manifest):
         try:
             image = read_ppm(directory / entry["file"])
+            if image.shape[1:] != (entry["height"], entry["width"]):
+                raise ValueError(f"{entry['file']} is {image.shape[2]}x{image.shape[1]}, not "
+                                 f"the manifest's {entry['width']}x{entry['height']}")
             annotations = [
                 (BBox(o["x1"], o["y1"], o["x2"], o["y2"]), _class_id(o["class_id"]))
                 for o in entry["objects"]

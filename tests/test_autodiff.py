@@ -145,6 +145,16 @@ def test_grad_check_reports_nonfinite_coordinate():
     assert "coordinate" in str(exc.value)
 
 
+def test_grad_check_rejects_nonfinite_analytic_gradient():
+    def f(t):
+        return ad.tsum(ad.relu(ad.multiply(t, Tensor([-np.inf]))))
+
+    # the value stays finite (relu(-inf) = 0) while backward gives 0 * inf = nan
+    with np.errstate(invalid="ignore"), pytest.raises(GradCheckError) as exc:
+        ad.grad_check(f, [np.array([1.0])])
+    assert "analytic gradient at input 0, coordinate 0" in str(exc.value)
+
+
 def test_frobenius_norm_zero_input_has_finite_gradient():
     x = Tensor(np.zeros((3, 3)), requires_grad=True)
     ad.frobenius_norm(x).backward()

@@ -114,7 +114,9 @@ COMMANDS = ["gen-data", "train-base", "finetune", "incremental", "eval", "ablate
                                  {"seed": 1.5}, {"epochs": True}, {"two_threshold": 0},
                                  {"d_fea": "off"}, {"lam": True}, {"out_dir": 3},
                                  {"seed": -1}, {"data_seed": -1}, {"seeds": [-1]},
-                                 {"sweep_pairs": [[0.3]]}, {"sweep_pairs": [[0.1, 0.5, 0.9]]}])
+                                 {"sweep_pairs": [[0.3]]}, {"sweep_pairs": [[0.1, 0.5, 0.9]]},
+                                 {"new_class_ids": []}, {"old_class_ids": [], "new_class_ids": [1]},
+                                 {"old_class_ids": [1, 2, 3, 4, 5], "new_class_ids": [6, 7]}])
 @pytest.mark.parametrize("command", COMMANDS)
 def test_invalid_config_values_are_usage_errors(tmp_path, capsys, command, bad):
     cfg = write_config(tmp_path, **bad)

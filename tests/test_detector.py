@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tripledet.detector as det
 from _oracles import per_class_detect, per_target_match_anchors
@@ -492,3 +494,25 @@ def test_checkpoint_rejects_non_finite_parameters(model, tmp_path, value):
     p = tmp_path / "nonfinite.ckpt"
     save_checkpoint(bad, p)
     _assert_rejected(p, "parameter rcnn.cls.b", "non-finite")
+
+
+MICRO_CHECKPOINT = checkpoint_bytes(new_model(MICRO_CONFIG, 2, seed=3))
+MICRO_HEADER_END = len(det.CHECKPOINT_MAGIC) + 8 + struct.unpack(
+    "<Q", MICRO_CHECKPOINT[len(det.CHECKPOINT_MAGIC):len(det.CHECKPOINT_MAGIC) + 8])[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(at=st.integers(0, MICRO_HEADER_END - 1) | st.integers(0, len(MICRO_CHECKPOINT) - 1),
+       value=st.integers(0, 255))
+def test_checkpoint_single_byte_corruption_loads_or_is_a_detector_error(tmp_path_factory,
+                                                                         at, value):
+    """Any one byte of a checkpoint, in its header or its parameters, set to
+    any value: the file loads or is refused with a DetectorError."""
+    corrupted = bytearray(MICRO_CHECKPOINT)
+    corrupted[at] = value
+    path = tmp_path_factory.getbasetemp() / "corrupted.ckpt"
+    path.write_bytes(bytes(corrupted))
+    try:
+        assert isinstance(load_checkpoint(path), DetectorModel)
+    except DetectorError:
+        pass

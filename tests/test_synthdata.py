@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripledet.boxes import iou
 from tripledet.synthdata import (DatasetError, generate_dataset, generate_incremental_dataset,
@@ -175,3 +177,62 @@ def test_truncated_ppm_rejected(tmp_path):
     p.write_bytes(b"P6\n8 8\n255\n" + b"\x00" * 10)
     with pytest.raises(DatasetError):
         read_ppm(p)
+
+
+def test_ppm_rejects_empty_image(tmp_path):
+    p = tmp_path / "empty.ppm"
+    p.write_bytes(b"P6 0 1 255\n")
+    with pytest.raises(DatasetError, match="0x1 image .*empty.ppm"):
+        read_ppm(p)
+
+
+def test_ppm_rejects_trailing_bytes(tmp_path):
+    p = tmp_path / "long.ppm"
+    write_ppm(p, np.zeros((3, 5, 7)))
+    p.write_bytes(p.read_bytes() + b"\0")
+    with pytest.raises(DatasetError, match="106 bytes of pixel data in .*long.ppm, expected 105"):
+        read_ppm(p)
+
+
+def test_manifest_rejects_image_of_another_size(tmp_path):
+    save_dataset(generate_dataset(make_classes(2), 2, seed=16), tmp_path / "ds")
+    path = tmp_path / "ds" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest[1]["width"] = 32
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(DatasetError, match=r"entry 1 in .*manifest\.json: scene_00001.ppm is "
+                                           r"64x64, not the manifest's 32x64"):
+        load_dataset(tmp_path / "ds")
+
+
+# one header separator: whitespace and '#' comments, at least one piece
+SEPARATORS = st.lists(st.sampled_from([b" ", b"\t", b"\n", b"\r"])
+                      | st.binary(max_size=4).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n"),
+                      min_size=1, max_size=3).map(b"".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=st.integers(1, 8), h=st.integers(1, 8), seps=st.lists(SEPARATORS, min_size=3, max_size=3),
+       end=st.sampled_from([b" ", b"\t", b"\n", b"\r"]), seed=st.integers(0, 2 ** 16),
+       corrupt_at=st.floats(0.0, 1.0, exclude_max=True), corrupt_to=st.integers(0, 255))
+def test_ppm_header_spellings_round_trip_and_corruptions_are_dataset_errors(
+        tmp_path_factory, w, h, seps, end, seed, corrupt_at, corrupt_to):
+    """write_ppm's pixels read back under any header spelling; any
+    single-byte corruption reads as an image or a DatasetError."""
+    path = tmp_path_factory.getbasetemp() / "spelled.ppm"
+    image = np.random.default_rng(seed).uniform(0.0, 1.0, (3, h, w))
+    write_ppm(path, image)
+    canonical = read_ppm(path)
+    pixels = path.read_bytes()[len(f"P6\n{w} {h}\n255\n"):]
+    raw = b"P6" + b"".join(sep + str(v).encode() for sep, v in zip(seps, (w, h, 255))) + end
+    raw += pixels
+    path.write_bytes(raw)
+    assert np.array_equal(read_ppm(path), canonical)
+    assert np.abs(canonical - image).max() <= 1.0 / 255.0 + 1e-12
+    corrupted = bytearray(raw)
+    corrupted[int(corrupt_at * len(raw))] = corrupt_to
+    path.write_bytes(bytes(corrupted))
+    try:
+        assert read_ppm(path).shape[0] == 3
+    except DatasetError:
+        pass
