@@ -9,7 +9,9 @@ identical gradients.
 Numerical conventions used throughout:
   * all data is float64,
   * relu subgradient at 0 is 0; max-pool ties resolve to the first cell in
-    row-major window order; smooth-L1 is C1 so the kink needs no convention,
+    row-major window order, which gives both the output's value (so a
+    -0.0/+0.0 tie outputs the first cell's zero) and the gradient;
+    smooth-L1 is C1 so the kink needs no convention,
   * square roots and denominators that could hit zero carry epsilon 1e-12.
 """
 
@@ -380,7 +382,10 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
     if k != kw or k % 2 == 0:
         raise ShapeError(f"conv2d: need an odd square kernel, got {w.shape}")
     pad = k // 2
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
+    xp = x.data
+    if pad:
+        xp = np.zeros((cin, h + 2 * pad, wd + 2 * pad))
+        xp[:, pad:pad + h, pad:pad + wd] = x.data
     cols = _im2col(xp, k, h, wd)
     wm = w.data.reshape(cout, cin * k * k)
     out = (wm @ cols).reshape(cout, h, wd)
@@ -400,26 +405,32 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
     return _make(out, "conv2d", (x, w), bw)
 
 
-def pool_windows(x: np.ndarray) -> np.ndarray:
-    """The 2x2 stride-2 windows of a (c, h, w) array as (c, h/2, w/2, 4),
-    cells in row-major order; `max_pool2` breaks ties toward the first."""
-    c, h, w = x.shape
-    return x.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h // 2, w // 2, 4)
-
-
 def max_pool2(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2; ties go to the first window cell."""
+    """2x2 max pooling with stride 2; ties go to the first window cell.
+
+    The four cells of each window are strided views of x, visited in
+    row-major window order; each output takes its value (a signed zero
+    included) and its gradient from the first cell equal to the window max.
+    A window holding NaN outputs NaN and sends its gradient to the last cell.
+    """
     if x.data.ndim != 3 or x.shape[1] % 2 or x.shape[2] % 2:
         raise ShapeError(f"max_pool2: need (c, even, even), got {x.shape}")
-    c, h, w = x.shape
-    win = pool_windows(x.data)
-    idx = win.argmax(axis=3)
-    out = np.take_along_axis(win, idx[..., None], axis=3)[..., 0]
+    cells = [x.data[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+    top = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
+    hits = [cell == top for cell in cells[:3]]
+    # np.maximum may return either zero of a signed-zero tie, so the value
+    # comes from the first cell equal to the max; `top` is the last cell's
+    # exact value wherever that cell alone is the max, and NaN where the
+    # window holds NaN
+    out = np.where(hits[0], cells[0], np.where(hits[1], cells[1],
+                                               np.where(hits[2], cells[2], top)))
 
     def bw(g):
-        gwin = np.zeros_like(win)
-        np.put_along_axis(gwin, idx[..., None], g[..., None], axis=3)
-        gx = gwin.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
+        taken = hits[0] | hits[1]
+        masks = (hits[0], hits[1] & ~hits[0], hits[2] & ~taken, ~(taken | hits[2]))
+        gx = np.empty_like(x.data)
+        for (i, j), mask in zip(((0, 0), (0, 1), (1, 0), (1, 1)), masks):
+            gx[:, i::2, j::2] = np.where(mask, g, 0.0)
         _accum(x, gx)
 
     return _make(out, "max_pool2", (x,), bw)

@@ -86,35 +86,58 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / (area_a[:, None] + area_b[None, :] - inter)
 
 
+NMS_BLOCK = 64          # sorted candidates per greedy block in `nms_indices`
+
+
 def nms_indices(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float,
                 max_keep: int | None = None) -> list[int]:
     """Greedy NMS over (n,4) boxes; returns kept indices in keep order.
 
     Candidates are visited by descending score with ties broken by lower
     index; a candidate is dropped when its IoU with an already-kept box is
-    strictly greater than `iou_thresh`. Kept indices therefore come out in
-    descending score order, so stopping after `max_keep` keeps yields exactly
-    the top-`max_keep` survivors.
+    strictly greater than `iou_thresh` (it survives only where the IoU is
+    `<= iou_thresh`, so a NaN IoU suppresses). Kept indices therefore come
+    out in descending score order, so stopping after `max_keep` keeps yields
+    exactly the top-`max_keep` survivors.
+
+    The visit runs in blocks of `NMS_BLOCK` sorted candidates: one IoU matrix
+    per block, a greedy pass inside it, then one pass that drops every later
+    candidate overlapping a box the block kept. Each pair's IoU is the same
+    float expression, operands in the same order, as a one-box-at-a-time
+    loop computes, so the kept indices are exactly that loop's.
     """
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     scores = np.asarray(scores, dtype=np.float64)
     n = len(scores)
-    if n == 0:
-        return []
     order = np.lexsort((np.arange(n), -scores))
+    boxes = boxes[order]                # candidates in visit order from here on
     areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+
+    def survives(a, a_area, b, b_area):
+        # (len(a), len(b)): whether each later candidate of b survives kept box a
+        ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+        iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+        inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
+        return inter / (a_area[:, None] + b_area[None, :] - inter) <= iou_thresh
+
     keep: list[int] = []
     while order.size > 0:
-        i = order[0]
-        keep.append(int(i))
-        if max_keep is not None and len(keep) >= max_keep:
-            break
-        rest = order[1:]
-        ix = np.minimum(boxes[i, 2], boxes[rest, 2]) - np.maximum(boxes[i, 0], boxes[rest, 0])
-        iy = np.minimum(boxes[i, 3], boxes[rest, 3]) - np.maximum(boxes[i, 1], boxes[rest, 1])
-        inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
-        ious = inter / (areas[i] + areas[rest] - inter)
-        order = rest[ious <= iou_thresh]
+        blk, blk_area, blk_order = boxes[:NMS_BLOCK], areas[:NMS_BLOCK], order[:NMS_BLOCK]
+        ok = survives(blk, blk_area, blk, blk_area)
+        alive = np.ones(len(blk), dtype=bool)
+        kept = []
+        for p in range(len(blk)):
+            if not alive[p]:
+                continue
+            kept.append(p)
+            keep.append(int(blk_order[p]))
+            if max_keep is not None and len(keep) >= max_keep:
+                return keep
+            alive[p + 1:] &= ok[p, p + 1:]
+        boxes, areas, order = boxes[NMS_BLOCK:], areas[NMS_BLOCK:], order[NMS_BLOCK:]
+        if order.size > 0:
+            live = survives(blk[kept], blk_area[kept], boxes, areas).all(axis=0)
+            boxes, areas, order = boxes[live], areas[live], order[live]
     return keep
 
 

@@ -253,10 +253,10 @@ def save_dataset(scenes: list[Scene], directory) -> None:
         json.dump(manifest, f, indent=1)
 
 
-def _class_id(value) -> int:
-    # bool is an int subclass, and JSON true is not a class id
+def _positive_int(name: str, value) -> int:
+    # bool is an int subclass, and JSON true is not a count or a class id
     if type(value) is not int or value < 1:
-        raise ValueError(f"class_id must be an integer >= 1, got {value!r}")
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     return value
 
 
@@ -275,12 +275,14 @@ def load_dataset(directory) -> list[Scene]:
     scenes = []
     for i, entry in enumerate(manifest):
         try:
+            size = tuple(_positive_int(k, entry[k]) for k in ("height", "width"))
             image = read_ppm(directory / entry["file"])
-            if image.shape[1:] != (entry["height"], entry["width"]):
+            if image.shape[1:] != size:
                 raise ValueError(f"{entry['file']} is {image.shape[2]}x{image.shape[1]}, not "
                                  f"the manifest's {entry['width']}x{entry['height']}")
             annotations = [
-                (BBox(o["x1"], o["y1"], o["x2"], o["y2"]), _class_id(o["class_id"]))
+                (BBox(o["x1"], o["y1"], o["x2"], o["y2"]),
+                 _positive_int("class_id", o["class_id"]))
                 for o in entry["objects"]
             ]
         except (KeyError, TypeError, ValueError) as e:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import FD_STEP, Tensor, grad_check, pool_windows, topo_order
+from .autodiff import FD_STEP, Tensor, grad_check, topo_order
 from .detector import (DetectorConfig, DetectorModel, forward_features, frcnn_loss,
                        new_model, roi_candidates, rpn_forward)
 from .distill import (FeatureTriple, LogitTriple, PooledTriple, attention_pair_loss,
@@ -61,7 +61,8 @@ def nonsmooth_margin(root: Tensor) -> float:
             if nonzero.size:
                 worst = min(worst, nonzero.min())
         elif node.op == "max_pool2":
-            win = pool_windows(x).reshape(-1, 4)
+            c, h, w = x.shape       # one row per 2x2 window
+            win = x.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4)
             top2 = np.sort(win, axis=1)[:, -2:]
             live = top2[:, 1] != 0.0       # max of an all-clamped window cannot move
             if live.any():

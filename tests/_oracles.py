@@ -57,6 +57,76 @@ def nms_detections(dets, thresh):
     return [dets[i] for i in keep]
 
 
+# -- kernels, as the one-box-at-a-time and argmax forms -------------------------
+
+def loop_nms_indices(boxes, scores, iou_thresh, max_keep=None):
+    """`nms_indices` as a loop that keeps one box per iteration and drops its
+    overlaps from the rest of the sorted candidates."""
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    scores = np.asarray(scores, dtype=np.float64)
+    n = len(scores)
+    if n == 0:
+        return []
+    order = np.lexsort((np.arange(n), -scores))
+    areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    keep = []
+    while order.size > 0:
+        i = order[0]
+        keep.append(int(i))
+        if max_keep is not None and len(keep) >= max_keep:
+            break
+        rest = order[1:]
+        ix = np.minimum(boxes[i, 2], boxes[rest, 2]) - np.maximum(boxes[i, 0], boxes[rest, 0])
+        iy = np.minimum(boxes[i, 3], boxes[rest, 3]) - np.maximum(boxes[i, 1], boxes[rest, 1])
+        inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
+        ious = inter / (areas[i] + areas[rest] - inter)
+        order = rest[ious <= iou_thresh]
+    return keep
+
+
+def argmax_max_pool2(x):
+    """`max_pool2` over a (c, h/2, w/2, 4) window view: argmax picks the cell,
+    `take_along_axis` its value, `put_along_axis` its gradient."""
+    c, h, w = x.shape
+    win = x.data.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(
+        c, h // 2, w // 2, 4)
+    idx = win.argmax(axis=3)
+    out = np.take_along_axis(win, idx[..., None], axis=3)[..., 0]
+
+    def bw(g):
+        gwin = np.zeros_like(win)
+        np.put_along_axis(gwin, idx[..., None], g[..., None], axis=3)
+        gx = gwin.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
+        ad._accum(x, gx)
+
+    return ad._make(out, "max_pool2", (x,), bw)
+
+
+def np_pad_conv2d(x, w):
+    """`conv2d` zero-padding its input with `np.pad`."""
+    cin, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    pad = k // 2
+    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
+    cols = ad._im2col(xp, k, h, wd)
+    wm = w.data.reshape(cout, cin * k * k)
+    out = (wm @ cols).reshape(cout, h, wd)
+
+    def bw(g):
+        gm = g.reshape(cout, h * wd)
+        if w.requires_grad:
+            ad._accum(w, (gm @ cols.T).reshape(w.shape))
+        if x.requires_grad:
+            gcols = (wm.T @ gm).reshape(cin, k, k, h, wd)
+            gxp = np.zeros_like(xp)
+            for ki in range(k):
+                for kj in range(k):
+                    gxp[:, ki:ki + h, kj:kj + wd] += gcols[:, ki, kj]
+            ad._accum(x, gxp[:, pad:pad + h, pad:pad + wd] if pad else gxp)
+
+    return ad._make(out, "conv2d", (x, w), bw)
+
+
 # -- detector steps, as per-class and per-target loops --------------------------
 
 def per_class_detect(model, features, score_thresh, nms_thresh):

@@ -1,10 +1,14 @@
 """Tensor engine: forward semantics, backward correctness, grad_check."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from _oracles import argmax_max_pool2, np_pad_conv2d
 from tripledet import autodiff as ad
 from tripledet.autodiff import GradCheckError, ShapeError, Tensor
+from tripledet.trainer import BaseTrainConfig, LossBreakdown, SGDMomentum, TrainingError, _fit
 
 
 def test_relu_values():
@@ -120,6 +124,99 @@ def test_maxpool_tie_goes_to_first_cell():
 def test_maxpool_needs_even_spatial():
     with pytest.raises(ShapeError):
         ad.max_pool2(Tensor(np.zeros((1, 3, 4))))
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _forward_backward(op, data, g):
+    """op's output and the input gradient it pushes for upstream gradient g."""
+    x = Tensor(data.copy(), requires_grad=True)
+    out = op(x)
+    out._backward(g)
+    return out.data, x.grad
+
+
+def _pool_input(rng, kind, shape):
+    if kind == "random":
+        return rng.normal(size=shape)
+    if kind == "integer":           # few values: ties in most windows
+        return rng.integers(-2, 3, shape).astype(float)
+    if kind == "post-relu":         # exact zeros tie wherever a window is clamped
+        return np.maximum(rng.normal(size=shape), 0.0)
+    # signed zeros only, plus the odd small integer: -0.0 == +0.0 ties
+    return rng.choice([-0.0, 0.0, 0.0, -0.0, 1.0, -1.0], size=shape)
+
+
+@pytest.mark.parametrize("kind", ["random", "integer", "post-relu", "signed-zero"])
+def test_maxpool_equals_argmax_oracle_bytes(kind):
+    """Output and gradient are byte-equal to the argmax/take_along_axis form:
+    the first max cell of each window gives both, a signed-zero tie included."""
+    rng = np.random.default_rng(["random", "integer", "post-relu", "signed-zero"].index(kind))
+    shapes = [(8, 64, 64), (16, 32, 32), (16, 16, 16), (3, 6, 10), (2, 4, 2), (1, 2, 2)]
+    for case in range(120):
+        shape = shapes[case % len(shapes)]
+        data = _pool_input(rng, kind, shape)
+        out_shape = (shape[0], shape[1] // 2, shape[2] // 2)
+        g = rng.choice([-1.5, -0.0, 0.0, 2.0], size=out_shape) if case % 2 else \
+            rng.normal(size=out_shape)
+        out, grad = _forward_backward(ad.max_pool2, data, g)
+        ref_out, ref_grad = _forward_backward(argmax_max_pool2, data, g)
+        assert _same_bytes(out, ref_out) and _same_bytes(grad, ref_grad)
+
+
+def test_maxpool_signed_zero_tie_outputs_first_cells_zero():
+    for cells in itertools.product([-0.0, 0.0], repeat=4):
+        x = Tensor(np.array(cells).reshape(1, 2, 2))
+        assert np.signbit(ad.max_pool2(x).data[0, 0, 0]) == np.signbit(cells[0])
+
+
+def test_maxpool_nan_window_outputs_nan_and_stops_training():
+    """A window holding NaN outputs NaN, as argmax does, but its gradient goes
+    to the last cell (argmax sends it to the first NaN). The two never reach
+    different parameters: the loss through the window is NaN, and the
+    trainer stops on a non-finite loss before any gradient is used."""
+    data = np.array([[[np.nan, 1.0], [2.0, 3.0]]])
+    g = np.array([[[1.0]]])
+    out, grad = _forward_backward(ad.max_pool2, data, g)
+    ref_out, ref_grad = _forward_backward(argmax_max_pool2, data, g)
+    assert np.isnan(out).all() and np.isnan(ref_out).all()
+    assert grad.reshape(-1).tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert ref_grad.reshape(-1).tolist() == [1.0, 0.0, 0.0, 0.0]
+
+    p = Tensor(data, requires_grad=True)
+
+    def image_loss(idx):
+        loss = ad.tsum(ad.max_pool2(p))
+        return loss, LossBreakdown(loss.item(), 0.0, 0.0, 0.0, 0.0, loss.item())
+
+    with pytest.raises(TrainingError, match="non-finite loss nan at epoch 0"):
+        _fit(image_loss, 1, BaseTrainConfig(epochs=1, batch_size=1),
+             np.random.default_rng(0), [SGDMomentum({"p": p})], lambda epoch: 0.1)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv2d_equals_np_pad_oracle_bytes(k):
+    """Padding into a zeroed buffer is byte-equal to np.pad: forward and both
+    gradients, with -0.0 (and exact zeros) in the input."""
+    rng = np.random.default_rng(k)
+    for case in range(30):
+        cin, cout, h, w = (int(v) for v in rng.integers(1, 9, 4))
+        data = rng.normal(size=(cin, h, w))
+        data[rng.random(data.shape) < 0.3] = -0.0
+        data[rng.random(data.shape) < 0.1] = 0.0
+        kern = rng.normal(size=(cout, cin, k, k))
+        g = rng.normal(size=(cout, h, w))
+        results = []
+        for op in (ad.conv2d, np_pad_conv2d):
+            x = Tensor(data.copy(), requires_grad=True)
+            wt = Tensor(kern.copy(), requires_grad=True)
+            out = op(x, wt)
+            out._backward(g)
+            results.append((out.data, x.grad, wt.grad))
+        for a, b in zip(*results):
+            assert _same_bytes(a, b)
 
 
 def test_smooth_l1_values_and_slope():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_force_nms, nms_detections, random_boxes
-from tripledet.boxes import (BBox, Detection, annotation_arrays, decode_deltas_array,
+from _oracles import brute_force_nms, loop_nms_indices, nms_detections, random_boxes
+from tripledet.boxes import (NMS_BLOCK, BBox, Detection, annotation_arrays, decode_deltas_array,
                              encode_deltas_array, iou, iou_matrix, nms_indices, nms_per_class)
 
 
@@ -122,6 +122,55 @@ def test_nms_order_independent_up_to_tiebreak():
     # distinct scores: kept sets must coincide regardless of input order
     assert {(d.bbox, d.score) for d in nms_detections(dets, 0.4)} == \
            {(d.bbox, d.score) for d in nms_detections(shuffled, 0.4)}
+
+
+def _nms_case(rng, n):
+    """(boxes, scores) of n candidates: half the cases real-valued, half on an
+    integer grid with few distinct scores, so equal IoUs and score ties abound."""
+    if rng.random() < 0.5:
+        xy = rng.uniform(0, 60, (n, 2))
+        boxes = np.hstack([xy, xy + rng.uniform(2, 20, (n, 2))])
+        return boxes, rng.uniform(size=n)
+    xy = rng.integers(0, 12, (n, 2)).astype(float)
+    boxes = np.hstack([xy, xy + rng.integers(1, 6, (n, 2))])
+    return boxes, rng.integers(0, 4, n) / 4.0
+
+
+def test_nms_indices_equals_loop_oracle_600_cases():
+    """Blocked NMS keeps exactly the indices, in exactly the order, of the
+    one-box-at-a-time loop: block edges, max_keep on and off, mid-block stops."""
+    rng = np.random.default_rng(11)
+    edges = [1, NMS_BLOCK - 1, NMS_BLOCK, NMS_BLOCK + 1, 2 * NMS_BLOCK + 1]
+    for case in range(600):
+        n = edges[case % len(edges)] if case < 100 else int(rng.integers(0, 301))
+        boxes, scores = _nms_case(rng, n)
+        thresh = float(rng.choice([0.3, 0.5, 0.7, rng.uniform(0.05, 0.95)]))
+        full = loop_nms_indices(boxes, scores, thresh)
+        got = nms_indices(boxes, scores, thresh)
+        assert got == full and all(type(i) is int for i in got)
+        # a cap below, at and past the survivor count, landing anywhere in a block
+        for max_keep in {1, max(1, len(full) // 2), len(full) + 1, int(rng.integers(1, n + 2))}:
+            assert nms_indices(boxes, scores, thresh, max_keep) == \
+                loop_nms_indices(boxes, scores, thresh, max_keep)
+
+
+def test_nms_indices_max_keep_stops_mid_block():
+    # disjoint boxes all survive, so the cap is the only stop
+    boxes = np.array([[3.0 * i, 0.0, 3.0 * i + 2.0, 2.0] for i in range(2 * NMS_BLOCK)])
+    scores = np.linspace(1.0, 0.0, len(boxes))
+    for max_keep in (NMS_BLOCK // 2, NMS_BLOCK + 5):
+        assert nms_indices(boxes, scores, 0.5, max_keep) == list(range(max_keep))
+
+
+def test_nms_indices_nan_iou_suppresses():
+    """A candidate survives only where its IoU is <= the threshold: a NaN box's
+    IoU with everything is NaN, so it and every box after it are dropped by
+    whichever is kept first, in both forms."""
+    boxes = np.array([[0, 0, 4, 4], [np.nan, 0, 4, 4], [20, 20, 24, 24], [40, 0, 44, 4]], float)
+    for scores in ([0.9, 0.8, 0.7, 0.6], [0.5, 0.9, 0.7, 0.6]):
+        got = nms_indices(boxes, np.array(scores), 0.5)
+        assert got == loop_nms_indices(boxes, np.array(scores), 0.5)
+        assert got == ([0, 2, 3] if scores[0] == 0.9 else [1])
 
 
 def test_annotation_arrays():

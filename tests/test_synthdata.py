@@ -205,6 +205,20 @@ def test_manifest_rejects_image_of_another_size(tmp_path):
         load_dataset(tmp_path / "ds")
 
 
+@pytest.mark.parametrize("key", ["width", "height"])
+@pytest.mark.parametrize("value", [64.0, True, "64", 0])
+def test_manifest_rejects_non_integer_or_nonpositive_size(tmp_path, key, value):
+    """Sizes follow the class-id rule: a JSON integer >= 1, not 64.0 or true."""
+    save_dataset(generate_dataset(make_classes(2), 2, seed=17), tmp_path / "ds")
+    path = tmp_path / "ds" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest[1][key] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(DatasetError, match=rf"entry 1 in .*manifest\.json: {key} must be an "
+                                           rf"integer >= 1, got {value!r}"):
+        load_dataset(tmp_path / "ds")
+
+
 # one header separator: whitespace and '#' comments, at least one piece
 SEPARATORS = st.lists(st.sampled_from([b" ", b"\t", b"\n", b"\r"])
                       | st.binary(max_size=4).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n"),
