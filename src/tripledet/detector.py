@@ -17,6 +17,7 @@ bit-exact.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import struct
@@ -168,8 +169,9 @@ def rpn_forward(model: DetectorModel, features: Tensor) -> tuple[Tensor, Tensor]
     return obj, deltas
 
 
+@functools.cache
 def anchor_boxes(config: DetectorConfig) -> np.ndarray:
-    """All anchors as an (A*H*W, 4) array, flattened in (anchor, y, x) order."""
+    """All anchors as a read-only (A*H*W, 4) array in (anchor, y, x) order, once per config."""
     fs = config.feature_size
     stride = config.stride
     centers = (np.arange(fs) + 0.5) * stride
@@ -178,7 +180,9 @@ def anchor_boxes(config: DetectorConfig) -> np.ndarray:
     for side in config.anchor_sides:
         half = side / 2.0
         boxes.append(np.stack([cx - half, cy - half, cx + half, cy + half], axis=-1).reshape(-1, 4))
-    return np.concatenate(boxes, axis=0)
+    out = np.concatenate(boxes, axis=0)
+    out.flags.writeable = False
+    return out
 
 
 def _decode_clipped(config: DetectorConfig, boxes: np.ndarray, deltas: np.ndarray
@@ -314,6 +318,32 @@ def sample_rois(candidates: np.ndarray, targets: np.ndarray, labels: np.ndarray,
     return candidates[chosen], roi_labels[chosen], match[chosen]
 
 
+@dataclass(frozen=True)
+class Targets:
+    """One scene's training targets for one model, built by `training_targets`."""
+    rpn_pos: np.ndarray              # (A, H, W) bool, positive anchors
+    rpn_neg: np.ndarray              # (A, H, W) bool, negative anchors
+    rpn_deltas: np.ndarray           # (P, 4) encoded positives, in (anchor, y, x) order
+    rcnn_boxes: np.ndarray           # (k, 4)
+    rcnn_labels: np.ndarray          # (k,) class ids in 1..num_classes
+
+
+def training_targets(model: DetectorModel, rpn_boxes: np.ndarray, rcnn_boxes: np.ndarray,
+                     rcnn_labels: np.ndarray) -> Targets:
+    """The `Targets` of `model` for class-agnostic RPN boxes `rpn_boxes`
+    (n,4) and R-CNN boxes `rcnn_boxes` (k,4) with class ids `rcnn_labels`
+    (k,) in 1..num_classes: anchors are matched and encoded here, once."""
+    bad = rcnn_labels[(rcnn_labels < 1) | (rcnn_labels > model.num_classes)]
+    if len(bad):
+        raise DetectorError(f"rcnn target class {bad[0]} outside 1..{model.num_classes}")
+    cfg = model.config
+    shape = (len(cfg.anchor_sides), cfg.feature_size, cfg.feature_size)
+    anchors = anchor_boxes(cfg)
+    pos, neg, match = match_anchors(anchors, rpn_boxes)
+    deltas = encode_deltas_array(anchors[pos], rpn_boxes[match[pos]])
+    return Targets(pos.reshape(shape), neg.reshape(shape), deltas, rcnn_boxes, rcnn_labels)
+
+
 @dataclass
 class LossInternals:
     rois: np.ndarray                 # (n, 4) sampled RoIs, image coordinates
@@ -330,52 +360,44 @@ def roi_candidates(config: DetectorConfig, obj: np.ndarray, deltas: np.ndarray,
     return np.concatenate([prop_boxes, rcnn_boxes], axis=0)
 
 
-def frcnn_loss(model: DetectorModel, features: Tensor, rpn_boxes: np.ndarray,
-               rcnn_boxes: np.ndarray, rcnn_labels: np.ndarray, rng: np.random.Generator,
-               candidate_rois: np.ndarray | None = None) -> tuple[Tensor, LossInternals]:
-    """Detection loss on the model's backbone `features`: RPN binary
-    cross-entropy + smooth-L1, R-CNN cross-entropy + smooth-L1, each term
-    normalized by its sample count; returned with the `LossInternals` that
-    distillation reads.
+def frcnn_loss(model: DetectorModel, features: Tensor, targets: Targets,
+               rng: np.random.Generator, candidate_rois: np.ndarray | None = None
+               ) -> tuple[Tensor, LossInternals]:
+    """Detection loss on the model's backbone `features` against the model's
+    `targets`: RPN binary cross-entropy + smooth-L1, R-CNN cross-entropy +
+    smooth-L1, each term normalized by its sample count; returned with the
+    `LossInternals` that distillation reads.
 
-    `rpn_boxes` (n,4) are class-agnostic targets; `rcnn_boxes` (k,4) carry
-    the class ids `rcnn_labels` (k,) in 1..num_classes. RoIs are sampled
-    from `roi_candidates`, built from the same RPN outputs the RPN terms
-    read, unless `candidate_rois` pins the pool explicitly; gradient checks
-    pin it because proposal selection is piecewise constant in the
-    parameters (zero gradient almost everywhere) and a selection flip inside
-    the probe step would invalidate the finite difference.
+    RoIs are sampled from `roi_candidates`, built from the same RPN outputs
+    the RPN terms read, unless `candidate_rois` pins the pool explicitly;
+    gradient checks pin it because proposal selection is piecewise constant
+    in the parameters (zero gradient almost everywhere) and a selection flip
+    inside the probe step would invalidate the finite difference.
     """
-    bad = rcnn_labels[(rcnn_labels < 1) | (rcnn_labels > model.num_classes)]
-    if len(bad):
-        raise DetectorError(f"rcnn target class {bad[0]} outside 1..{model.num_classes}")
     cfg = model.config
 
     # RPN terms, laid out as (A, H, W) to match the head tensors
-    a = len(cfg.anchor_sides)
-    fs = cfg.feature_size
-    anchors = anchor_boxes(cfg)
-    pos, neg, match = match_anchors(anchors, rpn_boxes)
+    pos = targets.rpn_pos
     obj, deltas = rpn_forward(model, features)
-    obj_label = pos.astype(np.float64).reshape(a, fs, fs)
-    obj_mask = (pos | neg).astype(np.float64).reshape(a, fs, fs)
+    obj_label = pos.astype(np.float64)
+    obj_mask = (pos | targets.rpn_neg).astype(np.float64)
     n_cls = obj_mask.sum()
     bce = ad.softplus(obj) - obj * Tensor(obj_label)
     rpn_cls = ad.tsum(bce * Tensor(obj_mask)) * Tensor(1.0 / max(n_cls, 1.0))
 
-    delta_targets = np.zeros((len(anchors), 4))
-    pidx = np.flatnonzero(pos)
-    delta_targets[pidx] = encode_deltas_array(anchors[pidx], rpn_boxes[match[pidx]])
-    delta_targets = delta_targets.reshape(a, fs, fs, 4).transpose(0, 3, 1, 2)
-    pos_mask = pos.reshape(a, 1, fs, fs).astype(np.float64)
-    pred = ad.reshape(deltas, (a, 4, fs, fs))
+    delta_targets = np.zeros((*pos.shape, 4))
+    delta_targets[pos] = targets.rpn_deltas
+    delta_targets = delta_targets.transpose(0, 3, 1, 2)
+    pos_mask = pos[:, None].astype(np.float64)
+    pred = ad.reshape(deltas, (len(pos), 4, *pos.shape[1:]))
     rpn_reg = ad.tsum(ad.smooth_l1(pred - Tensor(delta_targets)) * Tensor(pos_mask))
     rpn_reg = rpn_reg * Tensor(1.0 / max(pos.sum(), 1))
 
     # R-CNN terms on sampled RoIs
+    rcnn_boxes = targets.rcnn_boxes
     candidates = candidate_rois if candidate_rois is not None else \
         roi_candidates(cfg, obj.data, deltas.data, rcnn_boxes)
-    rois, roi_labels, roi_match = sample_rois(candidates, rcnn_boxes, rcnn_labels, rng)
+    rois, roi_labels, roi_match = sample_rois(candidates, rcnn_boxes, targets.rcnn_labels, rng)
 
     pooled = roi_pool(cfg, features, rois)
     logits, pred_deltas = head_forward(model, pooled)

@@ -33,13 +33,6 @@ class Thresholds:
             raise ValueError(f"theta_iou must lie in (0,1), got {self.theta_iou}")
 
 
-@dataclass
-class PseudoGTSet:
-    rpn_boxes: np.ndarray        # (n,4) class-agnostic, pseudo + gt
-    rcnn_boxes: np.ndarray       # (k,4) pseudo + gt
-    rcnn_labels: np.ndarray      # (k,) class ids of rcnn_boxes
-
-
 def generate_pseudo_gt(om: DetectorModel, features: Tensor, new_gt_boxes: np.ndarray,
                        th: Thresholds) -> list[Detection]:
     """Old-model detections, from the old model's backbone `features` of a
@@ -57,11 +50,13 @@ def generate_pseudo_gt(om: DetectorModel, features: Tensor, new_gt_boxes: np.nda
 
 
 def build_training_targets(boxes_p: list[Detection], gt_boxes: np.ndarray,
-                           gt_labels: np.ndarray, th: Thresholds) -> PseudoGTSet:
-    """Split pseudo boxes by score (strict >) and union with new ground truth."""
+                           gt_labels: np.ndarray, th: Thresholds
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split pseudo boxes by score (strict >) and union with new ground
+    truth: (class-agnostic RPN boxes (n,4), R-CNN boxes (k,4), their class
+    ids (k,)), pseudo boxes first."""
     boxes, labels = annotation_arrays([(d.bbox, d.class_id) for d in boxes_p])
     scores = np.array([d.score for d in boxes_p])
     low, high = scores > th.theta_low, scores > th.theta_high
-    return PseudoGTSet(np.concatenate([boxes[low], gt_boxes]),
-                       np.concatenate([boxes[high], gt_boxes]),
-                       np.concatenate([labels[high], gt_labels]))
+    return (np.concatenate([boxes[low], gt_boxes]), np.concatenate([boxes[high], gt_boxes]),
+            np.concatenate([labels[high], gt_labels]))

@@ -268,7 +268,8 @@ def load_dataset(directory) -> list[Scene]:
             manifest = json.load(f)
     except OSError as e:
         raise DatasetError(f"cannot read manifest {manifest_path}: {e}") from e
-    except json.JSONDecodeError as e:
+    # ValueError also covers integers past Python's digit limit
+    except (ValueError, RecursionError) as e:
         raise DatasetError(f"malformed manifest {manifest_path}: {e}") from e
     if not isinstance(manifest, list):
         raise DatasetError(f"malformed manifest {manifest_path}: expected a list of entries")
@@ -285,7 +286,8 @@ def load_dataset(directory) -> list[Scene]:
                  _positive_int("class_id", o["class_id"]))
                 for o in entry["objects"]
             ]
-        except (KeyError, TypeError, ValueError) as e:
+        # OverflowError: an integer coordinate past float range
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise DatasetError(f"malformed manifest entry {i} in {manifest_path}: {e}") from e
         scenes.append(Scene(image=image, annotations=annotations))
     return scenes

@@ -18,12 +18,12 @@ import numpy as np
 
 from .autodiff import Tensor
 from .boxes import annotation_arrays
-from .detector import (HEAD_STD, DetectorModel, forward_features, frcnn_loss,
-                       head_forward, new_model, roi_pool)
+from .detector import (HEAD_STD, DetectorModel, Targets, forward_features, frcnn_loss,
+                       head_forward, new_model, roi_pool, training_targets)
 from .distill import (FeatureTriple, LogitTriple, PooledTriple,
                       classification_distill_loss, feature_distill_loss,
                       residual_distill_loss)
-from .pseudo_gt import PseudoGTSet, Thresholds, build_training_targets, generate_pseudo_gt
+from .pseudo_gt import Thresholds, build_training_targets, generate_pseudo_gt
 from .synthdata import Scene
 
 
@@ -160,43 +160,44 @@ def init_triple(om: DetectorModel, num_new: int, seed: int) -> TripleNetwork:
 
 # -- loss assembly ----------------------------------------------------------------
 
-def scene_targets(om: DetectorModel, image, gt_boxes: np.ndarray, gt_labels: np.ndarray,
-                  cfg: TrainConfig) -> tuple[Tensor | None, PseudoGTSet]:
-    """One scene's precompute from the frozen old model: its detached
-    backbone features, None when neither pseudo-GT nor distillation reads
-    them, and the incremental model's training targets, pseudo ground truth
-    from those features (when `cfg.use_pseudo_gt`) united with the new-class
-    boxes `gt_boxes` (n,4) and their global class ids `gt_labels`."""
-    th = cfg.thresholds
+def scene_targets(triple: TripleNetwork, image, gt_boxes: np.ndarray, gt_labels: np.ndarray,
+                  cfg: TrainConfig) -> tuple[Tensor | None, Targets, Targets]:
+    """One scene's precompute for the new-class boxes `gt_boxes` (n,4) with
+    global class ids `gt_labels`: the frozen old model's detached backbone
+    features, None when neither pseudo-GT nor distillation reads them; the
+    incremental model's targets, pseudo ground truth from those features
+    (when `cfg.use_pseudo_gt`) united with the new-class boxes; and the
+    residual model's targets, the new-class boxes alone."""
+    om, th = triple.om, cfg.thresholds
     om_features = None
     if cfg.use_pseudo_gt or cfg.d_fea or cfg.d_res or cfg.d_cls:
         # detached: callers keep the feature values, not the frozen graph
         om_features = forward_features(om, image).detach()
     pseudo = generate_pseudo_gt(om, om_features, gt_boxes, th) if cfg.use_pseudo_gt else []
-    return om_features, build_training_targets(pseudo, gt_boxes, gt_labels, th)
+    rpn_boxes, rcnn_boxes, rcnn_labels = build_training_targets(pseudo, gt_boxes, gt_labels, th)
+    im_targets = training_targets(triple.im, rpn_boxes, rcnn_boxes, rcnn_labels)
+    # the residual model numbers the new classes 1..num_new
+    rm_targets = training_targets(triple.rm, gt_boxes, gt_boxes, gt_labels - om.num_classes)
+    return om_features, im_targets, rm_targets
 
 
-def compute_losses(triple: TripleNetwork, image, gt_boxes: np.ndarray, gt_labels: np.ndarray,
-                   cfg: TrainConfig, rng: np.random.Generator, om_features: Tensor | None,
-                   targets: PseudoGTSet,
+def compute_losses(triple: TripleNetwork, image, cfg: TrainConfig, rng: np.random.Generator,
+                   om_features: Tensor | None, im_targets: Targets, rm_targets: Targets,
                    im_candidates: np.ndarray | None = None,
                    rm_candidates: np.ndarray | None = None) -> tuple[Tensor, LossBreakdown]:
-    """Total loss tensor and its per-term breakdown for one image with
-    new-class boxes `gt_boxes` (n,4) and their global class ids `gt_labels`.
+    """Total loss tensor and its per-term breakdown for one image.
 
-    `om_features` and `targets` are the scene's `scene_targets` under the
-    same `cfg`. Disabled terms contribute exactly zero. `im_candidates`/
-    `rm_candidates` pin the RoI candidate pools for gradient checking.
+    `om_features`, `im_targets` and `rm_targets` are the scene's
+    `scene_targets` under the same `cfg`. Disabled terms contribute exactly
+    zero. `im_candidates`/`rm_candidates` pin the RoI candidate pools for
+    gradient checking.
     """
     om, im, rm = triple.om, triple.im, triple.rm
     f_im = forward_features(im, image)
-    loss_im, internals = frcnn_loss(im, f_im, targets.rpn_boxes, targets.rcnn_boxes,
-                                    targets.rcnn_labels, rng, candidate_rois=im_candidates)
+    loss_im, internals = frcnn_loss(im, f_im, im_targets, rng, candidate_rois=im_candidates)
 
     f_rm = forward_features(rm, image)
-    # the residual model numbers the new classes 1..num_new
-    loss_rm, _ = frcnn_loss(rm, f_rm, gt_boxes, gt_boxes, gt_labels - om.num_classes, rng,
-                            candidate_rois=rm_candidates)
+    loss_rm, _ = frcnn_loss(rm, f_rm, rm_targets, rng, candidate_rois=rm_candidates)
 
     d_fea_t = d_res_t = d_cls_t = None
     if cfg.d_fea or cfg.d_res or cfg.d_cls:
@@ -302,9 +303,9 @@ def train_incremental(triple: TripleNetwork, scenes: list[Scene], cfg: TrainConf
     """Train the incremental and residual models on new-class scenes.
 
     `eval_fn(im_model) -> (map_old, map_new, map_all)` runs after each epoch
-    when provided. The incremental model's training targets and the
-    old-model features depend only on frozen state, so each scene's
-    `scene_targets` is computed once, before the first step.
+    when provided. Both models' training targets and the old-model features
+    depend only on frozen state, so each scene's `scene_targets` is computed
+    once, before the first step.
     """
     om = triple.om
     gts = [annotation_arrays(s.annotations) for s in scenes]
@@ -313,12 +314,11 @@ def train_incremental(triple: TripleNetwork, scenes: list[Scene], cfg: TrainConf
         if len(bad):
             raise ValueError(f"scene {i}: class {bad[0]} is not a new class "
                              f"({om.num_classes + 1}..{triple.im.num_classes})")
-    precomputed = [scene_targets(om, s.image, *gt, cfg) for s, gt in zip(scenes, gts)]
+    precomputed = [scene_targets(triple, s.image, *gt, cfg) for s, gt in zip(scenes, gts)]
     rng = np.random.default_rng(cfg.seed)
 
     def image_loss(idx):
-        return compute_losses(triple, scenes[idx].image, *gts[idx], cfg, rng,
-                              *precomputed[idx])
+        return compute_losses(triple, scenes[idx].image, cfg, rng, *precomputed[idx])
 
     optimizers = [SGDMomentum(triple.im.trainable()), SGDMomentum(triple.rm.trainable())]
     return _fit(image_loss, len(scenes), cfg, rng, optimizers,
@@ -328,15 +328,15 @@ def train_incremental(triple: TripleNetwork, scenes: list[Scene], cfg: TrainConf
 
 def train_base(model: DetectorModel, scenes: list[Scene], cfg: BaseTrainConfig
                ) -> list[EpochStats]:
-    """Train a single detector on fully annotated scenes; its epoch log
-    reports the detection loss as both loss_im and total."""
-    gts = [annotation_arrays(s.annotations) for s in scenes]
+    """Train a single detector on fully annotated scenes, each scene's
+    targets built once; its epoch log reports the detection loss as both
+    loss_im and total."""
+    targets = [training_targets(model, boxes, boxes, labels)
+               for boxes, labels in (annotation_arrays(s.annotations) for s in scenes)]
     rng = np.random.default_rng(cfg.seed)
 
     def image_loss(idx):
-        boxes, labels = gts[idx]
-        t, _ = frcnn_loss(model, forward_features(model, scenes[idx].image), boxes, boxes,
-                          labels, rng)
+        t, _ = frcnn_loss(model, forward_features(model, scenes[idx].image), targets[idx], rng)
         return t, LossBreakdown(t.item(), 0.0, 0.0, 0.0, 0.0, t.item())
 
     return _fit(image_loss, len(scenes), cfg, rng, [SGDMomentum(model.trainable())],

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import FD_STEP, Tensor, grad_check, topo_order
-from .detector import (DetectorConfig, DetectorModel, forward_features, frcnn_loss,
-                       new_model, roi_candidates, rpn_forward)
+from .detector import (DetectorConfig, DetectorModel, Targets, forward_features, frcnn_loss,
+                       new_model, roi_candidates, rpn_forward, training_targets)
 from .distill import (FeatureTriple, LogitTriple, PooledTriple, attention_pair_loss,
                       classification_distill_loss, feature_distill_loss,
                       residual_base_loss, residual_pool_loss)
@@ -120,11 +120,10 @@ def _model_param_arrays(model: DetectorModel) -> tuple[list[str], list[np.ndarra
     return names, [model.params[n].data.copy() for n in names]
 
 
-def _candidate_pool(model: DetectorModel, features: Tensor,
-                    rcnn_boxes: np.ndarray) -> np.ndarray:
+def _candidate_pool(model: DetectorModel, image: np.ndarray, targets: Targets) -> np.ndarray:
     """The RoI candidate pool `frcnn_loss` would sample from at the base point."""
-    obj, deltas = rpn_forward(model, features)
-    return roi_candidates(model.config, obj.data, deltas.data, rcnn_boxes)
+    obj, deltas = rpn_forward(model, forward_features(model, image))
+    return roi_candidates(model.config, obj.data, deltas.data, targets.rcnn_boxes)
 
 
 def _build_frcnn(rng: np.random.Generator):
@@ -136,11 +135,12 @@ def _build_frcnn(rng: np.random.Generator):
     sample_seed = int(rng.integers(0, 2 ** 31))
     # pin the RoI candidate pool at the base point: proposal selection is
     # piecewise constant in the parameters, so this is the a.e. gradient
-    candidates = _candidate_pool(model, forward_features(model, image), boxes)
+    targets = training_targets(model, boxes, boxes, labels)
+    candidates = _candidate_pool(model, image, targets)
 
     def f(*tensors):
         m = DetectorModel(MICRO_CONFIG, num_classes, dict(zip(names, tensors)))
-        return frcnn_loss(m, forward_features(m, image), boxes, boxes, labels,
+        return frcnn_loss(m, forward_features(m, image), targets,
                           np.random.default_rng(sample_seed), candidate_rois=candidates)[0]
 
     return f, arrays
@@ -162,13 +162,13 @@ def _build_total_loss(rng: np.random.Generator):
     image = micro_image(rng)
     gt_boxes, gt_labels = micro_targets(rng, triple.im.num_classes, n=1,
                                         lo=triple.om.num_classes + 1)
-    om_feat, targets = scene_targets(triple.om, image, gt_boxes, gt_labels, cfg)
+    om_feat, im_targets, rm_targets = scene_targets(triple, image, gt_boxes, gt_labels, cfg)
     im_names, im_arrays = _model_param_arrays(triple.im)
     rm_names, rm_arrays = _model_param_arrays(triple.rm)
     sample_seed = int(rng.integers(0, 2 ** 31))
     # pin both candidate pools at the base point (see _build_frcnn)
-    cand_im = _candidate_pool(triple.im, forward_features(triple.im, image), targets.rcnn_boxes)
-    cand_rm = _candidate_pool(triple.rm, forward_features(triple.rm, image), gt_boxes)
+    cand_im = _candidate_pool(triple.im, image, im_targets)
+    cand_rm = _candidate_pool(triple.rm, image, rm_targets)
 
     def f(*tensors):
         im_t = tensors[:len(im_names)]
@@ -178,8 +178,8 @@ def _build_total_loss(rng: np.random.Generator):
             im=DetectorModel(MICRO_CONFIG, triple.im.num_classes, dict(zip(im_names, im_t))),
             rm=DetectorModel(MICRO_CONFIG, triple.rm.num_classes, dict(zip(rm_names, rm_t))),
         )
-        total, _ = compute_losses(trip, image, gt_boxes, gt_labels, cfg,
-                                  np.random.default_rng(sample_seed), om_feat, targets,
+        total, _ = compute_losses(trip, image, cfg, np.random.default_rng(sample_seed),
+                                  om_feat, im_targets, rm_targets,
                                   im_candidates=cand_im, rm_candidates=cand_rm)
         return total
 

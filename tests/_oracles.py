@@ -1,17 +1,21 @@
 """Brute-force reference implementations shared by the test modules.
 
 These deliberately use plain loops and literal definitions, independent of
-the library code paths they check.
+the library code paths they check, or keep a rewritten function's old body
+as an exact-equality oracle. `scene_losses` is the one shared step helper.
 """
 
 import numpy as np
 
 from tripledet import autodiff as ad
+from tripledet.autodiff import Tensor
 from tripledet.boxes import (BBox, Detection, annotation_arrays, clip_boxes, decode_deltas_array,
-                             iou, iou_matrix, nms_per_class)
-from tripledet.detector import (DEGENERATE_EPS, RPN_NEG_IOU, RPN_POS_IOU, head_forward,
-                                propose, roi_pool, rpn_forward)
+                             encode_deltas_array, iou, iou_matrix, nms_per_class)
+from tripledet.detector import (DEGENERATE_EPS, RPN_NEG_IOU, RPN_POS_IOU, DetectorError,
+                                LossInternals, anchor_boxes, head_forward, match_anchors,
+                                propose, roi_candidates, roi_pool, rpn_forward, sample_rois)
 from tripledet.distill import GRAM_EPS
+from tripledet.trainer import compute_losses, scene_targets
 
 
 def random_boxes(rng, n, span=40.0):
@@ -168,6 +172,70 @@ def per_target_match_anchors(anchors, targets):
             pos[ious[:, t].argmax()] = True
     neg = (best <= RPN_NEG_IOU) & ~pos
     return pos, neg, ious.argmax(axis=1).astype(np.intp)
+
+
+def array_frcnn_loss(model, features, rpn_boxes, rcnn_boxes, rcnn_labels, rng,
+                     candidate_rois=None):
+    """`frcnn_loss` taking its targets as three box arrays and matching and
+    encoding the anchors on every call."""
+    bad = rcnn_labels[(rcnn_labels < 1) | (rcnn_labels > model.num_classes)]
+    if len(bad):
+        raise DetectorError(f"rcnn target class {bad[0]} outside 1..{model.num_classes}")
+    cfg = model.config
+
+    # RPN terms, laid out as (A, H, W) to match the head tensors
+    a = len(cfg.anchor_sides)
+    fs = cfg.feature_size
+    anchors = anchor_boxes(cfg)
+    pos, neg, match = match_anchors(anchors, rpn_boxes)
+    obj, deltas = rpn_forward(model, features)
+    obj_label = pos.astype(np.float64).reshape(a, fs, fs)
+    obj_mask = (pos | neg).astype(np.float64).reshape(a, fs, fs)
+    n_cls = obj_mask.sum()
+    bce = ad.softplus(obj) - obj * Tensor(obj_label)
+    rpn_cls = ad.tsum(bce * Tensor(obj_mask)) * Tensor(1.0 / max(n_cls, 1.0))
+
+    delta_targets = np.zeros((len(anchors), 4))
+    pidx = np.flatnonzero(pos)
+    delta_targets[pidx] = encode_deltas_array(anchors[pidx], rpn_boxes[match[pidx]])
+    delta_targets = delta_targets.reshape(a, fs, fs, 4).transpose(0, 3, 1, 2)
+    pos_mask = pos.reshape(a, 1, fs, fs).astype(np.float64)
+    pred = ad.reshape(deltas, (a, 4, fs, fs))
+    rpn_reg = ad.tsum(ad.smooth_l1(pred - Tensor(delta_targets)) * Tensor(pos_mask))
+    rpn_reg = rpn_reg * Tensor(1.0 / max(pos.sum(), 1))
+
+    # R-CNN terms on sampled RoIs
+    candidates = candidate_rois if candidate_rois is not None else \
+        roi_candidates(cfg, obj.data, deltas.data, rcnn_boxes)
+    rois, roi_labels, roi_match = sample_rois(candidates, rcnn_boxes, rcnn_labels, rng)
+
+    pooled = roi_pool(cfg, features, rois)
+    logits, pred_deltas = head_forward(model, pooled)
+    n = len(rois)
+    onehot = np.zeros((n, model.num_classes + 1))
+    onehot[np.arange(n), roi_labels] = 1.0
+    rcnn_cls = ad.tsum(ad.log_softmax(logits) * Tensor(onehot)) * Tensor(-1.0 / n)
+
+    dmask = np.zeros((n, model.num_classes, 1))
+    dtgt = np.zeros((n, model.num_classes, 4))
+    pos_rows = np.flatnonzero(roi_labels > 0)
+    pos_cls = roi_labels[pos_rows] - 1
+    dmask[pos_rows, pos_cls, 0] = 1.0
+    dtgt[pos_rows, pos_cls] = encode_deltas_array(rois[pos_rows], rcnn_boxes[roi_match[pos_rows]])
+    rcnn_reg = ad.tsum(ad.smooth_l1(pred_deltas - Tensor(dtgt)) * Tensor(dmask))
+    rcnn_reg = rcnn_reg * Tensor(1.0 / max(len(pos_rows), 1))
+
+    total = rpn_cls + rpn_reg + rcnn_cls + rcnn_reg
+    return total, LossInternals(rois=rois, pooled=pooled, cls_logits=logits)
+
+
+# -- training steps ------------------------------------------------------------------
+
+def scene_losses(triple, image, gt_boxes, gt_labels, cfg, rng):
+    """`compute_losses` on the scene's own `scene_targets`, as a step of
+    `train_incremental` runs it."""
+    return compute_losses(triple, image, cfg, rng,
+                          *scene_targets(triple, image, gt_boxes, gt_labels, cfg))
 
 
 def exhaustive_filter(dets, gt_boxes, theta_iou):

@@ -19,22 +19,22 @@ import pytest
 
 from _oracles import (brute_force_nms, classification_distill_loss_ref, exhaustive_filter,
                       feature_distill_loss_ref, nms_detections, prefix_integration_ap,
-                      random_ap_case, random_detections, residual_distill_loss_ref)
+                      random_ap_case, random_detections, residual_distill_loss_ref,
+                      scene_losses)
 from tripledet.autodiff import Tensor
 from tripledet.boxes import annotation_arrays, iou_matrix
 from tripledet.cli import RunConfig
 from tripledet.detector import (DetectorConfig, checkpoint_bytes, checkpoint_hash, detect,
                                 forward_features, frcnn_loss, new_model, propose,
-                                rpn_forward)
+                                rpn_forward, training_targets)
 from tripledet.distill import (FeatureTriple, LogitTriple, PooledTriple,
                                classification_distill_loss, feature_distill_loss,
                                residual_distill_loss)
 from tripledet.evaluate import evaluate_model, voc_ap
 from tripledet.pseudo_gt import Thresholds, generate_pseudo_gt
 from tripledet.synthdata import Scene, generate_dataset, generate_incremental_dataset, make_classes
-from tripledet.trainer import (BaseTrainConfig, TrainConfig, TripleNetwork, compute_losses,
-                               finetune_config, init_incremental, init_residual, scene_targets,
-                               train_base, train_incremental)
+from tripledet.trainer import (BaseTrainConfig, TrainConfig, TripleNetwork, finetune_config,
+                               init_incremental, init_residual, train_base, train_incremental)
 from tripledet.verification import GRAD_TOL, run_gradient_suite
 
 OLD_IDS = [1, 2, 3]
@@ -54,13 +54,6 @@ def inc_config(seed, **kw):
     defaults = dict(seed=seed, thresholds=Thresholds(0.1, 0.9, 0.3))
     defaults.update(kw)
     return TrainConfig(**defaults)
-
-
-def scene_losses(triple, image, gt_boxes, gt_labels, cfg, rng):
-    """`compute_losses` on the scene's own `scene_targets`, as a step of
-    `train_incremental` runs it."""
-    return compute_losses(triple, image, gt_boxes, gt_labels, cfg, rng,
-                          *scene_targets(triple.om, image, gt_boxes, gt_labels, cfg))
 
 
 @pytest.fixture(scope="module")
@@ -268,10 +261,11 @@ def test_criterion_7_switch_algebra(world):
     boxes, labels = annotation_arrays(scene.annotations)
     _, bd = scene_losses(triple, scene.image, boxes, labels, cfg_off, np.random.default_rng(77))
     rng = np.random.default_rng(77)
-    li = frcnn_loss(triple.im, forward_features(triple.im, scene.image), boxes, boxes, labels,
+    li = frcnn_loss(triple.im, forward_features(triple.im, scene.image),
+                    training_targets(triple.im, boxes, boxes, labels), rng)[0].item()
+    lr = frcnn_loss(triple.rm, forward_features(triple.rm, scene.image),
+                    training_targets(triple.rm, boxes, boxes, labels - om.num_classes),
                     rng)[0].item()
-    lr = frcnn_loss(triple.rm, forward_features(triple.rm, scene.image), boxes, boxes,
-                    labels - om.num_classes, rng)[0].item()
     algebra_ok = (abs(bd.loss_im - li) < 1e-12 and abs(bd.loss_rm - lr) < 1e-12
                   and bd.feature_distill == bd.residual_distill == bd.cls_distill == 0.0
                   and abs(bd.total - (li + lr)) < 1e-12)
@@ -324,7 +318,8 @@ def test_self_targets_give_small_loss(world):
     dets = detect(world.om, features, 0.5, 0.3)
     assert dets, "trained model detects nothing at its inference settings"
     boxes, labels = annotation_arrays([(d.bbox, d.class_id) for d in dets])
-    loss, _ = frcnn_loss(world.om, features, boxes, boxes, labels, np.random.default_rng(5))
+    loss, _ = frcnn_loss(world.om, features, training_targets(world.om, boxes, boxes, labels),
+                         np.random.default_rng(5))
     assert loss.item() < 1.0, f"loss on own detections {loss.item():.3f}"
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tripledet.detector as det
-from _oracles import per_class_detect, per_target_match_anchors
+from _oracles import array_frcnn_loss, per_class_detect, per_target_match_anchors
 from tripledet import autodiff as ad
 from tripledet.autodiff import Tensor
 from tripledet.boxes import BBox, annotation_arrays, iou_matrix, nms_indices
@@ -17,7 +17,7 @@ from tripledet.detector import (DetectorConfig, DetectorError, DetectorModel, an
                                 checkpoint_bytes, checkpoint_hash, detect, forward_features,
                                 frcnn_loss, head_forward, load_checkpoint, match_anchors,
                                 new_model, propose, roi_pool, rpn_forward, sample_rois,
-                                save_checkpoint)
+                                save_checkpoint, training_targets)
 from tripledet.verification import MICRO_CONFIG, micro_image, micro_targets
 
 
@@ -192,7 +192,8 @@ def test_frcnn_loss_proposes_from_its_own_rpn_outputs(model, features, monkeypat
     calls = count_calls(monkeypatch, det, "rpn_forward")
     backbone_calls = count_calls(monkeypatch, det, "forward_features")
     boxes, labels = annotation_arrays([(BBox(10, 10, 26, 28), 1)])
-    frcnn_loss(model, features, boxes, boxes, labels, np.random.default_rng(0))
+    frcnn_loss(model, features, training_targets(model, boxes, boxes, labels),
+               np.random.default_rng(0))
     assert calls == [model] and backbone_calls == []
 
 
@@ -296,6 +297,15 @@ def test_match_anchors_disjoint_and_cover_targets():
     assert best[0] == best[1]
 
 
+def test_anchor_boxes_computed_once_per_config_and_read_only():
+    cfg = DetectorConfig()
+    anchors = anchor_boxes(cfg)
+    assert anchor_boxes(DetectorConfig()) is anchors
+    assert anchor_boxes(MICRO_CONFIG) is not anchors
+    with pytest.raises(ValueError, match="read-only"):
+        anchors[0, 0] = 1.0
+
+
 def test_match_anchors_no_targets_all_negative():
     cfg = DetectorConfig()
     anchors = anchor_boxes(cfg)
@@ -322,37 +332,112 @@ def test_sample_rois_cap_and_reproducibility():
 
 def test_loss_nonnegative_and_finite(model, features):
     boxes, labels = annotation_arrays([(BBox(10, 10, 26, 26), 1), (BBox(40, 40, 58, 60), 2)])
-    loss, _ = frcnn_loss(model, features, boxes, boxes, labels, np.random.default_rng(0))
+    loss, _ = frcnn_loss(model, features, training_targets(model, boxes, boxes, labels),
+                         np.random.default_rng(0))
     assert np.isfinite(loss.item()) and loss.item() >= 0.0
 
 
 def test_loss_no_targets_negative_only_defined(model, features):
     none = np.zeros((0, 4))
-    loss, _ = frcnn_loss(model, features, none, none, np.zeros(0, dtype=np.intp),
-                         np.random.default_rng(0))
+    targets = training_targets(model, none, none, np.zeros(0, dtype=np.intp))
+    loss, _ = frcnn_loss(model, features, targets, np.random.default_rng(0))
     assert np.isfinite(loss.item()) and loss.item() >= 0.0
 
 
 def test_loss_reproducible_under_seed(model, image):
     boxes, labels = annotation_arrays([(BBox(5, 5, 20, 22), 3)])
-    a, _ = frcnn_loss(model, forward_features(model, image), boxes, boxes, labels,
-                      np.random.default_rng(11))
-    b, _ = frcnn_loss(model, forward_features(model, image), boxes, boxes, labels,
-                      np.random.default_rng(11))
+    targets = training_targets(model, boxes, boxes, labels)
+    a, _ = frcnn_loss(model, forward_features(model, image), targets, np.random.default_rng(11))
+    b, _ = frcnn_loss(model, forward_features(model, image), targets, np.random.default_rng(11))
     assert a.item() == b.item()
 
 
-def test_loss_rejects_out_of_range_class(model, features):
+def test_loss_rejects_out_of_range_class(model):
     with pytest.raises(DetectorError):
-        frcnn_loss(model, features, np.zeros((0, 4)), *annotation_arrays([(BBox(5, 5, 20, 22), 9)]),
-                   np.random.default_rng(0))
+        training_targets(model, np.zeros((0, 4)), *annotation_arrays([(BBox(5, 5, 20, 22), 9)]))
 
 
 @pytest.mark.parametrize("label", [0, -2])
-def test_loss_rejects_background_and_negative_class(model, features, label):
+def test_loss_rejects_background_and_negative_class(model, label):
     boxes = np.array([[5.0, 5.0, 20.0, 22.0]])
     with pytest.raises(DetectorError, match=f"class {label} outside"):
-        frcnn_loss(model, features, boxes, boxes, np.array([label]), np.random.default_rng(0))
+        training_targets(model, boxes, boxes, np.array([label]))
+
+
+def random_targets(rng, config, num_classes, n):
+    """`n` random boxes of 1/8 to 1/2 the image side, with class ids."""
+    size = config.image_size
+    wh = rng.uniform(size / 8, size / 2, (n, 2))
+    xy = rng.uniform(0.0, 1.0, (n, 2)) * (size - wh)
+    return np.hstack([xy, xy + wh]), rng.integers(1, num_classes + 1, n)
+
+
+def loss_bytes(model, image, loss_fn):
+    """The loss value, sampled RoIs and every parameter gradient as bytes."""
+    m = model.clone()
+    loss, internals = loss_fn(m, forward_features(m, image))
+    loss.backward()
+    return [loss.data.tobytes(), internals.rois.tobytes(),
+            *(m.params[k].grad.tobytes() for k in sorted(m.params))]
+
+
+LOSS_CASES = ("no_boxes", "one_box", "several_boxes", "rpn_differs", "pinned_candidates")
+
+
+@pytest.mark.parametrize("config", [DetectorConfig(), MICRO_CONFIG], ids=["default", "micro"])
+@pytest.mark.parametrize("case", LOSS_CASES)
+def test_frcnn_loss_matches_array_oracle_bytes(config, case):
+    """Targets built once give the loss and gradients of the old per-call
+    anchor matching, byte for byte."""
+    rng = np.random.default_rng([31, LOSS_CASES.index(case)])
+    num_classes = 3
+    model = new_model(config, num_classes, seed=int(rng.integers(0, 2 ** 31)))
+    for p in model.params.values():
+        p.data += rng.normal(0.0, 0.02, p.shape)
+    image = rng.uniform(0.0, 1.0, (3, config.image_size, config.image_size))
+    n = {"no_boxes": 0, "one_box": 1}.get(case, 5)
+    rpn_boxes, labels = random_targets(rng, config, num_classes, n)
+    rcnn_boxes, rcnn_labels = rpn_boxes, labels
+    candidates = None
+    if case == "rpn_differs":
+        extra, extra_labels = random_targets(rng, config, num_classes, 2)
+        rcnn_boxes = np.concatenate([rpn_boxes[1:3], extra])
+        rcnn_labels = np.concatenate([labels[1:3], extra_labels])
+    elif case == "pinned_candidates":
+        candidates = random_targets(rng, config, num_classes, 24)[0]
+    seed = int(rng.integers(0, 2 ** 31))
+    targets = training_targets(model, rpn_boxes, rcnn_boxes, rcnn_labels)
+    got = loss_bytes(model, image, lambda m, f: frcnn_loss(
+        m, f, targets, np.random.default_rng(seed), candidate_rois=candidates))
+    want = loss_bytes(model, image, lambda m, f: array_frcnn_loss(
+        m, f, rpn_boxes, rcnn_boxes, rcnn_labels, np.random.default_rng(seed),
+        candidate_rois=candidates))
+    assert got == want
+
+
+def test_training_targets_compact_layout(model):
+    boxes, labels = annotation_arrays([(BBox(10, 10, 26, 26), 1), (BBox(40, 40, 58, 60), 2)])
+    t = training_targets(model, boxes, boxes, labels)
+    cfg = model.config
+    shape = (len(cfg.anchor_sides), cfg.feature_size, cfg.feature_size)
+    assert t.rpn_pos.shape == t.rpn_neg.shape == shape
+    assert t.rpn_pos.dtype == t.rpn_neg.dtype == bool
+    assert not (t.rpn_pos & t.rpn_neg).any()
+    assert t.rpn_deltas.shape == (int(t.rpn_pos.sum()), 4) and len(t.rpn_deltas) > 0
+
+
+def test_frcnn_loss_calls_neither_match_anchors_nor_anchor_boxes(model, features, monkeypatch):
+    """The anchors are matched once, by `training_targets`; the loss reads
+    the record, and only its proposals read the (cached) anchors."""
+    boxes, labels = annotation_arrays([(BBox(10, 10, 26, 28), 1)])
+    targets = training_targets(model, boxes, boxes, labels)
+    matched = count_calls(monkeypatch, det, "match_anchors")
+    anchored = count_calls(monkeypatch, det, "anchor_boxes")
+    proposed = count_calls(monkeypatch, det, "propose")
+    frcnn_loss(model, features, targets, np.random.default_rng(0), candidate_rois=boxes)
+    assert len(matched) == len(anchored) == len(proposed) == 0
+    frcnn_loss(model, features, targets, np.random.default_rng(0))
+    assert len(matched) == 0 and len(anchored) == len(proposed) == 1
 
 
 def test_loss_gradcheck_micro_one_image():
@@ -360,12 +445,12 @@ def test_loss_gradcheck_micro_one_image():
     m = new_model(MICRO_CONFIG, 2, seed=13)
     image = micro_image(rng)
     boxes, labels = micro_targets(rng, 2)
+    targets = training_targets(m, boxes, boxes, labels)
     names = sorted(m.params)
 
     def f(*tensors):
         mm = DetectorModel(MICRO_CONFIG, 2, dict(zip(names, tensors)))
-        loss, _ = frcnn_loss(mm, forward_features(mm, image), boxes, boxes, labels,
-                             np.random.default_rng(99))
+        loss, _ = frcnn_loss(mm, forward_features(mm, image), targets, np.random.default_rng(99))
         return loss
 
     err = ad.grad_check(f, [m.params[n].data for n in names])

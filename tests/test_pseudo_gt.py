@@ -92,18 +92,18 @@ def rows(boxes, labels=None):
 def test_split_mid_score_box_rpn_only():
     th = Thresholds(0.1, 0.9, 0.3)
     d = Detection(BBox(0, 0, 10, 10), 2, 0.5)
-    out = build_training_targets([d], NO_BOXES, NO_LABELS, th)
-    assert rows(out.rpn_boxes) == [(0, 0, 10, 10)]
-    assert out.rcnn_boxes.shape == (0, 4) and out.rcnn_labels.shape == (0,)
+    rpn_boxes, rcnn_boxes, rcnn_labels = build_training_targets([d], NO_BOXES, NO_LABELS, th)
+    assert rows(rpn_boxes) == [(0, 0, 10, 10)]
+    assert rcnn_boxes.shape == (0, 4) and rcnn_labels.shape == (0,)
 
 
 def test_split_collapses_when_thresholds_equal():
     th = Thresholds(0.5, 0.5, 0.3)
     rng = np.random.default_rng(51)
     dets = random_detections(rng, 10)
-    out = build_training_targets(dets, NO_BOXES, NO_LABELS, th)
+    rpn_boxes, rcnn_boxes, _ = build_training_targets(dets, NO_BOXES, NO_LABELS, th)
     # single-threshold baseline: both pseudo subsets are identical
-    assert np.array_equal(out.rpn_boxes, out.rcnn_boxes)
+    assert np.array_equal(rpn_boxes, rcnn_boxes)
 
 
 def test_split_matches_filter_oracle():
@@ -111,10 +111,11 @@ def test_split_matches_filter_oracle():
     rng = np.random.default_rng(52)
     dets = random_detections(rng, 20)
     gt_box = BBox(50, 50, 60, 60)
-    out = build_training_targets(dets, *annotation_arrays([(gt_box, 4)]), th)
-    assert rows(out.rpn_boxes) == [tuple(d.bbox.as_array()) for d in dets if d.score > 0.2] \
+    rpn_boxes, rcnn_boxes, rcnn_labels = build_training_targets(
+        dets, *annotation_arrays([(gt_box, 4)]), th)
+    assert rows(rpn_boxes) == [tuple(d.bbox.as_array()) for d in dets if d.score > 0.2] \
         + [(50, 50, 60, 60)]
-    assert rows(out.rcnn_boxes, out.rcnn_labels) == \
+    assert rows(rcnn_boxes, rcnn_labels) == \
         [(tuple(d.bbox.as_array()), d.class_id) for d in dets if d.score > 0.7] \
         + [((50, 50, 60, 60), 4)]
 
@@ -123,8 +124,8 @@ def test_pseudo_subset_nesting_invariant():
     rng = np.random.default_rng(53)
     th = Thresholds(0.15, 0.85, 0.3)
     dets = random_detections(rng, 25)
-    out = build_training_targets(dets, NO_BOXES, NO_LABELS, th)
-    assert set(rows(out.rcnn_boxes)) <= set(rows(out.rpn_boxes))
+    rpn_boxes, rcnn_boxes, _ = build_training_targets(dets, NO_BOXES, NO_LABELS, th)
+    assert set(rows(rcnn_boxes)) <= set(rows(rpn_boxes))
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.floats(0.05, 0.45), st.floats(0.5, 0.95))
@@ -136,13 +137,13 @@ def test_threshold_monotonicity(seed, low, high):
     tighter = build_training_targets(dets, NO_BOXES, NO_LABELS,
                                      Thresholds(low, min(high + 0.04, 0.99), 0.3))
     # raising theta_high never adds an rcnn target
-    assert set(rows(tighter.rcnn_boxes, tighter.rcnn_labels)) <= \
-        set(rows(base.rcnn_boxes, base.rcnn_labels))
-    assert np.array_equal(base.rpn_boxes, tighter.rpn_boxes)
+    assert set(rows(*tighter[1:])) <= set(rows(*base[1:]))
+    assert np.array_equal(base[0], tighter[0])
 
 
 def test_two_threshold_class_ids_preserved():
     th = Thresholds(0.1, 0.5, 0.3)
     dets = [Detection(BBox(0, 0, 10, 10), 3, 0.9)]
-    out = build_training_targets(dets, *annotation_arrays([(BBox(20, 20, 30, 30), 4)]), th)
-    assert ((0, 0, 10, 10), 3) in rows(out.rcnn_boxes, out.rcnn_labels)
+    _, rcnn_boxes, rcnn_labels = build_training_targets(
+        dets, *annotation_arrays([(BBox(20, 20, 30, 30), 4)]), th)
+    assert ((0, 0, 10, 10), 3) in rows(rcnn_boxes, rcnn_labels)

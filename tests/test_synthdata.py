@@ -1,10 +1,11 @@
 """Scene generation determinism, invariants, and dataset round-trips."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripledet.boxes import iou
@@ -217,6 +218,68 @@ def test_manifest_rejects_non_integer_or_nonpositive_size(tmp_path, key, value):
     with pytest.raises(DatasetError, match=rf"entry 1 in .*manifest\.json: {key} must be an "
                                            rf"integer >= 1, got {value!r}"):
         load_dataset(tmp_path / "ds")
+
+
+@pytest.fixture(scope="module")
+def saved_manifest(tmp_path_factory):
+    """A saved 2-scene dataset and its manifest, for edits of the manifest alone."""
+    directory = tmp_path_factory.mktemp("manifest_edits")
+    save_dataset(generate_dataset(make_classes(2), 2, seed=18), directory)
+    return directory, json.loads((directory / "manifest.json").read_text())
+
+
+def load_edited(directory, manifest_text):
+    """load_dataset on `manifest_text`: the scenes, or None on a DatasetError."""
+    (directory / "manifest.json").write_text(manifest_text)
+    try:
+        return load_dataset(directory)
+    except DatasetError:
+        return None
+
+
+# what one manifest field may be edited to: every JSON type, numbers past
+# float range, nested lists and objects, and file names that name no PPM
+HUGE_NUMBERS = st.sampled_from([10 ** 400, -10 ** 400, 2 ** 64, 1e308, -1e308])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | HUGE_NUMBERS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
+FILE_NAMES = st.sampled_from(["", ".", "..", "missing.ppm", "manifest.json", "a\x00b.ppm",
+                              "x" * 300, "scene_00000.ppm/", "sub/scene.ppm", "scene_00001.ppm"])
+ENTRY_FIELDS = ("file", "width", "height", "objects")
+OBJECT_FIELDS = ("x1", "y1", "x2", "y2", "class_id")
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry=st.integers(0, 1), field=st.sampled_from(ENTRY_FIELDS + OBJECT_FIELDS),
+       delete=st.booleans(), value=HUGE_NUMBERS | JSON_VALUES | FILE_NAMES)
+@example(entry=0, field="x2", delete=False, value=10 ** 400)
+def test_manifest_field_edits_load_or_are_dataset_errors(saved_manifest, entry, field,
+                                                         delete, value):
+    """Any edit of one field of one entry (or of its first object) loads or
+    raises DatasetError, never another exception."""
+    directory, original = saved_manifest
+    manifest = copy.deepcopy(original)
+    target = manifest[entry] if field in ENTRY_FIELDS else manifest[entry]["objects"][0]
+    if delete:
+        del target[field]
+    else:
+        target[field] = value
+    load_edited(directory, json.dumps(manifest))
+
+
+@pytest.mark.parametrize("raw", ["1" * 5000, "[" * 100_000 + "]" * 100_000],
+                         ids=["5000_digits", "100000_deep"])
+@pytest.mark.parametrize("field", ["width", "x1"])
+def test_manifest_field_json_cannot_parse_is_dataset_error(saved_manifest, raw, field):
+    """Values json.load itself refuses: an integer past Python's digit limit
+    and nesting past the recursion limit."""
+    directory, original = saved_manifest
+    manifest = copy.deepcopy(original)
+    target = manifest[1] if field == "width" else manifest[1]["objects"][0]
+    target[field] = "@RAW@"
+    assert load_edited(directory, json.dumps(manifest).replace('"@RAW@"', raw)) is None
 
 
 # one header separator: whitespace and '#' comments, at least one piece

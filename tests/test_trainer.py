@@ -13,13 +13,14 @@ import pytest
 
 import tripledet
 import tripledet.detector as det
+from _oracles import scene_losses
 import tripledet.trainer as trainer
 from tripledet.autodiff import Tensor
 from tripledet.boxes import BBox, annotation_arrays
 from tripledet.cli import RunConfig, UsageError
 from tripledet.detector import (DetectorConfig, checkpoint_bytes, checkpoint_hash, detect,
                                 forward_features, frcnn_loss, load_checkpoint, new_model,
-                                save_checkpoint)
+                                save_checkpoint, training_targets)
 from tripledet.pseudo_gt import Thresholds
 from tripledet.synthdata import (Scene, generate_dataset, generate_incremental_dataset,
                                  make_classes)
@@ -60,13 +61,6 @@ def small_cfg(**kw):
     defaults = dict(epochs=2, lr=1e-4, seed=5, thresholds=Thresholds(0.1, 0.9, 0.3))
     defaults.update(kw)
     return TrainConfig(**defaults)
-
-
-def scene_losses(triple, image, gt_boxes, gt_labels, cfg, rng):
-    """`compute_losses` on the scene's own `scene_targets`, as a step of
-    `train_incremental` runs it."""
-    return compute_losses(triple, image, gt_boxes, gt_labels, cfg, rng,
-                          *scene_targets(triple.om, image, gt_boxes, gt_labels, cfg))
 
 
 # -- initialization -----------------------------------------------------------------
@@ -152,9 +146,9 @@ def test_rm_local_targets_mapping(om, image, monkeypatch):
     seen = []
     real = trainer.frcnn_loss
 
-    def recorded(model, features, rpn_boxes, rcnn_boxes, rcnn_labels, *args, **kwargs):
-        seen.append((model, rcnn_boxes, rcnn_labels))
-        return real(model, features, rpn_boxes, rcnn_boxes, rcnn_labels, *args, **kwargs)
+    def recorded(model, features, targets, *args, **kwargs):
+        seen.append((model, targets.rcnn_boxes, targets.rcnn_labels))
+        return real(model, features, targets, *args, **kwargs)
 
     monkeypatch.setattr(trainer, "frcnn_loss", recorded)
     boxes, labels = annotation_arrays([(BBox(0, 0, 5, 5), 4), (BBox(1, 1, 6, 6), 5)])
@@ -217,9 +211,10 @@ def test_all_switches_off_equals_plain_finetune_term_by_term(om, image):
     _, bd = scene_losses(triple, image, boxes, labels, cfg, np.random.default_rng(9))
 
     rng = np.random.default_rng(9)
-    li, _ = frcnn_loss(triple.im, forward_features(triple.im, image), boxes, boxes, labels, rng)
-    lr_, _ = frcnn_loss(triple.rm, forward_features(triple.rm, image), boxes, boxes,
-                        labels - om.num_classes, rng)
+    li, _ = frcnn_loss(triple.im, forward_features(triple.im, image),
+                       training_targets(triple.im, boxes, boxes, labels), rng)
+    lr_, _ = frcnn_loss(triple.rm, forward_features(triple.rm, image),
+                        training_targets(triple.rm, boxes, boxes, labels - om.num_classes), rng)
     assert abs(bd.loss_im - li.item()) < 1e-12
     assert abs(bd.loss_rm - lr_.item()) < 1e-12
     assert bd.feature_distill == bd.residual_distill == bd.cls_distill == 0.0
@@ -286,11 +281,11 @@ def test_compute_losses_runs_each_network_once(om, image, monkeypatch):
     for cfg, om_once in ((small_cfg(), {id(triple.om): 1}), (finetune_config(small_cfg()), {})):
         # the old model runs in the scene's precompute only, and not at all
         # when neither pseudo-GT nor distillation reads it
-        precomputed = scene_targets(triple.om, image, *gt, cfg)
+        precomputed = scene_targets(triple, image, *gt, cfg)
         assert rpn == om_once and backbone == om_once
         rpn.clear()
         backbone.clear()
-        compute_losses(triple, image, *gt, cfg, np.random.default_rng(0), *precomputed)
+        compute_losses(triple, image, cfg, np.random.default_rng(0), *precomputed)
         once = {id(triple.im): 1, id(triple.rm): 1}
         assert rpn == once and backbone == once
         rpn.clear()
@@ -314,6 +309,26 @@ def test_train_incremental_old_model_backbone_once_per_scene(om, inc_scenes, mon
     assert rpn[id(triple.om)] == (len(scenes) if cfg.use_pseudo_gt else 0)
     for m in (triple.im, triple.rm):
         assert backbone[id(m)] == rpn[id(m)] == steps
+
+
+def test_anchors_matched_once_per_scene_per_model(om, base_scenes, inc_scenes, monkeypatch):
+    """Targets are built before the first step: over two epochs, anchor
+    matching runs once per scene for the base model, and once per scene for
+    each of the incremental and residual models."""
+    calls = []
+    real = det.match_anchors
+
+    def counted(anchors, targets):
+        calls.append(len(targets))
+        return real(anchors, targets)
+
+    monkeypatch.setattr(det, "match_anchors", counted)
+    train_base(new_model(DetectorConfig(), 3, seed=1), base_scenes[:3],
+               BaseTrainConfig(epochs=2, seed=1))
+    assert len(calls) == 3
+    calls.clear()
+    train_incremental(init_triple(om, 1, 1), inc_scenes[:3], small_cfg(epochs=2))
+    assert len(calls) == 2 * 3
 
 
 # -- training loops ---------------------------------------------------------------------

@@ -5,7 +5,7 @@ Record mode runs a small fixed pipeline with one BLAS thread and writes every
 output, plus `record.json` mapping each output's path to its SHA-256, into
 one directory:
 
-    python3 tools/record.py OUT [--tree ROOT]
+    python3 tools/record.py OUT
 
 - CLI (one process per command): gen-data, train-base, incremental with the
   two-threshold split on and off, finetune, eval, ablate (its CSV is recorded
@@ -14,16 +14,19 @@ one directory:
   `frcnn_loss` and every parameter gradient on a few scenes, and a
   2-instance `run_gradient_suite`.
 
-`--tree ROOT` records another checkout (its `src/` and its stored old model)
-with this tool, so two trees are compared on one host:
+Each checkout records itself with its own copy of this tool (the library
+half calls that checkout's API), and two records made on one host are then
+compared:
 
-    python3 tools/record.py --compare A B
+    python3 A/tools/record.py OUT_A
+    python3 B/tools/record.py OUT_B
+    python3 tools/record.py --compare OUT_A OUT_B
 
 lists the entries that differ or exist in one record only and, for each
 differing checkpoint, the largest per-parameter relative difference
 max|a - b| / max|a|. Exit 0 when the records agree, 1 when they differ.
 
-    python3 tools/record.py --old-model [--tree ROOT]
+    python3 tools/record.py --old-model
 
 reruns `perfbench/make_old_model.py` (10,000 base-training steps, about two
 minutes) on a scratch copy, so the stored checkpoint is not touched, and
@@ -70,9 +73,9 @@ SCORE_FLOORS = (0.05, 0.3, 0.7)
 LIBRARY_SCENES = 8
 
 
-def _env(tree: Path) -> dict[str, str]:
+def _env() -> dict[str, str]:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"),
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
     return env
 
@@ -114,18 +117,19 @@ def run_cli(out: Path, env: dict[str, str]) -> None:
         csv.writer(f).writerows(rows)
 
 
-def library_calls(out: Path, tree: Path) -> None:
-    """The library half of the pipeline; runs with `tree`'s tripledet importable."""
+def library_calls(out: Path) -> None:
+    """The library half of the pipeline; runs with this checkout's tripledet importable."""
     import numpy as np
 
     from tripledet.boxes import annotation_arrays
-    from tripledet.detector import detect, forward_features, frcnn_loss, load_checkpoint
+    from tripledet.detector import (detect, forward_features, frcnn_loss, load_checkpoint,
+                                    training_targets)
     from tripledet.evaluate import EVAL_NMS_THRESH
     from tripledet.synthdata import generate_dataset, make_classes
     from tripledet.verification import run_gradient_suite
 
     out.mkdir(parents=True)
-    model = load_checkpoint(tree / "perfbench" / "old_model.ckpt")
+    model = load_checkpoint(ROOT / "perfbench" / "old_model.ckpt")
     scenes = generate_dataset(make_classes(model.num_classes), LIBRARY_SCENES, seed=11)
     for floor in SCORE_FLOORS:
         frozen = model.clone(requires_grad=False)
@@ -135,8 +139,9 @@ def library_calls(out: Path, tree: Path) -> None:
         np.save(out / f"detect_{floor}.npy", np.array(rows, dtype=np.float64).reshape(-1, 7))
     for i, scene in enumerate(scenes):
         boxes, labels = annotation_arrays(scene.annotations)
-        loss, _ = frcnn_loss(model, forward_features(model, scene.image), boxes, boxes,
-                             labels, np.random.default_rng(i))
+        loss, _ = frcnn_loss(model, forward_features(model, scene.image),
+                             training_targets(model, boxes, boxes, labels),
+                             np.random.default_rng(i))
         loss.backward()
         grads = [model.params[k].grad.reshape(-1) for k in sorted(model.params)]
         np.save(out / f"frcnn_loss_{i}.npy", np.concatenate([loss.data.reshape(1), *grads]))
@@ -144,15 +149,15 @@ def library_calls(out: Path, tree: Path) -> None:
     (out / "gradient_suite.json").write_text(json.dumps(suite, indent=1))
 
 
-def record(out: Path, tree: Path) -> dict[str, str]:
+def record(out: Path) -> dict[str, str]:
     if out.exists() and any(out.iterdir()):
         raise SystemExit(f"record: {out} is not empty")
     out.mkdir(parents=True, exist_ok=True)
-    env = _env(tree)
+    env = _env()
     run_cli(out, env)
-    # a fresh process imports tripledet from the tree's src/
-    _run([sys.executable, str(Path(__file__).resolve()), "--library-calls", str(out / "lib"),
-          "--tree", str(tree)], env)
+    # a fresh process imports tripledet from this checkout's src/
+    _run([sys.executable, str(Path(__file__).resolve()), "--library-calls", str(out / "lib")],
+         env)
     entries = {p.relative_to(out).as_posix(): _sha256(p)
                for p in sorted(out.rglob("*")) if p.is_file()}
     (out / "record.json").write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
@@ -197,16 +202,16 @@ def compare(a: Path, b: Path) -> list[str]:
     return lines
 
 
-def old_model(tree: Path) -> tuple[str, str]:
-    """(hash make_old_model.py prints, OLD_MODEL_SHA256) for `tree`."""
+def old_model() -> tuple[str, str]:
+    """(hash make_old_model.py prints, OLD_MODEL_SHA256) for this checkout."""
     expected = re.search(r'OLD_MODEL_SHA256 = "([0-9a-f]{64})"',
-                         (tree / "perfbench" / "workloads.py").read_text()).group(1)
+                         (ROOT / "perfbench" / "workloads.py").read_text()).group(1)
     with tempfile.TemporaryDirectory() as tmp:
         bench = Path(tmp) / "perfbench"
         bench.mkdir()
-        shutil.copy(tree / "perfbench" / "make_old_model.py", bench)
-        os.symlink(tree / "src", Path(tmp) / "src")
-        printed = _run([sys.executable, str(bench / "make_old_model.py")], _env(tree))
+        shutil.copy(ROOT / "perfbench" / "make_old_model.py", bench)
+        os.symlink(ROOT / "src", Path(tmp) / "src")
+        printed = _run([sys.executable, str(bench / "make_old_model.py")], _env())
     return printed.strip().splitlines()[-1], expected
 
 
@@ -214,8 +219,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("out", nargs="?", type=Path, help="record the pipeline into this directory")
-    parser.add_argument("--tree", type=Path, default=ROOT,
-                        help="checkout whose src/ and stored old model to use (default: this one)")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
     parser.add_argument("--old-model", action="store_true")
     parser.add_argument("--library-calls", type=Path, metavar="DIR", help=argparse.SUPPRESS)
@@ -224,9 +227,8 @@ def main(argv=None) -> int:
              args.library_calls is not None]
     if sum(modes) != 1:
         parser.error("give exactly one of OUT, --compare A B, --old-model")
-    tree = args.tree.resolve()
     if args.library_calls is not None:
-        library_calls(args.library_calls, tree)
+        library_calls(args.library_calls)
         return 0
     if args.compare is not None:
         sys.path.insert(0, str(ROOT / "src"))    # to read differing checkpoints
@@ -239,11 +241,11 @@ def main(argv=None) -> int:
         return 1 if lines else 0
     try:
         if args.old_model:
-            printed, expected = old_model(tree)
+            printed, expected = old_model()
             print(f"make_old_model.py printed {printed}\nOLD_MODEL_SHA256        {expected}")
             print("match" if printed == expected else "MISMATCH")
             return 0 if printed == expected else 1
-        entries = record(args.out, tree)
+        entries = record(args.out)
     except RuntimeError as e:       # a pipeline step failed; its stderr is above
         print(f"record: {e}", file=sys.stderr)
         return 2
