@@ -42,7 +42,8 @@ class UsageError(ValueError):
     pass
 
 
-# single-threshold mode splits the pseudo-GT here for both target sets
+# the ablation grid's single-threshold rows split the pseudo-GT here for both
+# target sets (theta_low == theta_high)
 SINGLE_THRESHOLD = 0.5
 
 
@@ -57,22 +58,21 @@ class RunConfig:
     n_incremental: int = 100
     n_test: int = 100
     data_seed: int = 1234
-    seed: int = 0
+    seed: int = TrainConfig.seed
     seeds: list[int] = field(default_factory=lambda: [1, 2, 3])
-    lam: float = 1.0
-    base_epochs: int = 50
-    base_lr: float = 2e-3
-    epochs: int = 10
-    lr: float = 5e-4
-    batch_size: int = 2
-    theta_low: float = 0.1
-    theta_high: float = 0.9
-    theta_iou: float = 0.3
-    d_fea: bool = True
-    d_res: bool = True
-    d_cls: bool = True
-    two_threshold: bool = True
-    use_pseudo_gt: bool = True
+    lam: float = TrainConfig.lam
+    base_epochs: int = BaseTrainConfig.epochs
+    base_lr: float = BaseTrainConfig.lr
+    epochs: int = TrainConfig.epochs
+    lr: float = TrainConfig.lr
+    batch_size: int = TrainConfig.batch_size
+    theta_low: float = Thresholds.theta_low
+    theta_high: float = Thresholds.theta_high
+    theta_iou: float = Thresholds.theta_iou
+    d_fea: bool = TrainConfig.d_fea
+    d_res: bool = TrainConfig.d_res
+    d_cls: bool = TrainConfig.d_cls
+    use_pseudo_gt: bool = TrainConfig.use_pseudo_gt
     iou_thresh: float = 0.5
     grad_instances: int = 10
     sweep_pairs: list[list[float]] = field(default_factory=lambda: [[0.5, 0.5], [0.3, 0.7], [0.1, 0.9]])
@@ -105,9 +105,6 @@ class RunConfig:
             if not 0.0 < self.iou_thresh < 1.0:
                 raise ValueError(f"iou_thresh must lie in (0,1), got {self.iou_thresh}")
             thresholds = Thresholds(self.theta_low, self.theta_high, self.theta_iou)
-            if not self.two_threshold:
-                thresholds = replace(thresholds, theta_low=SINGLE_THRESHOLD,
-                                     theta_high=SINGLE_THRESHOLD)
             self.base_cfg = BaseTrainConfig(epochs=self.base_epochs, lr=self.base_lr,
                                             batch_size=self.batch_size, seed=self.seed)
             self.inc_cfg = TrainConfig(
@@ -141,7 +138,7 @@ def _read_config_file(path: str | None) -> dict:
             raw = json.load(f)
     except OSError as e:
         raise UsageError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
         raise UsageError(f"malformed config {path}: {e}") from e
     if not isinstance(raw, dict):
         raise UsageError(f"config {path} must be a JSON object")
@@ -174,7 +171,6 @@ def build_parser() -> _Parser:
         p.add_argument("--d-fea", type=_onoff, default=None, metavar="on|off")
         p.add_argument("--d-res", type=_onoff, default=None, metavar="on|off")
         p.add_argument("--d-cls", type=_onoff, default=None, metavar="on|off")
-        p.add_argument("--two-threshold", type=_onoff, default=None, metavar="on|off")
         p.add_argument("--theta-low", type=float, default=None, metavar="X")
         p.add_argument("--theta-high", type=float, default=None, metavar="X")
         p.add_argument("--out", dest="out_dir", default=None, metavar="DIR")

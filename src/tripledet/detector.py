@@ -466,7 +466,7 @@ def load_checkpoint(path, requires_grad: bool = True) -> DetectorModel:
         expected = sorted(_param_shapes(config, num_classes))
     except KeyError as e:
         raise DetectorError(f"{path}: checkpoint header lacks {e}") from None
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, RecursionError) as e:
         raise DetectorError(f"{path}: malformed checkpoint header: {e}") from None
     # sizes, class count and seed are integers; anchor sides may also be floats
     for key, value in dict(asdict(config), num_classes=num_classes, seed=seed).items():

@@ -10,7 +10,6 @@ Run with: pytest tests/test_acceptance.py -v -s
 The whole module is marked slow: `pytest tests -m "not slow"` skips it.
 """
 
-import dataclasses
 import time
 from types import SimpleNamespace
 
@@ -23,7 +22,6 @@ from _oracles import (brute_force_nms, classification_distill_loss_ref, exhausti
                       scene_losses)
 from tripledet.autodiff import Tensor
 from tripledet.boxes import annotation_arrays, iou_matrix
-from tripledet.cli import RunConfig
 from tripledet.detector import (DetectorConfig, checkpoint_bytes, checkpoint_hash, detect,
                                 forward_features, frcnn_loss, new_model, propose,
                                 rpn_forward, training_targets)
@@ -337,17 +335,3 @@ def test_evaluate_model_matches_oracle_on_trained_om(world):
                     dets.append((idx, d.score, d.bbox))
         want = prefix_integration_ap(dets, gts, IOU_EVAL)
         assert abs(rep.per_class_ap[cid] - want) < 1e-9
-
-
-def test_incremental_step_with_two_thresholds_equals_explicit(world):
-    """The config key two_threshold off is exactly Thresholds(0.5, 0.5)."""
-    om = world.om
-    triple = TripleNetwork(om=om, im=init_incremental(om, 1, 5), rm=init_residual(om, 1, 5))
-    scene = world.inc[1]
-    gt = annotation_arrays(scene.annotations)
-    off = RunConfig(seed=5, two_threshold=False, theta_iou=0.3).inc_cfg
-    _, bd_off = scene_losses(triple, scene.image, *gt, off, np.random.default_rng(6))
-    _, bd_explicit = scene_losses(triple, scene.image, *gt,
-                                  inc_config(seed=5, thresholds=Thresholds(0.5, 0.5, 0.3)),
-                                  np.random.default_rng(6))
-    assert dataclasses.astuple(bd_off) == dataclasses.astuple(bd_explicit)

@@ -49,10 +49,24 @@ def test_usage_error_missing_config_file(tmp_path):
     assert main(["gen-data", "--config", str(tmp_path / "nope.json")]) == 1
 
 
-def test_usage_error_unknown_config_key(tmp_path):
+def test_usage_error_unknown_config_key(tmp_path, capsys):
+    # two_threshold is a removed key: single-threshold runs set theta_low == theta_high
     p = tmp_path / "c.json"
-    p.write_text(json.dumps({"definitely_not_a_key": 1}))
-    assert main(["gen-data", "--config", str(p)]) == 1
+    for key in ("definitely_not_a_key", "two_threshold"):
+        p.write_text(json.dumps({key: False, "data_dir": str(tmp_path / "data")}))
+        assert main(["gen-data", "--config", str(p)]) == 1
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["1" * 5000, "[" * 100_000 + "]" * 100_000],
+                         ids=["5000_digits", "100000_deep"])
+def test_config_json_cannot_parse_is_usage_error(tmp_path, capsys, raw):
+    """Values json.load itself refuses: an integer past Python's digit limit
+    and nesting past the recursion limit."""
+    p = tmp_path / "c.json"
+    p.write_text('{"seeds": ' + raw + '}')
+    assert main(["gradcheck", "--config", str(p)]) == 1
+    assert f"malformed config {p}" in capsys.readouterr().err
 
 
 def test_runtime_error_exit_2(tmp_path):
@@ -81,9 +95,9 @@ def test_config_file_overrides_defaults(tmp_path):
 
 def test_onoff_flags_parse(tmp_path):
     parser = build_parser()
-    args = parser.parse_args(["incremental", "--d-fea", "off", "--two-threshold", "on"])
+    args = parser.parse_args(["incremental", "--d-fea", "off", "--d-res", "on"])
     cfg = resolve_config(args)
-    assert cfg.d_fea is False and cfg.two_threshold is True
+    assert cfg.d_fea is False and cfg.d_res is True
 
 
 def test_overlapping_class_ids_rejected(tmp_path):
@@ -111,7 +125,7 @@ COMMANDS = ["gen-data", "train-base", "finetune", "incremental", "eval", "ablate
                                  {"base_lr": float("inf")}, {"lam": float("nan")},
                                  {"epochs": 1.5}, {"batch_size": 1.5}, {"n_test": 2.5},
                                  {"seeds": [1.5]}, {"old_class_ids": [1.0, 2.0]},
-                                 {"seed": 1.5}, {"epochs": True}, {"two_threshold": 0},
+                                 {"seed": 1.5}, {"epochs": True}, {"use_pseudo_gt": 0},
                                  {"d_fea": "off"}, {"lam": True}, {"out_dir": 3},
                                  {"seed": -1}, {"data_seed": -1}, {"seeds": [-1]},
                                  {"sweep_pairs": [[0.3]]}, {"sweep_pairs": [[0.1, 0.5, 0.9]]},
@@ -164,11 +178,10 @@ def test_resolve_config_gives_typed_config_or_usage_error(tmp_path_factory, valu
 def test_every_flag_sets_its_config_field(tmp_path):
     args = build_parser().parse_args(
         ["incremental", "--seed", "3", "--d-fea", "off", "--d-res", "off", "--d-cls", "off",
-         "--two-threshold", "off", "--theta-low", "0.2", "--theta-high", "0.8",
+         "--theta-low", "0.2", "--theta-high", "0.8",
          "--out", "o", "--data-dir", "d", "--checkpoint-dir", "c"])
     cfg = resolve_config(args)
-    assert (cfg.seed, cfg.d_fea, cfg.d_res, cfg.d_cls, cfg.two_threshold) == \
-        (3, False, False, False, False)
+    assert (cfg.seed, cfg.d_fea, cfg.d_res, cfg.d_cls) == (3, False, False, False)
     assert (cfg.theta_low, cfg.theta_high) == (0.2, 0.8)
     assert (cfg.out_dir, cfg.data_dir, cfg.checkpoint_dir) == ("o", "d", "c")
 

@@ -524,6 +524,13 @@ def test_checkpoint_rejects_cut_header(model, tmp_path):
     _assert_rejected(p, "header")
 
 
+def test_checkpoint_rejects_header_nested_past_recursion_limit(tmp_path):
+    hjson = b"[" * 100_000 + b"]" * 100_000
+    p = tmp_path / "deep.ckpt"
+    p.write_bytes(det.CHECKPOINT_MAGIC + struct.pack("<Q", len(hjson)) + hjson)
+    _assert_rejected(p, "malformed checkpoint header")
+
+
 def test_checkpoint_rejects_other_format_tag(model, tmp_path):
     header, blob = _split_checkpoint(model)
     header["format"] = "tripledet-checkpoint-v0"

@@ -17,7 +17,7 @@ from _oracles import scene_losses
 import tripledet.trainer as trainer
 from tripledet.autodiff import Tensor
 from tripledet.boxes import BBox, annotation_arrays
-from tripledet.cli import RunConfig, UsageError
+from tripledet.cli import RunConfig
 from tripledet.detector import (DetectorConfig, checkpoint_bytes, checkpoint_hash, detect,
                                 forward_features, frcnn_loss, load_checkpoint, new_model,
                                 save_checkpoint, training_targets)
@@ -85,13 +85,12 @@ def test_config_validation():
             BaseTrainConfig(lr=lr)
 
 
-def test_effective_thresholds_single_mode():
-    """`two_threshold: false` trains with one pseudo-GT split at 0.5; the
-    configured pair is still checked."""
-    cfg = RunConfig(two_threshold=False, theta_low=0.1, theta_high=0.9, theta_iou=0.3)
-    assert cfg.inc_cfg.thresholds == Thresholds(0.5, 0.5, 0.3)
-    with pytest.raises(UsageError):
-        RunConfig(two_threshold=False, theta_low=0.95, theta_high=0.9)
+def test_run_config_defaults_are_the_library_defaults():
+    """A default run trains with the library configs' own defaults, so the
+    CLI and callers of the library cannot drift apart."""
+    cfg = RunConfig()
+    assert cfg.inc_cfg == TrainConfig()
+    assert cfg.base_cfg == BaseTrainConfig()
 
 
 def old_class_view(im, num_old):
