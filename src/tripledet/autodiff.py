@@ -370,13 +370,14 @@ def _im2col(xp: np.ndarray, k: int, h: int, w: int) -> np.ndarray:
     return cols.reshape(cin * k * k, h * w)
 
 
-def conv2d(x: Tensor, w: Tensor) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Stride-1 "same" convolution of a (cin,h,w) map with (cout,cin,k,k)
-    kernels, k odd, zero-padded by k//2 so the output keeps the input's size.
-    No bias (add one separately).
+    kernels, k odd, zero-padded by k//2 so the output keeps the input's size,
+    plus a (cout,1,1) per-channel bias.
     """
-    if x.data.ndim != 3 or w.data.ndim != 4 or x.shape[0] != w.shape[1]:
-        raise ShapeError(f"conv2d: incompatible shapes {x.shape} and {w.shape}")
+    if (x.data.ndim != 3 or w.data.ndim != 4 or x.shape[0] != w.shape[1]
+            or b.shape != (w.shape[0], 1, 1)):
+        raise ShapeError(f"conv2d: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
     cin, h, wd = x.shape
     cout, _, k, kw = w.shape
     if k != kw or k % 2 == 0:
@@ -388,9 +389,10 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
         xp[:, pad:pad + h, pad:pad + wd] = x.data
     cols = _im2col(xp, k, h, wd)
     wm = w.data.reshape(cout, cin * k * k)
-    out = (wm @ cols).reshape(cout, h, wd)
+    out = (wm @ cols).reshape(cout, h, wd) + b.data
 
     def bw(g):
+        _accum(b, g.sum(axis=(1, 2), keepdims=True))
         gm = g.reshape(cout, h * wd)
         if w.requires_grad:
             _accum(w, (gm @ cols.T).reshape(w.shape))
@@ -402,7 +404,7 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
                     gxp[:, ki:ki + h, kj:kj + wd] += gcols[:, ki, kj]
             _accum(x, gxp[:, pad:pad + h, pad:pad + wd] if pad else gxp)
 
-    return _make(out, "conv2d", (x, w), bw)
+    return _make(out, "conv2d", (x, w, b), bw)
 
 
 def max_pool2(x: Tensor) -> Tensor:

@@ -141,10 +141,6 @@ def new_model(config: DetectorConfig, num_classes: int, seed: int) -> DetectorMo
 
 # -- forward passes -----------------------------------------------------------
 
-def _conv_block(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return ad.relu(ad.conv2d(x, w) + b)
-
-
 def forward_features(model: DetectorModel, image) -> Tensor:
     """Backbone features for a (3, S, S) image with values in [0, 1]."""
     x = image if isinstance(image, Tensor) else Tensor(image)
@@ -152,20 +148,20 @@ def forward_features(model: DetectorModel, image) -> Tensor:
     if x.shape != (3, s, s):
         raise DetectorError(f"expected image shape (3, {s}, {s}), got {x.shape}")
     p = model.params
-    x = _conv_block(x, p["backbone.conv1.w"], p["backbone.conv1.b"])
+    x = ad.relu(ad.conv2d(x, p["backbone.conv1.w"], p["backbone.conv1.b"]))
     x = ad.max_pool2(x)
-    x = _conv_block(x, p["backbone.conv2.w"], p["backbone.conv2.b"])
+    x = ad.relu(ad.conv2d(x, p["backbone.conv2.w"], p["backbone.conv2.b"]))
     x = ad.max_pool2(x)
-    x = _conv_block(x, p["backbone.conv3.w"], p["backbone.conv3.b"])
+    x = ad.relu(ad.conv2d(x, p["backbone.conv3.w"], p["backbone.conv3.b"]))
     return x
 
 
 def rpn_forward(model: DetectorModel, features: Tensor) -> tuple[Tensor, Tensor]:
     """(objectness logits (A,H,W), box deltas (4A,H,W)) from features."""
     p = model.params
-    h = _conv_block(features, p["rpn.conv.w"], p["rpn.conv.b"])
-    obj = ad.conv2d(h, p["rpn.obj.w"]) + p["rpn.obj.b"]
-    deltas = ad.conv2d(h, p["rpn.delta.w"]) + p["rpn.delta.b"]
+    h = ad.relu(ad.conv2d(features, p["rpn.conv.w"], p["rpn.conv.b"]))
+    obj = ad.conv2d(h, p["rpn.obj.w"], p["rpn.obj.b"])
+    deltas = ad.conv2d(h, p["rpn.delta.w"], p["rpn.delta.b"])
     return obj, deltas
 
 
@@ -445,9 +441,11 @@ def load_checkpoint(path, requires_grad: bool = True) -> DetectorModel:
     """Read a checkpoint written by `save_checkpoint`.
 
     A file that is not one, is cut short, carries trailing bytes, has another
-    format tag or a non-integer size, class count or seed, lists parameters
-    other than the header's architecture needs, or holds a non-finite
-    parameter raises DetectorError naming the file (and the parameter).
+    format tag, a non-integer size, class count or seed, a size or class count
+    below 1, an image size that is not a multiple of the stride or no finite
+    positive anchor side, lists parameters other than the header's
+    architecture needs, or holds a non-finite parameter raises DetectorError
+    naming the file (and the parameter or header key).
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -474,6 +472,18 @@ def load_checkpoint(path, requires_grad: bool = True) -> DetectorModel:
         if any(isinstance(v, bool) or not isinstance(v, types)
                for v in (value if isinstance(value, tuple) else (value,))):
             raise DetectorError(f"{path}: checkpoint header {key} must be {kind}s, got {value!r}")
+    sizes = dict(asdict(config), num_classes=num_classes)
+    del sizes["anchor_sides"]
+    for key, value in sizes.items():
+        if any(v < 1 for v in (value if isinstance(value, tuple) else (value,))):
+            raise DetectorError(f"{path}: checkpoint header {key} must be >= 1, got {value!r}")
+    if config.image_size % config.stride:
+        raise DetectorError(f"{path}: checkpoint header image_size must be a multiple of "
+                            f"{config.stride}, got {config.image_size}")
+    # NaN fails both comparisons
+    if not config.anchor_sides or not all(0 < s < np.inf for s in config.anchor_sides):
+        raise DetectorError(f"{path}: checkpoint header anchor_sides must be a non-empty list "
+                            f"of finite sides > 0, got {list(config.anchor_sides)}")
     if fmt != CHECKPOINT_FORMAT:
         raise DetectorError(f"{path}: checkpoint format {fmt!r}, expected {CHECKPOINT_FORMAT!r}")
     if stored != expected:

@@ -212,7 +212,7 @@ def check_loss_gradient(name: str, rng: np.random.Generator) -> float:
     return grad_check(f, points)
 
 
-def run_gradient_suite(instances: int = 10, seed: int = SUITE_SEED) -> dict[str, float]:
+def run_gradient_suite(instances: int, seed: int = SUITE_SEED) -> dict[str, float]:
     """Max relative gradient error per loss over `instances` random cases."""
     results = {}
     for k, name in enumerate(SUITE):

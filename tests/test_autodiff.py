@@ -74,8 +74,9 @@ def test_forward_deterministic():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(2, 8, 8))
     w = rng.normal(size=(3, 2, 3, 3))
-    a = ad.conv2d(Tensor(x), Tensor(w)).data
-    b = ad.conv2d(Tensor(x), Tensor(w)).data
+    bias = rng.normal(size=(3, 1, 1))
+    a = ad.conv2d(Tensor(x), Tensor(w), Tensor(bias)).data
+    b = ad.conv2d(Tensor(x), Tensor(w), Tensor(bias)).data
     assert np.array_equal(a, b)
 
 
@@ -101,12 +102,15 @@ def test_matmul_shape_mismatch():
     (ad.softmax, (np.zeros((2, 3, 4)),)),
     (ad.log_softmax, (np.zeros(3),)),
     (ad.log_softmax, (np.zeros((2, 3, 4)),)),
-    (ad.conv2d, (np.zeros((2, 6, 6)), np.zeros((3, 2, 2, 2)))),     # even kernel
-    (ad.conv2d, (np.zeros((2, 6, 6)), np.zeros((3, 2, 3, 1)))),     # not square
+    (ad.conv2d, (np.zeros((2, 6, 6)), np.zeros((3, 2, 2, 2)), np.zeros((3, 1, 1)))),  # even
+    (ad.conv2d, (np.zeros((2, 6, 6)), np.zeros((3, 2, 3, 1)), np.zeros((3, 1, 1)))),  # not square
+    (ad.conv2d, (np.zeros((2, 6, 6)), np.zeros((3, 2, 3, 3)), np.zeros((3,)))),       # flat bias
+    (ad.conv2d, (np.zeros((2, 6, 6)), np.zeros((3, 2, 3, 3)), np.zeros((1, 1, 1)))),  # one bias
 ], ids=["softmax-1d", "softmax-3d", "log_softmax-1d", "log_softmax-3d", "conv2d-even",
-        "conv2d-nonsquare"])
+        "conv2d-nonsquare", "conv2d-flat-bias", "conv2d-shared-bias"])
 def test_row_ops_and_same_conv_reject_other_shapes(op, args):
-    """softmax/log_softmax take (n, C) logits; conv2d takes odd square kernels."""
+    """softmax/log_softmax take (n, C) logits; conv2d takes odd square kernels
+    and one bias per output channel, shaped (cout, 1, 1)."""
     with pytest.raises(ShapeError):
         op(*[Tensor(a) for a in args])
 
@@ -198,8 +202,9 @@ def test_maxpool_nan_window_outputs_nan_and_stops_training():
 
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_conv2d_equals_np_pad_oracle_bytes(k):
-    """Padding into a zeroed buffer is byte-equal to np.pad: forward and both
-    gradients, with -0.0 (and exact zeros) in the input."""
+    """The one-node conv2d with bias is byte-equal to np.pad conv2d followed by a
+    broadcast bias add: forward and all three gradients, with -0.0 (and exact
+    zeros) in the input and in the bias."""
     rng = np.random.default_rng(k)
     for case in range(30):
         cin, cout, h, w = (int(v) for v in rng.integers(1, 9, 4))
@@ -207,14 +212,17 @@ def test_conv2d_equals_np_pad_oracle_bytes(k):
         data[rng.random(data.shape) < 0.3] = -0.0
         data[rng.random(data.shape) < 0.1] = 0.0
         kern = rng.normal(size=(cout, cin, k, k))
+        bias = rng.normal(size=(cout, 1, 1))
+        bias[rng.random(bias.shape) < 0.3] = -0.0
         g = rng.normal(size=(cout, h, w))
         results = []
-        for op in (ad.conv2d, np_pad_conv2d):
+        for op in (ad.conv2d, lambda x, wt, b: np_pad_conv2d(x, wt) + b):
             x = Tensor(data.copy(), requires_grad=True)
             wt = Tensor(kern.copy(), requires_grad=True)
-            out = op(x, wt)
-            out._backward(g)
-            results.append((out.data, x.grad, wt.grad))
+            b = Tensor(bias.copy(), requires_grad=True)
+            out = op(x, wt, b)
+            ad.tsum(ad.multiply(out, Tensor(g))).backward()
+            results.append((out.data, x.grad, wt.grad, b.grad))
         for a, b in zip(*results):
             assert _same_bytes(a, b)
 
@@ -287,8 +295,9 @@ def test_broadcast_bias_add_gradient():
     ("matmul", lambda rng: (lambda a, b: ad.tsum(ad.matmul(a, b)),
                             [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))])),
     ("gram", lambda rng: (lambda m: ad.tsum(ad.gram(m)), [rng.normal(size=(3, 5))])),
-    ("conv2d", lambda rng: (lambda x, w: ad.tsum(ad.conv2d(x, w)),
-                            [rng.normal(size=(2, 6, 6)), rng.normal(size=(3, 2, 3, 3))])),
+    ("conv2d", lambda rng: (lambda x, w, b: ad.tsum(ad.square(ad.conv2d(x, w, b))),
+                            [rng.normal(size=(2, 6, 6)), rng.normal(size=(3, 2, 3, 3)),
+                             rng.normal(size=(3, 1, 1))])),
     ("relu", lambda rng: (lambda x: ad.tsum(ad.relu(x)), [rng.normal(size=(4, 4)) + 0.01])),
     ("max_pool2", lambda rng: (lambda x: ad.tsum(ad.max_pool2(x)), [rng.normal(size=(2, 4, 4))])),
     ("mean_axis", lambda rng: (lambda x: ad.tsum(ad.square(ad.tmean(x, axis=0))),

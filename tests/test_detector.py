@@ -75,6 +75,16 @@ def test_feature_grad_matches_fd_on_first_kernel(model, image):
     assert err < 1e-4
 
 
+def test_backbone_and_rpn_are_one_node_per_conv_layer(model, image):
+    """Each conv layer's bias is added inside its conv2d node: the trainable
+    backbone and RPN graphs hold six conv2d nodes and no add node."""
+    obj, deltas = rpn_forward(model, forward_features(model, image))
+    nodes = {id(n): n for root in (obj, deltas) for n in ad.topo_order(root)}
+    ops = [n.op for n in nodes.values()]
+    assert ops.count("conv2d") == 6
+    assert "add" not in ops
+
+
 # -- proposals ---------------------------------------------------------------------
 
 def proposals(m, f):
@@ -574,6 +584,43 @@ def test_checkpoint_rejects_non_integer_header_values(model, tmp_path, case):
     for name in parents:
         node = node[name]
     node[key] = value
+    p = tmp_path / f"{case}.ckpt"
+    p.write_bytes(_join_checkpoint(header, blob))
+    _assert_rejected(p, f"header {key} must be")
+
+
+# (header key, value of the right type but out of range): before the range
+# check each of these loaded, and `tripledet eval` then failed on it or ignored
+# it, except a zero class count, which was refused without naming the file
+OUT_OF_RANGE_HEADERS = {
+    "num_classes_zero": ("num_classes", 0),
+    "image_size_zero": ("image_size", 0),
+    "image_size_not_multiple_of_stride": ("image_size", 62),
+    "channels_zero": ("channels", [8, 0, 16]),
+    "rpn_channels_zero": ("rpn_channels", 0),
+    "pool_size_zero": ("pool_size", 0),
+    "fc_width_zero": ("fc_width", 0),
+    "num_proposals_zero": ("num_proposals", 0),
+    "anchor_sides_empty": ("anchor_sides", []),
+    "anchor_sides_zero": ("anchor_sides", [8.0, 0.0]),
+    "anchor_sides_negative": ("anchor_sides", [-8.0]),
+    "anchor_sides_nan": ("anchor_sides", [8.0, float("nan")]),
+    "anchor_sides_inf": ("anchor_sides", [float("inf")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_HEADERS))
+def test_checkpoint_rejects_out_of_range_header_values(model, tmp_path, case):
+    """The parameter list and bytes are rewritten to fit the edited header, so
+    only the range check can refuse the file."""
+    key, value = OUT_OF_RANGE_HEADERS[case]
+    header, _ = _split_checkpoint(model)
+    (header if key == "num_classes" else header["config"])[key] = value
+    config = DetectorConfig(**{k: tuple(v) if isinstance(v, list) else v
+                               for k, v in header["config"].items()})
+    shapes = sorted(det._param_shapes(config, header["num_classes"]))
+    header["params"] = [{"name": n, "shape": list(shape)} for n, shape in shapes]
+    blob = bytes(8 * sum(int(np.prod(shape)) for _, shape in shapes))
     p = tmp_path / f"{case}.ckpt"
     p.write_bytes(_join_checkpoint(header, blob))
     _assert_rejected(p, f"header {key} must be")
