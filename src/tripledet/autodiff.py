@@ -118,13 +118,21 @@ def topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _make(data: np.ndarray, op: str, parents: Sequence[Tensor],
+def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
           backward: Callable[[np.ndarray], None] | None) -> Tensor:
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
+    out = Tensor.__new__(Tensor)
+    out.data = np.asarray(data, dtype=np.float64)
+    out.grad = None
     out.op = op
-    if out.requires_grad:
-        out.parents = tuple(parents)
-        out._backward = backward
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out.parents = parents
+            out._backward = backward
+            return out
+    out.requires_grad = False
+    out.parents = ()
+    out._backward = None
     return out
 
 
@@ -132,8 +140,11 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # the first contribution lands as 0.0 + g, in a buffer t owns, so a
+        # -0.0 becomes +0.0 exactly as adding into a zero-filled buffer did
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -149,54 +160,63 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _check_broadcast(a: Tensor, b: Tensor, kind: str) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not broadcast") from None
+def _broadcast_error(kind: str, a: Tensor, b: Tensor) -> ShapeError:
+    return ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not broadcast")
 
 
 # -- elementwise arithmetic ------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "add")
+    try:
+        val = a.data + b.data
+    except ValueError:
+        raise _broadcast_error("add", a, b) from None
 
     def bw(g):
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(g, b.shape))
 
-    return _make(a.data + b.data, "add", (a, b), bw)
+    return _make(val, "add", (a, b), bw)
 
 
 def subtract(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "subtract")
+    try:
+        val = a.data - b.data
+    except ValueError:
+        raise _broadcast_error("subtract", a, b) from None
 
     def bw(g):
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(-g, b.shape))
 
-    return _make(a.data - b.data, "subtract", (a, b), bw)
+    return _make(val, "subtract", (a, b), bw)
 
 
 def multiply(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "multiply")
+    try:
+        val = a.data * b.data
+    except ValueError:
+        raise _broadcast_error("multiply", a, b) from None
 
     def bw(g):
         _accum(a, _unbroadcast(g * b.data, a.shape))
         _accum(b, _unbroadcast(g * a.data, b.shape))
 
-    return _make(a.data * b.data, "multiply", (a, b), bw)
+    return _make(val, "multiply", (a, b), bw)
 
 
 def divide(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise a/b; callers keep |b| bounded away from zero."""
-    _check_broadcast(a, b, "divide")
+    try:
+        val = a.data / b.data
+    except ValueError:
+        raise _broadcast_error("divide", a, b) from None
 
     def bw(g):
         _accum(a, _unbroadcast(g / b.data, a.shape))
         _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
-    return _make(a.data / b.data, "divide", (a, b), bw)
+    return _make(val, "divide", (a, b), bw)
 
 
 # -- linear algebra --------------------------------------------------------
@@ -362,12 +382,13 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 # -- convolution / pooling -----------------------------------------------------
 
 def _im2col(xp: np.ndarray, k: int, h: int, w: int) -> np.ndarray:
+    """(cin*k*k, h*w) columns of a C-contiguous (cin, h+k-1, w+k-1) map: one
+    copy of the (cin, k, k, h, w) strided view whose [c, ki, kj] is the window
+    xp[c, ki:ki+h, kj:kj+w]."""
     cin = xp.shape[0]
-    cols = np.empty((cin, k, k, h, w), dtype=np.float64)
-    for ki in range(k):
-        for kj in range(k):
-            cols[:, ki, kj] = xp[:, ki:ki + h, kj:kj + w]
-    return cols.reshape(cin * k * k, h * w)
+    sc, sr, se = xp.strides
+    win = np.ndarray((cin, k, k, h, w), np.float64, xp, 0, (sc, sr, se, sr, se))
+    return win.reshape(cin * k * k, h * w)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -383,10 +404,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if k != kw or k % 2 == 0:
         raise ShapeError(f"conv2d: need an odd square kernel, got {w.shape}")
     pad = k // 2
-    xp = x.data
-    if pad:
-        xp = np.zeros((cin, h + 2 * pad, wd + 2 * pad))
-        xp[:, pad:pad + h, pad:pad + wd] = x.data
+    xp = np.zeros((cin, h + 2 * pad, wd + 2 * pad))
+    xp[:, pad:pad + h, pad:pad + wd] = x.data
     cols = _im2col(xp, k, h, wd)
     wm = w.data.reshape(cout, cin * k * k)
     out = (wm @ cols).reshape(cout, h, wd) + b.data
@@ -398,11 +417,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             _accum(w, (gm @ cols.T).reshape(w.shape))
         if x.requires_grad:
             gcols = (wm.T @ gm).reshape(cin, k, k, h, wd)
-            gxp = np.zeros_like(xp)
+            # col2im: window (ki, kj) adds its output rows r0:r1 and columns
+            # c0:c1 that land inside the map, shifted by (ki - pad, kj - pad);
+            # its terms that land in the padding are dropped, and each cell
+            # sums its terms in (ki, kj) order from +0.0
+            gx = np.zeros((cin, h, wd))
             for ki in range(k):
+                r0, r1 = max(pad - ki, 0), min(h + pad - ki, h)
                 for kj in range(k):
-                    gxp[:, ki:ki + h, kj:kj + wd] += gcols[:, ki, kj]
-            _accum(x, gxp[:, pad:pad + h, pad:pad + wd] if pad else gxp)
+                    c0, c1 = max(pad - kj, 0), min(wd + pad - kj, wd)
+                    if r0 < r1 and c0 < c1:
+                        gx[:, r0 + ki - pad:r1 + ki - pad, c0 + kj - pad:c1 + kj - pad] += \
+                            gcols[:, ki, kj, r0:r1, c0:c1]
+            _accum(x, gx)
 
     return _make(out, "conv2d", (x, w, b), bw)
 

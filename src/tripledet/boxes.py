@@ -121,7 +121,7 @@ def nms_indices(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float,
         return inter / (a_area[:, None] + b_area[None, :] - inter) <= iou_thresh
 
     keep: list[int] = []
-    while order.size > 0:
+    while order.size > 0 and (max_keep is None or len(keep) < max_keep):
         blk, blk_area, blk_order = boxes[:NMS_BLOCK], areas[:NMS_BLOCK], order[:NMS_BLOCK]
         ok = survives(blk, blk_area, blk, blk_area)
         alive = np.ones(len(blk), dtype=bool)

@@ -61,7 +61,7 @@ def nms_detections(dets, thresh):
     return [dets[i] for i in keep]
 
 
-# -- kernels, as the one-box-at-a-time and argmax forms -------------------------
+# -- kernels, as the one-box-at-a-time, argmax and loop forms --------------------
 
 def loop_nms_indices(boxes, scores, iou_thresh, max_keep=None):
     """`nms_indices` as a loop that keeps one box per iteration and drops its
@@ -74,11 +74,9 @@ def loop_nms_indices(boxes, scores, iou_thresh, max_keep=None):
     order = np.lexsort((np.arange(n), -scores))
     areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
     keep = []
-    while order.size > 0:
+    while order.size > 0 and (max_keep is None or len(keep) < max_keep):
         i = order[0]
         keep.append(int(i))
-        if max_keep is not None and len(keep) >= max_keep:
-            break
         rest = order[1:]
         ix = np.minimum(boxes[i, 2], boxes[rest, 2]) - np.maximum(boxes[i, 0], boxes[rest, 0])
         iy = np.minimum(boxes[i, 3], boxes[rest, 3]) - np.maximum(boxes[i, 1], boxes[rest, 1])
@@ -86,6 +84,26 @@ def loop_nms_indices(boxes, scores, iou_thresh, max_keep=None):
         ious = inter / (areas[i] + areas[rest] - inter)
         order = rest[ious <= iou_thresh]
     return keep
+
+
+def zero_fill_accum(t, g):
+    """`autodiff._accum` adding every contribution, the first one included,
+    into a buffer that starts zero-filled."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad += g
+
+
+def loop_im2col(xp, k, h, w):
+    """`autodiff._im2col` as one strided slice copy per kernel offset."""
+    cin = xp.shape[0]
+    cols = np.empty((cin, k, k, h, w), dtype=np.float64)
+    for ki in range(k):
+        for kj in range(k):
+            cols[:, ki, kj] = xp[:, ki:ki + h, kj:kj + w]
+    return cols.reshape(cin * k * k, h * w)
 
 
 def argmax_max_pool2(x):
@@ -101,7 +119,7 @@ def argmax_max_pool2(x):
         gwin = np.zeros_like(win)
         np.put_along_axis(gwin, idx[..., None], g[..., None], axis=3)
         gx = gwin.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
-        ad._accum(x, gx)
+        zero_fill_accum(x, gx)
 
     return ad._make(out, "max_pool2", (x,), bw)
 
@@ -112,21 +130,21 @@ def np_pad_conv2d(x, w):
     cout, _, k, _ = w.shape
     pad = k // 2
     xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    cols = ad._im2col(xp, k, h, wd)
+    cols = loop_im2col(xp, k, h, wd)
     wm = w.data.reshape(cout, cin * k * k)
     out = (wm @ cols).reshape(cout, h, wd)
 
     def bw(g):
         gm = g.reshape(cout, h * wd)
         if w.requires_grad:
-            ad._accum(w, (gm @ cols.T).reshape(w.shape))
+            zero_fill_accum(w, (gm @ cols.T).reshape(w.shape))
         if x.requires_grad:
             gcols = (wm.T @ gm).reshape(cin, k, k, h, wd)
             gxp = np.zeros_like(xp)
             for ki in range(k):
                 for kj in range(k):
                     gxp[:, ki:ki + h, kj:kj + wd] += gcols[:, ki, kj]
-            ad._accum(x, gxp[:, pad:pad + h, pad:pad + wd] if pad else gxp)
+            zero_fill_accum(x, gxp[:, pad:pad + h, pad:pad + wd] if pad else gxp)
 
     return ad._make(out, "conv2d", (x, w), bw)
 

@@ -86,10 +86,31 @@ def test_shared_input_accumulates():
     assert np.allclose(x.grad, [4.0])
 
 
-def test_shape_mismatch_rejected_with_shapes():
+@pytest.mark.parametrize("op", [ad.add, ad.subtract, ad.multiply, ad.divide,
+                                Tensor.__add__, Tensor.__sub__, Tensor.__mul__],
+                         ids=["add", "subtract", "multiply", "divide", "+", "-", "*"])
+def test_shape_mismatch_rejected_with_shapes(op):
     with pytest.raises(ShapeError) as exc:
-        ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+        op(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
     assert "(2, 3)" in str(exc.value) and "(4, 5)" in str(exc.value)
+
+
+def test_first_gradient_contribution_lands_on_positive_zero():
+    """A gradient accumulates from +0.0: a leaf whose one contribution is -0.0
+    holds +0.0, as 0.0 + (-0.0) is +0.0."""
+    x = Tensor(np.array([3.0, -2.0]), requires_grad=True)
+    ad.tsum(ad.multiply(x, Tensor(np.array([-0.0, 5.0])))).backward()
+    assert x.grad.tolist() == [0.0, 5.0] and not np.signbit(x.grad).any()
+
+
+def test_node_over_inputs_without_grad_keeps_no_graph():
+    a, b = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2)))
+    for out in (ad.add(a, b), ad.relu(a), ad.matmul(a, b),
+                ad.conv2d(Tensor(np.ones((1, 3, 3))), Tensor(np.ones((2, 1, 3, 3))),
+                          Tensor(np.ones((2, 1, 1))))):
+        assert not out.requires_grad and out.parents == () and out._backward is None
+    mixed = ad.add(a, Tensor(np.ones((2, 2)), requires_grad=True))
+    assert mixed.requires_grad and len(mixed.parents) == 2 and mixed._backward is not None
 
 
 def test_matmul_shape_mismatch():

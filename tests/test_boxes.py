@@ -162,6 +162,14 @@ def test_nms_indices_max_keep_stops_mid_block():
         assert nms_indices(boxes, scores, 0.5, max_keep) == list(range(max_keep))
 
 
+def test_nms_indices_max_keep_zero_keeps_nothing():
+    boxes = np.array([[0.0, 0.0, 2.0, 2.0], [5.0, 5.0, 7.0, 7.0]])
+    scores = np.array([0.9, 0.8])
+    assert nms_indices(boxes, scores, 0.5) == [0, 1]
+    assert nms_indices(boxes, scores, 0.5, max_keep=0) == []
+    assert loop_nms_indices(boxes, scores, 0.5, max_keep=0) == []
+
+
 def test_nms_indices_nan_iou_suppresses():
     """A candidate survives only where its IoU is <= the threshold: a NaN box's
     IoU with everything is NaN, so it and every box after it are dropped by

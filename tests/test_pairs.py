@@ -1,0 +1,52 @@
+"""`tools/pairs.py`'s summary on canned result lines; no benchmark is run."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
+_spec = importlib.util.spec_from_file_location("pairs", TOOL)
+pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pairs)
+
+METRICS = [{"name": "ops_per_s", "better": "higher"}, {"name": "setup_s", "better": "lower"}]
+
+
+def _line(tree, pair, ops, setup, failed=0, workload="gradcheck"):
+    return {"workload": workload, "tree": tree, "pair": pair, "seed": pair,
+            "order": 1 if (tree == "parent") == (pair % 2 == 1) else 2, "exit": 0,
+            "correct": failed == 0, "attempted": 7, "failed": failed,
+            "metrics": {"ops_per_s": {"value": ops, "unit": "1/s"},
+                        "setup_s": {"value": setup, "unit": "s"}}}
+
+
+def test_summary_medians_quartiles_and_wins():
+    parent_ops = [2.0, 2.2, 1.8, 2.4, 2.1]
+    change_ops = [2.5, 2.2, 2.6, 2.3, 2.15]      # wins pairs 1, 3, 5; tie in 2; loses 4
+    setups = [(0.05, 0.04), (0.05, 0.05), (0.04, 0.06), (0.05, 0.04), (0.06, 0.05)]
+    lines = []
+    for pair, (p_ops, c_ops, (p_set, c_set)) in enumerate(
+            zip(parent_ops, change_ops, setups), start=1):
+        lines += [_line("parent", pair, p_ops, p_set), _line("change", pair, c_ops, c_set)]
+    lines.append(_line("change", 6, 9.9, 0.01))    # no parent run in pair 6: not scored
+    ops, setup = pairs.summarize(lines, METRICS)
+    assert (ops["workload"], ops["metric"], ops["better"]) == ("gradcheck", "ops_per_s", "higher")
+    assert ops["parent_median"] == 2.1 and ops["change_median"] == 2.4
+    assert (ops["parent_q1"], ops["parent_q3"]) == (2.0, 2.2)
+    assert (ops["change_wins"], ops["parent_wins"], ops["pairs"]) == (3, 1, 5)
+    # lower is better: the change wins pairs 1, 4 and 5 and loses pair 3
+    assert (setup["change_wins"], setup["parent_wins"], setup["pairs"]) == (3, 1, 5)
+    assert setup["parent_median"] == 0.05 and setup["change_median"] == 0.045
+
+
+def test_summary_counts_failures_and_runs_without_a_result():
+    lines = [_line("parent", 1, 2.0, 0.05), _line("change", 1, 2.5, 0.04, failed=2),
+             {"workload": "gradcheck", "tree": "parent", "pair": 2, "seed": 2, "order": 2,
+              "exit": 2, "error": "perfbench: set-up failed"},
+             _line("change", 2, 2.4, 0.04)]
+    (ops, _) = pairs.summarize(lines, METRICS)
+    assert ops["pairs"] == 1 and ops["change_wins"] == 1
+    fails = pairs.failures(lines)
+    assert fails["gradcheck", "parent"] == (0, 7, 1)
+    assert fails["gradcheck", "change"] == (2, 14, 1)
+    text = pairs.format_summary([ops], fails)
+    assert "1/1" in text and "gradcheck change: 2 of 14 operations failed, 1 runs not correct" in text
