@@ -248,9 +248,9 @@ def gram(m: Tensor) -> Tensor:
 def tsum(x: Tensor, axis: int | None = None) -> Tensor:
     def bw(g):
         if axis is None:
-            _accum(x, np.broadcast_to(g, x.shape).copy())
+            _accum(x, np.broadcast_to(g, x.shape))
         else:
-            _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.shape).copy())
+            _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.shape))
 
     return _make(x.data.sum(axis=axis), "sum", (x,), bw)
 
@@ -260,9 +260,9 @@ def tmean(x: Tensor, axis: int | None = None) -> Tensor:
 
     def bw(g):
         if axis is None:
-            _accum(x, np.broadcast_to(g / n, x.shape).copy())
+            _accum(x, np.broadcast_to(g / n, x.shape))
         else:
-            _accum(x, np.broadcast_to(np.expand_dims(g, axis) / n, x.shape).copy())
+            _accum(x, np.broadcast_to(np.expand_dims(g, axis) / n, x.shape))
 
     return _make(x.data.mean(axis=axis), "mean", (x,), bw)
 
@@ -384,11 +384,13 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 def _im2col(xp: np.ndarray, k: int, h: int, w: int) -> np.ndarray:
     """(cin*k*k, h*w) columns of a C-contiguous (cin, h+k-1, w+k-1) map: one
     copy of the (cin, k, k, h, w) strided view whose [c, ki, kj] is the window
-    xp[c, ki:ki+h, kj:kj+w]."""
+    xp[c, ki:ki+h, kj:kj+w]. The reshape can merge window axes into an
+    overlapping view (a one-column map merges (k, k)); the contiguous copy keeps
+    every product on the same BLAS kernel."""
     cin = xp.shape[0]
     sc, sr, se = xp.strides
     win = np.ndarray((cin, k, k, h, w), np.float64, xp, 0, (sc, sr, se, sr, se))
-    return win.reshape(cin * k * k, h * w)
+    return np.ascontiguousarray(win.reshape(cin * k * k, h * w))
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -225,10 +225,11 @@ def test_maxpool_nan_window_outputs_nan_and_stops_training():
 def test_conv2d_equals_np_pad_oracle_bytes(k):
     """The one-node conv2d with bias is byte-equal to np.pad conv2d followed by a
     broadcast bias add: forward and all three gradients, with -0.0 (and exact
-    zeros) in the input and in the bias."""
+    zeros) in the input and in the bias. The last case is a one-channel,
+    one-column map, whose window axes merge into an overlapping view."""
     rng = np.random.default_rng(k)
-    for case in range(30):
-        cin, cout, h, w = (int(v) for v in rng.integers(1, 9, 4))
+    for fixed in [None] * 30 + [(1, 2, 4, 1)]:
+        cin, cout, h, w = fixed or (int(v) for v in rng.integers(1, 9, 4))
         data = rng.normal(size=(cin, h, w))
         data[rng.random(data.shape) < 0.3] = -0.0
         data[rng.random(data.shape) < 0.1] = 0.0

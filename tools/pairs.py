@@ -5,9 +5,9 @@ throwaway loop per performance change.
 
 runs `perfbench/run.py --workload W --seed S --seconds T --trace 0` in each
 checkout, each run in a fresh process started from that checkout's root,
-for N pairs. Pair i uses seed i (1, 2, ...) on both trees; odd pairs run the
-parent first and even pairs the change first. `--seconds` defaults to the
-`run_seconds` of this repository's `BENCHMARK.json`.
+for N pairs, with T the `run_seconds` of this repository's `BENCHMARK.json`.
+Pair i uses seed i (1, 2, ...) on both trees; odd pairs run the parent first
+and even pairs the change first.
 
 Every run appends one JSON line to FILE as soon as it ends: its tree, pair,
 seed, order (1 or 2 within the pair), exit code, and the run's JSON result
@@ -134,17 +134,16 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="the change's checkout root")
     parser.add_argument("--workload", required=True, choices=workloads)
     parser.add_argument("--pairs", required=True, type=int)
-    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     parser.add_argument("--out", required=True, type=Path,
                         help="append one JSON line per run here")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seconds <= 0:
-        parser.error("--pairs must be >= 1 and --seconds > 0")
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
     for tree in (args.parent, args.change):
         if not (tree / "perfbench" / "run.py").is_file():
             parser.error(f"{tree} has no perfbench/run.py")
     records = run_pairs({"parent": args.parent, "change": args.change}, args.workload,
-                        args.pairs, args.seconds, args.out)
+                        args.pairs, bench["run_seconds"], args.out)
     print(format_summary(summarize(records, bench["end_to_end"]), failures(records)))
     return 0 if all(r.get("correct") for r in records) else 1
 
