@@ -507,8 +507,8 @@ def grad_check(f: Callable[..., Tensor], points: Sequence[np.ndarray]) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     `f` maps one Tensor per entry of `points` to a scalar Tensor and must be
-    deterministic (re-seed any internal sampling per call). The error at each
-    coordinate is |analytic - numeric| / max(1, |analytic|, |numeric|).
+    a deterministic function of its inputs. The error at each coordinate is
+    |analytic - numeric| / max(1, |analytic|, |numeric|).
     """
     arrays = [np.array(p, dtype=np.float64) for p in points]
 

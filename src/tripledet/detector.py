@@ -283,9 +283,11 @@ def match_anchors(anchors: np.ndarray, targets: np.ndarray
     return pos, neg, match.astype(np.intp)
 
 
+RoiSample = tuple[np.ndarray, np.ndarray, np.ndarray]    # (rois, labels, match)
+
+
 def sample_rois(candidates: np.ndarray, targets: np.ndarray, labels: np.ndarray,
-                rng: np.random.Generator
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                rng: np.random.Generator) -> RoiSample:
     """Sample up to 16 RoIs with at most 1/4 positives.
 
     Returns (roi boxes, roi class labels, matched target index; -1 for
@@ -357,18 +359,19 @@ def roi_candidates(config: DetectorConfig, obj: np.ndarray, deltas: np.ndarray,
 
 
 def frcnn_loss(model: DetectorModel, features: Tensor, targets: Targets,
-               rng: np.random.Generator, candidate_rois: np.ndarray | None = None
+               rng: np.random.Generator | None, sampled: RoiSample | None = None
                ) -> tuple[Tensor, LossInternals]:
     """Detection loss on the model's backbone `features` against the model's
     `targets`: RPN binary cross-entropy + smooth-L1, R-CNN cross-entropy +
     smooth-L1, each term normalized by its sample count; returned with the
     `LossInternals` that distillation reads.
 
-    RoIs are sampled from `roi_candidates`, built from the same RPN outputs
-    the RPN terms read, unless `candidate_rois` pins the pool explicitly;
-    gradient checks pin it because proposal selection is piecewise constant
-    in the parameters (zero gradient almost everywhere) and a selection flip
-    inside the probe step would invalidate the finite difference.
+    RoIs are drawn from `rng` by `sample_rois` over `roi_candidates`, built
+    from the same RPN outputs the RPN terms read, unless `sampled` pins that
+    draw's `(rois, labels, match)`; then neither runs and `rng` is not read.
+    Gradient checks pin it because RoI selection is piecewise constant in the
+    parameters (zero gradient almost everywhere) and a selection flip inside
+    the probe step would invalidate the finite difference.
     """
     cfg = model.config
 
@@ -391,9 +394,10 @@ def frcnn_loss(model: DetectorModel, features: Tensor, targets: Targets,
 
     # R-CNN terms on sampled RoIs
     rcnn_boxes = targets.rcnn_boxes
-    candidates = candidate_rois if candidate_rois is not None else \
-        roi_candidates(cfg, obj.data, deltas.data, rcnn_boxes)
-    rois, roi_labels, roi_match = sample_rois(candidates, rcnn_boxes, targets.rcnn_labels, rng)
+    if sampled is None:
+        sampled = sample_rois(roi_candidates(cfg, obj.data, deltas.data, rcnn_boxes),
+                              rcnn_boxes, targets.rcnn_labels, rng)
+    rois, roi_labels, roi_match = sampled
 
     pooled = roi_pool(cfg, features, rois)
     logits, pred_deltas = head_forward(model, pooled)

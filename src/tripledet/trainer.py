@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .boxes import annotation_arrays
-from .detector import (HEAD_STD, DetectorModel, Targets, forward_features, frcnn_loss,
+from .detector import (HEAD_STD, DetectorModel, RoiSample, Targets, forward_features, frcnn_loss,
                        head_forward, new_model, roi_pool, training_targets)
 from .distill import (FeatureTriple, LogitTriple, PooledTriple,
                       classification_distill_loss, feature_distill_loss,
@@ -181,23 +181,26 @@ def scene_targets(triple: TripleNetwork, image, gt_boxes: np.ndarray, gt_labels:
     return om_features, im_targets, rm_targets
 
 
-def compute_losses(triple: TripleNetwork, image, cfg: TrainConfig, rng: np.random.Generator,
-                   om_features: Tensor | None, im_targets: Targets, rm_targets: Targets,
-                   im_candidates: np.ndarray | None = None,
-                   rm_candidates: np.ndarray | None = None) -> tuple[Tensor, LossBreakdown]:
+def compute_losses(triple: TripleNetwork, image, cfg: TrainConfig,
+                   rng: np.random.Generator | None, om_features: Tensor | None,
+                   im_targets: Targets, rm_targets: Targets,
+                   sampled: tuple[RoiSample, RoiSample] | None = None
+                   ) -> tuple[Tensor, LossBreakdown]:
     """Total loss tensor and its per-term breakdown for one image.
 
     `om_features`, `im_targets` and `rm_targets` are the scene's
     `scene_targets` under the same `cfg`. Disabled terms contribute exactly
-    zero. `im_candidates`/`rm_candidates` pin the RoI candidate pools for
-    gradient checking.
+    zero. The incremental model samples its RoIs from `rng` first, then the
+    residual model; `sampled`, a pair of `sample_rois` results in that order,
+    pins both draws for gradient checking (see `frcnn_loss`).
     """
     om, im, rm = triple.om, triple.im, triple.rm
+    im_sample, rm_sample = sampled or (None, None)
     f_im = forward_features(im, image)
-    loss_im, internals = frcnn_loss(im, f_im, im_targets, rng, candidate_rois=im_candidates)
+    loss_im, internals = frcnn_loss(im, f_im, im_targets, rng, im_sample)
 
     f_rm = forward_features(rm, image)
-    loss_rm, _ = frcnn_loss(rm, f_rm, rm_targets, rng, candidate_rois=rm_candidates)
+    loss_rm, _ = frcnn_loss(rm, f_rm, rm_targets, rng, rm_sample)
 
     d_fea_t = d_res_t = d_cls_t = None
     if cfg.d_fea or cfg.d_res or cfg.d_cls:

@@ -13,8 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import FD_STEP, Tensor, grad_check, topo_order
-from .detector import (DetectorConfig, DetectorModel, Targets, forward_features, frcnn_loss,
-                       new_model, roi_candidates, rpn_forward, training_targets)
+from .detector import (DetectorConfig, DetectorModel, RoiSample, Targets, forward_features,
+                       frcnn_loss, new_model, roi_candidates, rpn_forward, sample_rois,
+                       training_targets)
 from .distill import (FeatureTriple, LogitTriple, PooledTriple, attention_pair_loss,
                       classification_distill_loss, feature_distill_loss,
                       residual_base_loss, residual_pool_loss)
@@ -120,10 +121,12 @@ def _model_param_arrays(model: DetectorModel) -> tuple[list[str], list[np.ndarra
     return names, [model.params[n].data.copy() for n in names]
 
 
-def _candidate_pool(model: DetectorModel, image: np.ndarray, targets: Targets) -> np.ndarray:
-    """The RoI candidate pool `frcnn_loss` would sample from at the base point."""
+def _base_sample(model: DetectorModel, image: np.ndarray, targets: Targets,
+                 rng: np.random.Generator) -> RoiSample:
+    """The RoIs `frcnn_loss` would sample from `rng` at the base point."""
     obj, deltas = rpn_forward(model, forward_features(model, image))
-    return roi_candidates(model.config, obj.data, deltas.data, targets.rcnn_boxes)
+    candidates = roi_candidates(model.config, obj.data, deltas.data, targets.rcnn_boxes)
+    return sample_rois(candidates, targets.rcnn_boxes, targets.rcnn_labels, rng)
 
 
 def _build_frcnn(rng: np.random.Generator):
@@ -133,15 +136,14 @@ def _build_frcnn(rng: np.random.Generator):
     boxes, labels = micro_targets(rng, num_classes)
     names, arrays = _model_param_arrays(model)
     sample_seed = int(rng.integers(0, 2 ** 31))
-    # pin the RoI candidate pool at the base point: proposal selection is
-    # piecewise constant in the parameters, so this is the a.e. gradient
+    # pin the sampled RoIs at the base point: RoI selection is piecewise
+    # constant in the parameters, so this is the a.e. gradient
     targets = training_targets(model, boxes, boxes, labels)
-    candidates = _candidate_pool(model, image, targets)
+    sampled = _base_sample(model, image, targets, np.random.default_rng(sample_seed))
 
     def f(*tensors):
         m = DetectorModel(MICRO_CONFIG, num_classes, dict(zip(names, tensors)))
-        return frcnn_loss(m, forward_features(m, image), targets,
-                          np.random.default_rng(sample_seed), candidate_rois=candidates)[0]
+        return frcnn_loss(m, forward_features(m, image), targets, None, sampled)[0]
 
     return f, arrays
 
@@ -166,9 +168,11 @@ def _build_total_loss(rng: np.random.Generator):
     im_names, im_arrays = _model_param_arrays(triple.im)
     rm_names, rm_arrays = _model_param_arrays(triple.rm)
     sample_seed = int(rng.integers(0, 2 ** 31))
-    # pin both candidate pools at the base point (see _build_frcnn)
-    cand_im = _candidate_pool(triple.im, image, im_targets)
-    cand_rm = _candidate_pool(triple.rm, image, rm_targets)
+    # pin both samples at the base point (see _build_frcnn), drawn in
+    # compute_losses's order: the incremental model first
+    sample_rng = np.random.default_rng(sample_seed)
+    sampled = (_base_sample(triple.im, image, im_targets, sample_rng),
+               _base_sample(triple.rm, image, rm_targets, sample_rng))
 
     def f(*tensors):
         im_t = tensors[:len(im_names)]
@@ -178,9 +182,8 @@ def _build_total_loss(rng: np.random.Generator):
             im=DetectorModel(MICRO_CONFIG, triple.im.num_classes, dict(zip(im_names, im_t))),
             rm=DetectorModel(MICRO_CONFIG, triple.rm.num_classes, dict(zip(rm_names, rm_t))),
         )
-        total, _ = compute_losses(trip, image, cfg, np.random.default_rng(sample_seed),
-                                  om_feat, im_targets, rm_targets,
-                                  im_candidates=cand_im, rm_candidates=cand_rm)
+        total, _ = compute_losses(trip, image, cfg, None, om_feat, im_targets, rm_targets,
+                                  sampled)
         return total
 
     return f, im_arrays + rm_arrays

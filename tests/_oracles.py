@@ -192,8 +192,7 @@ def per_target_match_anchors(anchors, targets):
     return pos, neg, ious.argmax(axis=1).astype(np.intp)
 
 
-def array_frcnn_loss(model, features, rpn_boxes, rcnn_boxes, rcnn_labels, rng,
-                     candidate_rois=None):
+def array_frcnn_loss(model, features, rpn_boxes, rcnn_boxes, rcnn_labels, rng, sampled=None):
     """`frcnn_loss` taking its targets as three box arrays and matching and
     encoding the anchors on every call."""
     bad = rcnn_labels[(rcnn_labels < 1) | (rcnn_labels > model.num_classes)]
@@ -223,9 +222,10 @@ def array_frcnn_loss(model, features, rpn_boxes, rcnn_boxes, rcnn_labels, rng,
     rpn_reg = rpn_reg * Tensor(1.0 / max(pos.sum(), 1))
 
     # R-CNN terms on sampled RoIs
-    candidates = candidate_rois if candidate_rois is not None else \
-        roi_candidates(cfg, obj.data, deltas.data, rcnn_boxes)
-    rois, roi_labels, roi_match = sample_rois(candidates, rcnn_boxes, rcnn_labels, rng)
+    if sampled is None:
+        sampled = sample_rois(roi_candidates(cfg, obj.data, deltas.data, rcnn_boxes),
+                              rcnn_boxes, rcnn_labels, rng)
+    rois, roi_labels, roi_match = sampled
 
     pooled = roi_pool(cfg, features, rois)
     logits, pred_deltas = head_forward(model, pooled)

@@ -391,7 +391,7 @@ def loss_bytes(model, image, loss_fn):
             *(m.params[k].grad.tobytes() for k in sorted(m.params))]
 
 
-LOSS_CASES = ("no_boxes", "one_box", "several_boxes", "rpn_differs", "pinned_candidates")
+LOSS_CASES = ("no_boxes", "one_box", "several_boxes", "rpn_differs", "pinned_sample")
 
 
 @pytest.mark.parametrize("config", [DetectorConfig(), MICRO_CONFIG], ids=["default", "micro"])
@@ -408,20 +408,21 @@ def test_frcnn_loss_matches_array_oracle_bytes(config, case):
     n = {"no_boxes": 0, "one_box": 1}.get(case, 5)
     rpn_boxes, labels = random_targets(rng, config, num_classes, n)
     rcnn_boxes, rcnn_labels = rpn_boxes, labels
-    candidates = None
+    sampled = None
     if case == "rpn_differs":
         extra, extra_labels = random_targets(rng, config, num_classes, 2)
         rcnn_boxes = np.concatenate([rpn_boxes[1:3], extra])
         rcnn_labels = np.concatenate([labels[1:3], extra_labels])
-    elif case == "pinned_candidates":
+    elif case == "pinned_sample":
         candidates = random_targets(rng, config, num_classes, 24)[0]
+        sampled = sample_rois(candidates, rcnn_boxes, rcnn_labels, rng)
     seed = int(rng.integers(0, 2 ** 31))
     targets = training_targets(model, rpn_boxes, rcnn_boxes, rcnn_labels)
     got = loss_bytes(model, image, lambda m, f: frcnn_loss(
-        m, f, targets, np.random.default_rng(seed), candidate_rois=candidates))
+        m, f, targets, np.random.default_rng(seed), sampled=sampled))
     want = loss_bytes(model, image, lambda m, f: array_frcnn_loss(
         m, f, rpn_boxes, rcnn_boxes, rcnn_labels, np.random.default_rng(seed),
-        candidate_rois=candidates))
+        sampled=sampled))
     assert got == want
 
 
@@ -438,16 +439,17 @@ def test_training_targets_compact_layout(model):
 
 def test_frcnn_loss_calls_neither_match_anchors_nor_anchor_boxes(model, features, monkeypatch):
     """The anchors are matched once, by `training_targets`; the loss reads
-    the record, and only its proposals read the (cached) anchors."""
+    the record, and only its proposals read the (cached) anchors. A pinned
+    sample skips proposing and sampling altogether."""
     boxes, labels = annotation_arrays([(BBox(10, 10, 26, 28), 1)])
     targets = training_targets(model, boxes, boxes, labels)
-    matched = count_calls(monkeypatch, det, "match_anchors")
-    anchored = count_calls(monkeypatch, det, "anchor_boxes")
-    proposed = count_calls(monkeypatch, det, "propose")
-    frcnn_loss(model, features, targets, np.random.default_rng(0), candidate_rois=boxes)
-    assert len(matched) == len(anchored) == len(proposed) == 0
+    pinned = sample_rois(boxes, boxes, labels, np.random.default_rng(0))
+    counts = [count_calls(monkeypatch, det, name) for name in (
+        "match_anchors", "anchor_boxes", "propose", "roi_candidates", "sample_rois")]
+    frcnn_loss(model, features, targets, None, pinned)
+    assert [len(c) for c in counts] == [0, 0, 0, 0, 0]
     frcnn_loss(model, features, targets, np.random.default_rng(0))
-    assert len(matched) == 0 and len(anchored) == len(proposed) == 1
+    assert [len(c) for c in counts] == [0, 1, 1, 1, 1]
 
 
 def test_loss_gradcheck_micro_one_image():

@@ -8,7 +8,8 @@ _spec = importlib.util.spec_from_file_location("pairs", TOOL)
 pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(pairs)
 
-METRICS = [{"name": "ops_per_s", "better": "higher"}, {"name": "setup_s", "better": "lower"}]
+METRICS = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
+           {"name": "setup_s", "better": "lower", "bound": 0.25}]
 
 
 def _line(tree, pair, ops, setup, failed=0, workload="gradcheck"):
@@ -50,3 +51,19 @@ def test_summary_counts_failures_and_runs_without_a_result():
     assert fails["gradcheck", "change"] == (2, 14, 1)
     text = pairs.format_summary([ops], fails)
     assert "1/1" in text and "gradcheck change: 2 of 14 operations failed, 1 runs not correct" in text
+
+
+def test_summary_flags_a_median_worse_than_its_bound():
+    """A `train` `setup_s` of 0.172 -> 0.223 s is 30% worse, over the 0.25
+    bound; 0.172 -> 0.19 s is not. Faster `ops_per_s` is a positive gain."""
+    rows = {}
+    for c_setup in (0.223, 0.19):
+        lines = [_line("parent", 1, 2.0, 0.172, workload="train"),
+                 _line("change", 1, 2.5, c_setup, workload="train")]
+        ops, setup = pairs.summarize(lines, METRICS)
+        rows[c_setup] = setup
+        assert ops["gain"] == 0.25 and not ops["over_bound"]
+    assert rows[0.223]["gain"] < -0.25 and rows[0.223]["over_bound"]
+    assert -0.25 < rows[0.19]["gain"] < 0 and not rows[0.19]["over_bound"]
+    text = pairs.format_summary([rows[0.223], rows[0.19]], {})
+    assert text.count("over bound") == 1 and "-29.7%" in text and "-10.5%" in text

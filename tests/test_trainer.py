@@ -370,6 +370,29 @@ def test_train_incremental_seed_changes_result(om, inc_scenes):
     assert finals[0] != finals[1]
 
 
+def test_pinned_samples_reproduce_a_training_step(om, image, monkeypatch):
+    """`sampled=` given the two draws of an unpinned step, incremental model
+    first, gives that step's loss and gradients byte for byte: the order the
+    gradient suite pins its samples in."""
+    gt = annotation_arrays([(BBox(10, 10, 26, 28), 4), (BBox(40, 38, 56, 60), 5)])
+    cfg = small_cfg()
+    draws = []
+    real = det.sample_rois
+    monkeypatch.setattr(det, "sample_rois", lambda *a: draws.append(real(*a)) or draws[-1])
+    steps = []
+    for rng in (np.random.default_rng(11), None):
+        triple = init_triple(om, 2, 1)
+        precomputed = scene_targets(triple, image, *gt, cfg)
+        total, _ = compute_losses(triple, image, cfg, rng, *precomputed,
+                                  sampled=None if rng is not None else tuple(draws))
+        total.backward()
+        steps.append([total.data.tobytes(), *(m.params[k].grad.tobytes()
+                                               for m in (triple.im, triple.rm)
+                                               for k in sorted(m.params))])
+    assert len(draws) == 2 and not np.array_equal(draws[0][0], draws[1][0])
+    assert steps[0] == steps[1]
+
+
 def test_micro_total_loss_gradcheck_single_instance():
     err = check_loss_gradient("total_loss", np.random.default_rng([99, 1]))
     assert err < 1e-4

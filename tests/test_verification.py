@@ -1,0 +1,35 @@
+"""The gradient suite's network instances: what a built loss function does."""
+
+import numpy as np
+import pytest
+
+import tripledet.detector as det
+from tripledet.autodiff import Tensor
+from tripledet.verification import SUITE
+
+
+@pytest.mark.parametrize("name", ["frcnn_loss", "total_loss"])
+def test_built_instances_draw_nothing(name, monkeypatch):
+    """A built `f` is a pure function of its parameters: it samples no RoIs,
+    proposes no candidates and makes no generator, so every finite-difference
+    evaluation sees the base point's RoIs."""
+    build, _ = SUITE[name]
+    f, points = build(np.random.default_rng(5))
+    calls = []
+    for fn in ("sample_rois", "roi_candidates"):
+        real = getattr(det, fn)
+        monkeypatch.setattr(det, fn, lambda *a, _fn=fn, _real=real, **kw:
+                            calls.append(_fn) or _real(*a, **kw))
+    real_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a, **kw:
+                        calls.append("default_rng") or real_rng(*a, **kw))
+
+    def evaluate():
+        tensors = [Tensor(p.copy(), requires_grad=True) for p in points]
+        loss = f(*tensors)
+        loss.backward()
+        return [loss.data.tobytes(), *(t.grad.tobytes() for t in tensors if t.grad is not None)]
+
+    first, second = evaluate(), evaluate()
+    assert calls == []
+    assert first == second

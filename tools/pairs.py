@@ -14,9 +14,11 @@ seed, order (1 or 2 within the pair), exit code, and the run's JSON result
 (`correct`, `attempted`, `failed`, `metrics`), or the tail of its stderr
 when it printed none. At the end the tool prints, for each end-to-end metric
 of `BENCHMARK.json`, both medians, the parent's quartiles (inclusive
-method) and the number of pairs the change won, ties counting for neither
-side, plus the failed operations of each tree. Exit 0 when every run passed
-its correctness checks, 1 otherwise.
+method), the number of pairs the change won, ties counting for neither
+side, and the change of the median relative to the parent's, positive when
+better; `over bound` marks a change worse than the metric's `bound`. Then
+the failed operations of each tree. Exit 0 when every run passed its
+correctness checks, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -74,8 +76,10 @@ def quartiles(values: list[float]) -> tuple[float, float]:
 
 def summarize(records: list[dict], metrics: list[dict]) -> list[dict]:
     """One row per (workload, end-to-end metric): each tree's median over all
-    its runs, the parent's quartiles, and each side's wins over the pairs in
-    which both trees gave the metric."""
+    its runs, the parent's quartiles, each side's wins over the pairs in
+    which both trees gave the metric, and the change of the median relative
+    to the parent's (`gain`, positive when better), `over_bound` when it is
+    worse than the metric's `bound`."""
     rows = []
     for workload in sorted({r["workload"] for r in records}):
         runs = {(r["tree"], r["pair"]): r for r in records if r["workload"] == workload}
@@ -91,10 +95,12 @@ def summarize(records: list[dict], metrics: list[dict]) -> list[dict]:
             scored = sorted(p for t, p in value if t == "parent" and ("change", p) in value)
             margins = [sign * (value["change", p] - value["parent", p]) for p in scored]
             q1, q3 = quartiles(parent)
+            p_med, c_med = statistics.median(parent), statistics.median(change)
+            gain = sign * (c_med - p_med) / p_med
             rows.append({
                 "workload": workload, "metric": name, "better": metric["better"],
-                "parent_median": statistics.median(parent), "parent_q1": q1, "parent_q3": q3,
-                "change_median": statistics.median(change),
+                "parent_median": p_med, "parent_q1": q1, "parent_q3": q3,
+                "change_median": c_med, "gain": gain, "over_bound": -gain > metric["bound"],
                 "change_wins": sum(m > 0 for m in margins),
                 "parent_wins": sum(m < 0 for m in margins), "pairs": len(scored),
             })
@@ -114,11 +120,12 @@ def failures(records: list[dict]) -> dict[tuple[str, str], tuple[int, int, int]]
 
 def format_summary(rows: list[dict], fails: dict) -> str:
     lines = [f"{'workload':<10} {'metric':<12} {'parent median':>14} {'parent q1':>11} "
-             f"{'parent q3':>11} {'change median':>14} {'change wins':>12}"]
+             f"{'parent q3':>11} {'change median':>14} {'change wins':>12} {'gain':>8}"]
     for row in rows:
         lines.append(f"{row['workload']:<10} {row['metric']:<12} {row['parent_median']:>14.5g} "
                      f"{row['parent_q1']:>11.5g} {row['parent_q3']:>11.5g} "
-                     f"{row['change_median']:>14.5g} {row['change_wins']:>7}/{row['pairs']}")
+                     f"{row['change_median']:>14.5g} {row['change_wins']:>7}/{row['pairs']:<4} "
+                     f"{row['gain']:>+8.1%}" + ("  over bound" if row["over_bound"] else ""))
     for (workload, tree), (failed, attempted, bad) in sorted(fails.items()):
         lines.append(f"{workload} {tree}: {failed} of {attempted} operations failed, "
                      f"{bad} runs not correct")
