@@ -17,6 +17,8 @@ Numerical conventions used throughout:
 
 from __future__ import annotations
 
+import functools
+from contextvars import ContextVar
 from typing import Callable, Sequence
 
 import numpy as np
@@ -164,8 +166,88 @@ def _broadcast_error(kind: str, a: Tensor, b: Tensor) -> ShapeError:
     return ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not broadcast")
 
 
+# -- grad_check's base-point record --------------------------------------------
+
+class _Record:
+    """Every op output of one `grad_check` base-point evaluation, keyed by the
+    op and its inputs, for the finite-difference probes to reuse. An op is
+    deterministic, so an output recorded from byte-identical inputs is the
+    output a probe would compute."""
+
+    __slots__ = ("outputs", "ids", "recording")
+
+    def __init__(self):
+        self.outputs: dict[tuple, Tensor] = {}
+        self.ids: set[int] = set()      # of the recorded outputs, which `outputs` keeps alive
+        self.recording = True
+
+    def key(self, op: Callable, args: tuple, kwargs: dict) -> tuple | None:
+        """`op` and its inputs: a recorded output by identity; a leaf Tensor
+        or an array by type, dtype, shape, strides and bytes; any other
+        argument by type and value. None when an input requires gradients or
+        is an interior Tensor this record did not produce."""
+        key = [op]
+        if kwargs:
+            key.append(tuple(kwargs))
+            args = (*args, *kwargs.values())
+        ids = self.ids
+        for a in args:
+            if isinstance(a, Tensor):
+                if a.requires_grad:
+                    return None
+                i = id(a)
+                if i in ids:
+                    key.append(i)
+                    continue
+                if a.op != "leaf":
+                    return None
+                d = a.data
+            elif isinstance(a, np.ndarray):
+                d = a
+            else:
+                key.append((type(a), a))
+                continue
+            key.append((type(a), d.dtype.str, d.shape, d.strides, d.tobytes()))
+        return tuple(key)
+
+    def call(self, op: Callable, args: tuple, kwargs: dict) -> Tensor:
+        key = self.key(op, args, kwargs)
+        if key is not None:
+            try:
+                out = self.outputs.get(key)
+            except TypeError:           # an unhashable argument: computed, never recorded
+                key = None
+            else:
+                if out is not None:
+                    return out
+        out = op(*args, **kwargs)
+        if key is not None and self.recording:
+            # every probe may return this output: a write into it raises
+            out.data.flags.writeable = False
+            self.outputs[key] = out
+            self.ids.add(id(out))
+        return out
+
+
+_RECORD: ContextVar[_Record | None] = ContextVar("grad_check_record", default=None)
+
+
+def _reusable(op: Callable[..., Tensor]) -> Callable[..., Tensor]:
+    """`op`, called through the record of the `grad_check` running in this
+    context, if any."""
+    @functools.wraps(op)
+    def call(*args, **kwargs):
+        record = _RECORD.get()
+        if record is None:
+            return op(*args, **kwargs)
+        return record.call(op, args, kwargs)
+
+    return call
+
+
 # -- elementwise arithmetic ------------------------------------------------
 
+@_reusable
 def add(a: Tensor, b: Tensor) -> Tensor:
     try:
         val = a.data + b.data
@@ -179,6 +261,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(val, "add", (a, b), bw)
 
 
+@_reusable
 def subtract(a: Tensor, b: Tensor) -> Tensor:
     try:
         val = a.data - b.data
@@ -192,6 +275,7 @@ def subtract(a: Tensor, b: Tensor) -> Tensor:
     return _make(val, "subtract", (a, b), bw)
 
 
+@_reusable
 def multiply(a: Tensor, b: Tensor) -> Tensor:
     try:
         val = a.data * b.data
@@ -205,6 +289,7 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
     return _make(val, "multiply", (a, b), bw)
 
 
+@_reusable
 def divide(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise a/b; callers keep |b| bounded away from zero."""
     try:
@@ -221,6 +306,7 @@ def divide(a: Tensor, b: Tensor) -> Tensor:
 
 # -- linear algebra --------------------------------------------------------
 
+@_reusable
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
@@ -232,6 +318,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data @ b.data, "matmul", (a, b), bw)
 
 
+@_reusable
 def gram(m: Tensor) -> Tensor:
     """M @ M.T for a 2-D tensor."""
     if m.data.ndim != 2:
@@ -245,6 +332,7 @@ def gram(m: Tensor) -> Tensor:
 
 # -- reductions ------------------------------------------------------------
 
+@_reusable
 def tsum(x: Tensor, axis: int | None = None) -> Tensor:
     def bw(g):
         if axis is None:
@@ -255,6 +343,7 @@ def tsum(x: Tensor, axis: int | None = None) -> Tensor:
     return _make(x.data.sum(axis=axis), "sum", (x,), bw)
 
 
+@_reusable
 def tmean(x: Tensor, axis: int | None = None) -> Tensor:
     n = x.data.size if axis is None else x.shape[axis]
 
@@ -267,6 +356,7 @@ def tmean(x: Tensor, axis: int | None = None) -> Tensor:
     return _make(x.data.mean(axis=axis), "mean", (x,), bw)
 
 
+@_reusable
 def frobenius_norm(x: Tensor) -> Tensor:
     """sqrt(sum(x^2) + 1e-12); the epsilon keeps the all-zeros gradient finite."""
     val = np.sqrt((x.data * x.data).sum() + EPS)
@@ -279,6 +369,7 @@ def frobenius_norm(x: Tensor) -> Tensor:
 
 # -- elementwise nonlinearities ---------------------------------------------
 
+@_reusable
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
 
@@ -288,6 +379,7 @@ def relu(x: Tensor) -> Tensor:
     return _make(np.where(mask, x.data, 0.0), "relu", (x,), bw)
 
 
+@_reusable
 def tabs(x: Tensor) -> Tensor:
     sign = np.sign(x.data)
 
@@ -297,6 +389,7 @@ def tabs(x: Tensor) -> Tensor:
     return _make(np.abs(x.data), "abs", (x,), bw)
 
 
+@_reusable
 def square(x: Tensor) -> Tensor:
     def bw(g):
         _accum(x, 2.0 * g * x.data)
@@ -304,6 +397,7 @@ def square(x: Tensor) -> Tensor:
     return _make(x.data * x.data, "square", (x,), bw)
 
 
+@_reusable
 def smooth_l1(x: Tensor) -> Tensor:
     """Elementwise 0.5 x^2 for |x|<1, |x|-0.5 otherwise."""
     inner = np.abs(x.data) < 1.0
@@ -315,6 +409,7 @@ def smooth_l1(x: Tensor) -> Tensor:
     return _make(val, "smooth_l1", (x,), bw)
 
 
+@_reusable
 def softplus(x: Tensor) -> Tensor:
     """log(1 + e^x), evaluated stably; derivative is sigmoid(x)."""
     val = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
@@ -332,6 +427,7 @@ def softplus(x: Tensor) -> Tensor:
 
 # -- softmax family ----------------------------------------------------------
 
+@_reusable
 def softmax(x: Tensor, index_range: tuple[int, int] | None = None) -> Tensor:
     """Softmax of each row of (n, C) logits, optionally over columns [lo, hi) only.
 
@@ -357,6 +453,7 @@ def softmax(x: Tensor, index_range: tuple[int, int] | None = None) -> Tensor:
     return _make(val, "softmax", (x,), bw)
 
 
+@_reusable
 def log_softmax(x: Tensor) -> Tensor:
     """Log-softmax of each row of (n, C) logits."""
     if x.data.ndim != 2:
@@ -372,6 +469,7 @@ def log_softmax(x: Tensor) -> Tensor:
 
 # -- shape ops ----------------------------------------------------------------
 
+@_reusable
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     def bw(g):
         _accum(x, g.reshape(x.shape))
@@ -393,6 +491,7 @@ def _im2col(xp: np.ndarray, k: int, h: int, w: int) -> np.ndarray:
     return np.ascontiguousarray(win.reshape(cin * k * k, h * w))
 
 
+@_reusable
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Stride-1 "same" convolution of a (cin,h,w) map with (cout,cin,k,k)
     kernels, k odd, zero-padded by k//2 so the output keeps the input's size,
@@ -436,6 +535,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(out, "conv2d", (x, w, b), bw)
 
 
+@_reusable
 def max_pool2(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2; ties go to the first window cell.
 
@@ -467,6 +567,7 @@ def max_pool2(x: Tensor) -> Tensor:
     return _make(out, "max_pool2", (x,), bw)
 
 
+@_reusable
 def roi_pool(features: Tensor, rois: np.ndarray, size: int) -> Tensor:
     """Nearest-neighbor grid pooling of (c,h,w) features into (n,c,P,P).
 
@@ -509,6 +610,15 @@ def grad_check(f: Callable[..., Tensor], points: Sequence[np.ndarray]) -> float:
     `f` maps one Tensor per entry of `points` to a scalar Tensor and must be
     a deterministic function of its inputs. The error at each coordinate is
     |analytic - numeric| / max(1, |analytic|, |numeric|).
+
+    After the analytic pass, one more evaluation of `f` without gradients
+    records every op's output at the base point. A probe moves one
+    coordinate of one input, so in a probe an op whose inputs are all
+    recorded outputs, or leaves and arrays byte-equal to the base point's,
+    returns its recorded output instead of computing the same bytes again.
+    Every probe value is the one a full evaluation gives. Recorded outputs
+    are read-only, since every probe may share them, and the record is
+    dropped when grad_check returns or raises.
     """
     arrays = [np.array(p, dtype=np.float64) for p in points]
 
@@ -524,21 +634,28 @@ def grad_check(f: Callable[..., Tensor], points: Sequence[np.ndarray]) -> float:
         bad = np.flatnonzero(~np.isfinite(grad))
         if bad.size:
             raise GradCheckError(f"non-finite analytic gradient at input {ti}, coordinate {bad[0]}")
-    worst = 0.0
-    for ti, base in enumerate(arrays):
-        flat = base.reshape(-1)
-        for ci in range(flat.size):
-            orig = flat[ci]
-            flat[ci] = orig + FD_STEP
-            f_plus = f(*[Tensor(a.copy()) for a in arrays]).item()
-            flat[ci] = orig - FD_STEP
-            f_minus = f(*[Tensor(a.copy()) for a in arrays]).item()
-            flat[ci] = orig
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise GradCheckError(
-                    f"non-finite value at input {ti}, coordinate {ci}")
-            numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
-            analytic_c = analytic[ti].reshape(-1)[ci]
-            err = abs(analytic_c - numeric) / max(1.0, abs(analytic_c), abs(numeric))
-            worst = max(worst, err)
+    record = _Record()
+    token = _RECORD.set(record)
+    try:
+        f(*[Tensor(a.copy()) for a in arrays])
+        record.recording = False
+        worst = 0.0
+        for ti, base in enumerate(arrays):
+            flat = base.reshape(-1)
+            for ci in range(flat.size):
+                orig = flat[ci]
+                flat[ci] = orig + FD_STEP
+                f_plus = f(*[Tensor(a.copy()) for a in arrays]).item()
+                flat[ci] = orig - FD_STEP
+                f_minus = f(*[Tensor(a.copy()) for a in arrays]).item()
+                flat[ci] = orig
+                if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+                    raise GradCheckError(
+                        f"non-finite value at input {ti}, coordinate {ci}")
+                numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
+                analytic_c = analytic[ti].reshape(-1)[ci]
+                err = abs(analytic_c - numeric) / max(1.0, abs(analytic_c), abs(numeric))
+                worst = max(worst, err)
+    finally:
+        _RECORD.reset(token)
     return worst

@@ -318,10 +318,14 @@ def sample_rois(candidates: np.ndarray, targets: np.ndarray, labels: np.ndarray,
 
 @dataclass(frozen=True)
 class Targets:
-    """One scene's training targets for one model, built by `training_targets`."""
-    rpn_pos: np.ndarray              # (A, H, W) bool, positive anchors
-    rpn_neg: np.ndarray              # (A, H, W) bool, negative anchors
-    rpn_deltas: np.ndarray           # (P, 4) encoded positives, in (anchor, y, x) order
+    """One scene's training targets for one model, built by `training_targets`:
+    the RPN half of `frcnn_loss`'s targets, laid out as its (A, H, W) head
+    tensors, and the R-CNN boxes and labels. The arrays are read-only."""
+    rpn_label: np.ndarray            # (A, H, W) float, 1.0 on positive anchors
+    rpn_mask: np.ndarray             # (A, H, W) float, 1.0 on positive and negative anchors
+    rpn_cls_norm: float              # 1 / max(rpn_mask.sum(), 1)
+    rpn_deltas: np.ndarray           # (A, 4, H, W) encoded targets of the positives, else 0
+    rpn_reg_norm: float              # 1 / max(number of positives, 1)
     rcnn_boxes: np.ndarray           # (k, 4)
     rcnn_labels: np.ndarray          # (k,) class ids in 1..num_classes
 
@@ -338,8 +342,15 @@ def training_targets(model: DetectorModel, rpn_boxes: np.ndarray, rcnn_boxes: np
     shape = (len(cfg.anchor_sides), cfg.feature_size, cfg.feature_size)
     anchors = anchor_boxes(cfg)
     pos, neg, match = match_anchors(anchors, rpn_boxes)
-    deltas = encode_deltas_array(anchors[pos], rpn_boxes[match[pos]])
-    return Targets(pos.reshape(shape), neg.reshape(shape), deltas, rcnn_boxes, rcnn_labels)
+    deltas = np.zeros((len(anchors), 4))
+    deltas[pos] = encode_deltas_array(anchors[pos], rpn_boxes[match[pos]])
+    deltas = deltas.reshape(*shape, 4).transpose(0, 3, 1, 2)
+    label = pos.reshape(shape).astype(np.float64)
+    mask = (pos | neg).reshape(shape).astype(np.float64)
+    for arr in (label, mask, deltas):
+        arr.flags.writeable = False
+    return Targets(label, mask, 1.0 / max(mask.sum(), 1.0), deltas,
+                   1.0 / max(pos.sum(), 1), rcnn_boxes, rcnn_labels)
 
 
 @dataclass
@@ -376,21 +387,14 @@ def frcnn_loss(model: DetectorModel, features: Tensor, targets: Targets,
     cfg = model.config
 
     # RPN terms, laid out as (A, H, W) to match the head tensors
-    pos = targets.rpn_pos
     obj, deltas = rpn_forward(model, features)
-    obj_label = pos.astype(np.float64)
-    obj_mask = (pos | targets.rpn_neg).astype(np.float64)
-    n_cls = obj_mask.sum()
-    bce = ad.softplus(obj) - obj * Tensor(obj_label)
-    rpn_cls = ad.tsum(bce * Tensor(obj_mask)) * Tensor(1.0 / max(n_cls, 1.0))
-
-    delta_targets = np.zeros((*pos.shape, 4))
-    delta_targets[pos] = targets.rpn_deltas
-    delta_targets = delta_targets.transpose(0, 3, 1, 2)
-    pos_mask = pos[:, None].astype(np.float64)
-    pred = ad.reshape(deltas, (len(pos), 4, *pos.shape[1:]))
-    rpn_reg = ad.tsum(ad.smooth_l1(pred - Tensor(delta_targets)) * Tensor(pos_mask))
-    rpn_reg = rpn_reg * Tensor(1.0 / max(pos.sum(), 1))
+    bce = ad.softplus(obj) - obj * Tensor(targets.rpn_label)
+    rpn_cls = ad.tsum(bce * Tensor(targets.rpn_mask)) * Tensor(targets.rpn_cls_norm)
+    pred = ad.reshape(deltas, targets.rpn_deltas.shape)
+    # each positive anchor's label masks its four deltas
+    rpn_reg = ad.tsum(ad.smooth_l1(pred - Tensor(targets.rpn_deltas))
+                      * Tensor(targets.rpn_label[:, None]))
+    rpn_reg = rpn_reg * Tensor(targets.rpn_reg_norm)
 
     # R-CNN terms on sampled RoIs
     rcnn_boxes = targets.rcnn_boxes

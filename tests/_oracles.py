@@ -2,13 +2,14 @@
 
 These deliberately use plain loops and literal definitions, independent of
 the library code paths they check, or keep a rewritten function's old body
-as an exact-equality oracle. `scene_losses` is the one shared step helper.
+as an exact-equality oracle. `scene_losses` is the one shared step helper,
+and `assert_probes_exact` the one shared gradient-check helper.
 """
 
 import numpy as np
 
 from tripledet import autodiff as ad
-from tripledet.autodiff import Tensor
+from tripledet.autodiff import FD_STEP, GradCheckError, Tensor
 from tripledet.boxes import (BBox, Detection, annotation_arrays, clip_boxes, decode_deltas_array,
                              encode_deltas_array, iou, iou_matrix, nms_per_class)
 from tripledet.detector import (DEGENERATE_EPS, RPN_NEG_IOU, RPN_POS_IOU, DetectorError,
@@ -391,3 +392,62 @@ def classification_distill_loss_ref(p_om: np.ndarray, y_im: np.ndarray,
             term += sum((im_new[k] - rm[k]) ** 2 for k in range(cb)) / cb
         total += term
     return total / n
+
+
+# -- finite differences --------------------------------------------------------------
+
+def full_evaluation_grad_check(f, points):
+    """`autodiff.grad_check` with every probe a full evaluation of `f`."""
+    arrays = [np.array(p, dtype=np.float64) for p in points]
+
+    def evaluate(arrs):
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in arrs]
+        out = f(*tensors)
+        out.backward()
+        grads = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
+        return out.item(), grads
+
+    _, analytic = evaluate(arrays)
+    for ti, grad in enumerate(analytic):
+        bad = np.flatnonzero(~np.isfinite(grad))
+        if bad.size:
+            raise GradCheckError(f"non-finite analytic gradient at input {ti}, coordinate {bad[0]}")
+    worst = 0.0
+    for ti, base in enumerate(arrays):
+        flat = base.reshape(-1)
+        for ci in range(flat.size):
+            orig = flat[ci]
+            flat[ci] = orig + FD_STEP
+            f_plus = f(*[Tensor(a.copy()) for a in arrays]).item()
+            flat[ci] = orig - FD_STEP
+            f_minus = f(*[Tensor(a.copy()) for a in arrays]).item()
+            flat[ci] = orig
+            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+                raise GradCheckError(
+                    f"non-finite value at input {ti}, coordinate {ci}")
+            numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
+            analytic_c = analytic[ti].reshape(-1)[ci]
+            err = abs(analytic_c - numeric) / max(1.0, abs(analytic_c), abs(numeric))
+            worst = max(worst, err)
+    return worst
+
+
+def assert_probes_exact(f, points):
+    """`ad.grad_check(f, points)` evaluates `f` to the same bytes as
+    `full_evaluation_grad_check` at every probe, and returns the same error."""
+    runs = []
+    for check in (ad.grad_check, full_evaluation_grad_check):
+        values = []
+
+        def logged(*tensors):
+            out = f(*tensors)
+            values.append(out.item().hex())
+            return out
+
+        runs.append((check(logged, points).hex(), values))
+    (worst, seen), (want_worst, want) = runs
+    # the library evaluates the base point once more, between the analytic
+    # pass and the probes
+    assert len(seen) == len(want) + 1 and seen[1] == seen[0] == want[0]
+    assert seen[2:] == want[1:]
+    assert worst == want_worst

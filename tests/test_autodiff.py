@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from _oracles import argmax_max_pool2, np_pad_conv2d
+from _oracles import argmax_max_pool2, assert_probes_exact, np_pad_conv2d
 from tripledet import autodiff as ad
 from tripledet.autodiff import GradCheckError, ShapeError, Tensor
 from tripledet.trainer import BaseTrainConfig, LossBreakdown, SGDMomentum, TrainingError, _fit
@@ -305,7 +305,7 @@ def test_broadcast_bias_add_gradient():
     assert err < 1e-6
 
 
-@pytest.mark.parametrize("kind,builder", [
+PRIMITIVE_CASES = [
     ("add", lambda rng: (lambda a, b: ad.tsum(ad.add(a, b)),
                          [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))])),
     ("subtract", lambda rng: (lambda a, b: ad.tsum(ad.square(ad.subtract(a, b))),
@@ -344,7 +344,10 @@ def test_broadcast_bias_add_gradient():
     ("roi_pool", lambda rng: (lambda x: ad.tsum(ad.square(ad.roi_pool(
         x, np.array([[0.2, 0.4, 3.1, 3.7], [1.0, 0.5, 3.9, 2.5]]), 2))),
         [rng.normal(size=(2, 4, 4))])),
-])
+]
+
+
+@pytest.mark.parametrize("kind,builder", PRIMITIVE_CASES)
 def test_primitive_gradients_ten_instances(kind, builder):
     """Every primitive matches central finite differences on 10 random draws."""
     worst = 0.0
@@ -353,6 +356,92 @@ def test_primitive_gradients_ten_instances(kind, builder):
         f, points = builder(rng)
         worst = max(worst, ad.grad_check(f, points))
     assert worst < 1e-4, f"{kind}: max relative error {worst}"
+
+
+@pytest.mark.parametrize("kind,builder", PRIMITIVE_CASES)
+def test_grad_check_probes_equal_full_evaluations_bytes(kind, builder):
+    """Probes that reuse the base point's op outputs give every value, and the
+    error, of full evaluations, byte for byte."""
+    for i in range(2):
+        f, points = builder(np.random.default_rng([17, i, sum(ord(c) for c in kind)]))
+        assert_probes_exact(f, points)
+
+
+def test_grad_check_record_lives_only_inside_grad_check():
+    """No record during the analytic pass, one from the base-point
+    evaluation on, and none after a return or either GradCheckError, or
+    after `f` raises."""
+    seen = []
+
+    def f(t):
+        seen.append(ad._RECORD.get())
+        return ad.tsum(t * t * t)
+
+    ad.grad_check(f, [np.array([2.0])])
+    assert seen[0] is None and seen[1] is not None and all(r is seen[1] for r in seen[1:])
+    assert ad._RECORD.get() is None
+    with np.errstate(divide="ignore"), pytest.raises(GradCheckError, match="non-finite value"):
+        ad.grad_check(lambda t: ad.tsum(ad.divide(Tensor([1.0]), t)), [np.array([ad.FD_STEP])])
+    assert ad._RECORD.get() is None
+    with np.errstate(invalid="ignore"), pytest.raises(GradCheckError, match="analytic"):
+        ad.grad_check(lambda t: ad.tsum(ad.relu(ad.multiply(t, Tensor([-np.inf])))),
+                      [np.array([1.0])])
+    assert ad._RECORD.get() is None
+    calls = []
+
+    def fails_in_a_probe(t):
+        calls.append(t)
+        if len(calls) == 3:
+            raise ShapeError("raised by f")
+        return ad.tsum(t * t)
+
+    with pytest.raises(ShapeError, match="raised by f"):
+        ad.grad_check(fails_in_a_probe, [np.array([1.0])])
+    assert ad._RECORD.get() is None
+
+
+def test_grad_check_record_is_read_only_by_probe_calls_without_gradients():
+    """A probe call on byte-equal inputs gets the recorded output; a call on
+    an input that requires gradients, or a call after grad_check, computes."""
+    const = np.array([1.5, -0.5])
+    outs = []
+
+    def f(t):
+        plain = ad.square(Tensor(const))
+        tracked = ad.square(Tensor(const, requires_grad=True))
+        outs.append((plain, tracked))
+        return ad.tsum(t * plain) + ad.tsum(tracked)
+
+    ad.grad_check(f, [np.array([0.3, 0.7])])
+    recorded = outs[1][0]
+    assert len(outs) == 6 and all(plain is recorded for plain, _ in outs[2:])
+    assert not recorded.data.flags.writeable       # every probe shares it
+    assert all(tracked.requires_grad and tracked.parents for _, tracked in outs)
+    assert len({id(tracked) for _, tracked in outs}) == len(outs)
+    after = ad.square(Tensor(const))
+    assert after is not recorded and np.array_equal(after.data, recorded.data)
+
+
+def test_nested_grad_check_restores_the_outer_record():
+    seen = []
+
+    def outer(t):
+        before = ad._RECORD.get()
+        assert ad.grad_check(lambda u: ad.tsum(u * u), [np.array([1.0, 2.0])]) < 1e-6
+        seen.append((before, ad._RECORD.get(), ad.square(Tensor([2.0]))))
+        return ad.tsum(t * seen[-1][2])
+
+    ad.grad_check(outer, [np.array([0.5])])
+    assert all(before is after for before, after, _ in seen)
+    recorded = seen[1][2]
+    assert len(seen) == 4 and all(out is recorded for _, _, out in seen[2:])
+    assert ad._RECORD.get() is None
+
+
+def test_grad_check_computes_a_call_with_an_unhashable_argument():
+    """A list `shape` cannot key the record: reshape computes, exactly."""
+    assert_probes_exact(lambda t: ad.tsum(ad.square(ad.reshape(t, [4]))),
+                        [np.arange(4.0).reshape(2, 2)])
 
 
 def test_topo_visits_each_node_once():

@@ -12,7 +12,7 @@ import tripledet.detector as det
 from _oracles import array_frcnn_loss, per_class_detect, per_target_match_anchors
 from tripledet import autodiff as ad
 from tripledet.autodiff import Tensor
-from tripledet.boxes import BBox, annotation_arrays, iou_matrix, nms_indices
+from tripledet.boxes import BBox, annotation_arrays, encode_deltas_array, iou_matrix, nms_indices
 from tripledet.detector import (DetectorConfig, DetectorError, DetectorModel, anchor_boxes,
                                 checkpoint_bytes, checkpoint_hash, detect, forward_features,
                                 frcnn_loss, head_forward, load_checkpoint, match_anchors,
@@ -426,15 +426,27 @@ def test_frcnn_loss_matches_array_oracle_bytes(config, case):
     assert got == want
 
 
-def test_training_targets_compact_layout(model):
+def test_training_targets_rpn_layout(model):
+    """The RPN half is laid out as the head tensors: float label and mask over
+    (A,H,W), dense (A,4,H,W) deltas that are zero off the positives, and the
+    two normalisers; every array is read-only."""
     boxes, labels = annotation_arrays([(BBox(10, 10, 26, 26), 1), (BBox(40, 40, 58, 60), 2)])
     t = training_targets(model, boxes, boxes, labels)
     cfg = model.config
-    shape = (len(cfg.anchor_sides), cfg.feature_size, cfg.feature_size)
-    assert t.rpn_pos.shape == t.rpn_neg.shape == shape
-    assert t.rpn_pos.dtype == t.rpn_neg.dtype == bool
-    assert not (t.rpn_pos & t.rpn_neg).any()
-    assert t.rpn_deltas.shape == (int(t.rpn_pos.sum()), 4) and len(t.rpn_deltas) > 0
+    a, fs = len(cfg.anchor_sides), cfg.feature_size
+    pos, neg, match = match_anchors(anchor_boxes(cfg), boxes)
+    assert t.rpn_label.shape == t.rpn_mask.shape == (a, fs, fs)
+    assert np.array_equal(t.rpn_label.reshape(-1), pos.astype(np.float64))
+    assert np.array_equal(t.rpn_mask.reshape(-1), (pos | neg).astype(np.float64))
+    assert t.rpn_deltas.shape == (a, 4, fs, fs)
+    dense = t.rpn_deltas.transpose(0, 2, 3, 1).reshape(-1, 4)
+    assert pos.any() and not dense[~pos].any()
+    assert np.array_equal(dense[pos], encode_deltas_array(anchor_boxes(cfg)[pos],
+                                                          boxes[match[pos]]))
+    assert t.rpn_cls_norm == 1.0 / (pos | neg).sum()
+    assert t.rpn_reg_norm == 1.0 / pos.sum()
+    for arr in (t.rpn_label, t.rpn_mask, t.rpn_deltas):
+        assert arr.dtype == np.float64 and not arr.flags.writeable
 
 
 def test_frcnn_loss_calls_neither_match_anchors_nor_anchor_boxes(model, features, monkeypatch):

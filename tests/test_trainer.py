@@ -19,8 +19,9 @@ from tripledet.autodiff import Tensor
 from tripledet.boxes import BBox, annotation_arrays
 from tripledet.cli import RunConfig
 from tripledet.detector import (DetectorConfig, checkpoint_bytes, checkpoint_hash, detect,
-                                forward_features, frcnn_loss, load_checkpoint, new_model,
-                                save_checkpoint, training_targets)
+                                forward_features, frcnn_loss, head_forward, load_checkpoint,
+                                new_model, roi_pool, save_checkpoint, training_targets)
+from tripledet.distill import LogitTriple, classification_distill_loss
 from tripledet.pseudo_gt import Thresholds
 from tripledet.synthdata import (Scene, generate_dataset, generate_incremental_dataset,
                                  make_classes)
@@ -28,7 +29,7 @@ from tripledet.trainer import (BaseTrainConfig, SGDMomentum, TrainConfig, Traini
                                TripleNetwork, compute_losses, finetune_config,
                                init_incremental, init_residual, init_triple, scene_targets,
                                train_base, train_incremental)
-from tripledet.verification import check_loss_gradient
+from tripledet.verification import MICRO_CONFIG, check_loss_gradient, micro_image, micro_targets
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +254,32 @@ def test_each_distill_term_reaches_residual_backbone_gradient(om, image, term):
         grads.append(triple.rm.params["backbone.conv1.w"].grad.copy())
     # the same RoI draws either way, so the term alone makes the difference
     assert not np.array_equal(grads[0], grads[1])
+
+
+def test_cls_distill_new_class_half_is_live_with_two_new_classes():
+    """2 old + 2 new classes on the micro config, the models built by
+    `init_incremental`/`init_residual`: the new-class half of d_cls (a real
+    head's logits, widened columns, `index_range` slices) is non-zero and sends
+    a non-zero gradient to the incremental model's new class columns and the
+    residual model's head, which nothing else in d_cls reaches."""
+    rng = np.random.default_rng(43)
+    om = new_model(MICRO_CONFIG, 2, seed=8).clone(requires_grad=False)
+    im, rm = init_incremental(om, 2, seed=9), init_residual(om, 2, seed=10)
+    image = micro_image(rng)
+    rois = micro_targets(rng, 4, n=3)[0]
+
+    def logits(model):
+        features = forward_features(model, image)
+        return head_forward(model, roi_pool(MICRO_CONFIG, features, rois))[0]
+
+    om_l, im_l, rm_l = logits(om), logits(im), logits(rm)
+    loss = classification_distill_loss(LogitTriple(om_l, im_l, rm_l))
+    old_half = classification_distill_loss(LogitTriple(
+        Tensor(om_l.data), Tensor(im_l.data[:, :3].copy()), Tensor(rm_l.data[:, :1].copy())))
+    assert loss.item() - old_half.item() > 0.0
+    loss.backward()
+    assert np.any(im.params["rcnn.cls.w"].grad[:, 3:] != 0.0)
+    assert np.any(rm.params["rcnn.cls.w"].grad != 0.0)
 
 
 # -- one forward per network per image ------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tripledet.detector as det
+from _oracles import assert_probes_exact
 from tripledet.autodiff import Tensor
 from tripledet.verification import SUITE
 
@@ -33,3 +34,12 @@ def test_built_instances_draw_nothing(name, monkeypatch):
     first, second = evaluate(), evaluate()
     assert calls == []
     assert first == second
+
+
+@pytest.mark.parametrize("name", ["frcnn_loss", "total_loss"])
+def test_built_instance_probes_equal_full_evaluations_bytes(name):
+    """On a network instance, where most of a probe's ops reuse the base
+    point's outputs, every probe value and the error are those of full
+    evaluations, byte for byte."""
+    build, _ = SUITE[name]
+    assert_probes_exact(*build(np.random.default_rng(6)))
