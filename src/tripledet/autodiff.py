@@ -371,12 +371,16 @@ def frobenius_norm(x: Tensor) -> Tensor:
 
 @_reusable
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
+    """max(x, 0) with NaN, -inf and -0.0 all mapped to +0.0: `fmax` returns
+    the 0.0 for a NaN, and adding +0.0 turns a -0.0 into +0.0 and leaves
+    every other value's bytes as they are."""
+    out = np.fmax(x.data, 0.0)
+    out += 0.0
 
     def bw(g):
-        _accum(x, g * mask)
+        _accum(x, g * (x.data > 0))
 
-    return _make(np.where(mask, x.data, 0.0), "relu", (x,), bw)
+    return _make(out, "relu", (x,), bw)
 
 
 @_reusable
@@ -505,11 +509,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if k != kw or k % 2 == 0:
         raise ShapeError(f"conv2d: need an odd square kernel, got {w.shape}")
     pad = k // 2
-    xp = np.zeros((cin, h + 2 * pad, wd + 2 * pad))
-    xp[:, pad:pad + h, pad:pad + wd] = x.data
-    cols = _im2col(xp, k, h, wd)
+    if k == 1:
+        cols = x.data.reshape(cin, h * wd)
+    else:
+        xp = np.zeros((cin, h + 2 * pad, wd + 2 * pad))
+        xp[:, pad:pad + h, pad:pad + wd] = x.data
+        cols = _im2col(xp, k, h, wd)
     wm = w.data.reshape(cout, cin * k * k)
-    out = (wm @ cols).reshape(cout, h, wd) + b.data
+    out = (wm @ cols).reshape(cout, h, wd)
+    out += b.data
 
     def bw(g):
         _accum(b, g.sum(axis=(1, 2), keepdims=True))
@@ -548,15 +556,21 @@ def max_pool2(x: Tensor) -> Tensor:
         raise ShapeError(f"max_pool2: need (c, even, even), got {x.shape}")
     cells = [x.data[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]
     top = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
-    hits = [cell == top for cell in cells[:3]]
-    # np.maximum may return either zero of a signed-zero tie, so the value
-    # comes from the first cell equal to the max; `top` is the last cell's
-    # exact value wherever that cell alone is the max, and NaN where the
-    # window holds NaN
-    out = np.where(hits[0], cells[0], np.where(hits[1], cells[1],
-                                               np.where(hits[2], cells[2], top)))
+    # equal values differ in their bytes only as -0.0 and +0.0, so without a
+    # -0.0 in x the first cell equal to the max holds exactly `top`'s bytes,
+    # and a NaN window outputs `top`'s NaN either way
+    if (np.signbit(x.data) & (x.data == 0.0)).any():
+        # np.maximum may return either zero of a signed-zero tie, so the value
+        # comes from the first cell equal to the max; `top` is the last cell's
+        # exact value wherever that cell alone is the max, and NaN where the
+        # window holds NaN
+        out = np.where(cells[0] == top, cells[0], np.where(
+            cells[1] == top, cells[1], np.where(cells[2] == top, cells[2], top)))
+    else:
+        out = top
 
     def bw(g):
+        hits = [cell == top for cell in cells[:3]]
         taken = hits[0] | hits[1]
         masks = (hits[0], hits[1] & ~hits[0], hits[2] & ~taken, ~(taken | hits[2]))
         gx = np.empty_like(x.data)
@@ -574,14 +588,14 @@ def roi_pool(features: Tensor, rois: np.ndarray, size: int) -> Tensor:
     `rois` is an (n,4) float array of (x1,y1,x2,y2) boxes in feature-cell
     coordinates. Output cell (i,j) samples the feature cell nearest to the
     center of the (i,j)-th bin of a PxP grid over the box. Gradients
-    scatter-add back to the sampled cells; box coordinates are data, not
-    differentiable inputs.
+    scatter-add back to the sampled cells, each cell summing its samples in
+    sample order from +0.0; box coordinates are data, not differentiable
+    inputs.
     """
     rois = np.asarray(rois, dtype=np.float64)
     if features.data.ndim != 3 or rois.ndim != 2 or rois.shape[1] != 4:
         raise ShapeError(f"roi_pool: bad shapes features={features.shape}, rois={rois.shape}")
     c, h, w = features.shape
-    n = rois.shape[0]
     frac = (np.arange(size) + 0.5) / size
     xs = rois[:, 0:1] + frac[None, :] * (rois[:, 2:3] - rois[:, 0:1])  # (n,P)
     ys = rois[:, 1:2] + frac[None, :] * (rois[:, 3:4] - rois[:, 1:2])
@@ -592,12 +606,11 @@ def roi_pool(features: Tensor, rois: np.ndarray, size: int) -> Tensor:
     out = features.data[:, yy, xx].transpose(1, 0, 2, 3)  # (n,c,P,P)
 
     def bw(g):
-        gf = np.zeros_like(features.data)
-        yy_b = np.broadcast_to(yy, (n, size, size)).reshape(-1)
-        xx_b = np.broadcast_to(xx, (n, size, size)).reshape(-1)
-        gt = g.transpose(1, 0, 2, 3).reshape(c, -1)
-        np.add.at(gf, (slice(None), yy_b, xx_b), gt)
-        _accum(features, gf)
+        # flat (channel, cell) index of each (channel, sample) in C order, so
+        # every cell sums its samples in sample order from +0.0
+        idx = (np.arange(c)[:, None] * (h * w) + (yy * w + xx).reshape(-1)).reshape(-1)
+        gt = g.transpose(1, 0, 2, 3).reshape(-1)
+        _accum(features, np.bincount(idx, weights=gt, minlength=c * h * w).reshape(c, h, w))
 
     return _make(out, "roi_pool", (features,), bw)
 

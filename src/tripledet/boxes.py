@@ -108,8 +108,8 @@ def nms_indices(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float,
     """
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     scores = np.asarray(scores, dtype=np.float64)
-    n = len(scores)
-    order = np.lexsort((np.arange(n), -scores))
+    # a stable sort keeps tied (and NaN, sorted last) scores in index order
+    order = np.argsort(-scores, kind="stable")
     boxes = boxes[order]                # candidates in visit order from here on
     areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
 
@@ -196,6 +196,6 @@ def decode_deltas_array(anchors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
 def clip_boxes(boxes: np.ndarray, width: float, height: float) -> np.ndarray:
     """Clip (n,4) boxes to the image rectangle [0,width]x[0,height]."""
     out = np.asarray(boxes, dtype=np.float64).reshape(-1, 4).copy()
-    out[:, [0, 2]] = np.clip(out[:, [0, 2]], 0.0, width)
-    out[:, [1, 3]] = np.clip(out[:, [1, 3]], 0.0, height)
+    np.clip(out[:, 0::2], 0.0, width, out=out[:, 0::2])
+    np.clip(out[:, 1::2], 0.0, height, out=out[:, 1::2])
     return out

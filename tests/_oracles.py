@@ -62,11 +62,12 @@ def nms_detections(dets, thresh):
     return [dets[i] for i in keep]
 
 
-# -- kernels, as the one-box-at-a-time, argmax and loop forms --------------------
+# -- kernels, as the one-box-at-a-time, argmax, where, add.at and loop forms -----
 
 def loop_nms_indices(boxes, scores, iou_thresh, max_keep=None):
     """`nms_indices` as a loop that keeps one box per iteration and drops its
-    overlaps from the rest of the sorted candidates."""
+    overlaps from the rest of the candidates, sorted by a two-key lexsort
+    (descending score, then ascending index)."""
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     scores = np.asarray(scores, dtype=np.float64)
     n = len(scores)
@@ -123,6 +124,67 @@ def argmax_max_pool2(x):
         zero_fill_accum(x, gx)
 
     return ad._make(out, "max_pool2", (x,), bw)
+
+
+def fancy_clip_boxes(boxes, width, height):
+    """`clip_boxes` clipping two fancy-indexed column copies and writing them back."""
+    out = np.asarray(boxes, dtype=np.float64).reshape(-1, 4).copy()
+    out[:, [0, 2]] = np.clip(out[:, [0, 2]], 0.0, width)
+    out[:, [1, 3]] = np.clip(out[:, [1, 3]], 0.0, height)
+    return out
+
+
+def where_relu(x):
+    """`relu` selecting each value or 0.0 with `np.where` over the `x > 0` mask."""
+    mask = x.data > 0
+
+    def bw(g):
+        ad._accum(x, g * mask)
+
+    return ad._make(np.where(mask, x.data, 0.0), "relu", (x,), bw)
+
+
+def where_max_pool2(x):
+    """`max_pool2` taking every output from a `np.where` chain over the first
+    three cells' hit masks, with `top` for the rest."""
+    cells = [x.data[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+    top = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
+    hits = [cell == top for cell in cells[:3]]
+    out = np.where(hits[0], cells[0], np.where(hits[1], cells[1],
+                                               np.where(hits[2], cells[2], top)))
+
+    def bw(g):
+        taken = hits[0] | hits[1]
+        masks = (hits[0], hits[1] & ~hits[0], hits[2] & ~taken, ~(taken | hits[2]))
+        gx = np.empty_like(x.data)
+        for (i, j), mask in zip(((0, 0), (0, 1), (1, 0), (1, 1)), masks):
+            gx[:, i::2, j::2] = np.where(mask, g, 0.0)
+        ad._accum(x, gx)
+
+    return ad._make(out, "max_pool2", (x,), bw)
+
+
+def add_at_roi_pool(features, rois, size):
+    """`roi_pool` scattering its gradient with `np.add.at` into a zero-filled map."""
+    rois = np.asarray(rois, dtype=np.float64)
+    c, h, w = features.shape
+    n = rois.shape[0]
+    frac = (np.arange(size) + 0.5) / size
+    xs = rois[:, 0:1] + frac[None, :] * (rois[:, 2:3] - rois[:, 0:1])
+    ys = rois[:, 1:2] + frac[None, :] * (rois[:, 3:4] - rois[:, 1:2])
+    yy = np.clip(np.floor(ys), 0, h - 1).astype(np.intp)[:, :, None]
+    xx = np.clip(np.floor(xs), 0, w - 1).astype(np.intp)[:, None, :]
+    out = features.data[:, yy, xx].transpose(1, 0, 2, 3)
+
+    def bw(g):
+        gf = np.zeros_like(features.data)
+        yy_b = np.broadcast_to(yy, (n, size, size)).reshape(-1)
+        xx_b = np.broadcast_to(xx, (n, size, size)).reshape(-1)
+        gt = g.transpose(1, 0, 2, 3).reshape(c, -1)
+        np.add.at(gf, (slice(None), yy_b, xx_b), gt)
+        ad._accum(features, gf)
+
+    return ad._make(out, "roi_pool", (features,), bw)
 
 
 def np_pad_conv2d(x, w):

@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from _oracles import argmax_max_pool2, assert_probes_exact, np_pad_conv2d
+from _oracles import (add_at_roi_pool, argmax_max_pool2, assert_probes_exact, np_pad_conv2d,
+                      where_max_pool2, where_relu)
 from tripledet import autodiff as ad
 from tripledet.autodiff import GradCheckError, ShapeError, Tensor
 from tripledet.trainer import BaseTrainConfig, LossBreakdown, SGDMomentum, TrainingError, _fit
@@ -163,6 +164,34 @@ def _forward_backward(op, data, g):
     return out.data, x.grad
 
 
+# ±0, ±1 (ties), ±inf, NaN of both signs and subnormals
+SPECIALS = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0),
+                     5e-324, -5e-324, 1e-310, -1e-310])
+
+
+def _special_input(rng, shape):
+    """Normal values with about 40% of them replaced by SPECIALS."""
+    data = rng.normal(size=shape)
+    pick = rng.random(shape) < 0.4
+    data[pick] = rng.choice(SPECIALS, size=int(pick.sum()))
+    return data
+
+
+def test_relu_equals_where_oracle_bytes():
+    """Output and gradient are byte-equal to the np.where form, every special
+    value included, and the output never holds a -0.0: NaN, -inf, -0.0 and
+    negative subnormals all give +0.0."""
+    rng = np.random.default_rng(0)
+    for case in range(60):
+        shape = tuple(int(v) for v in rng.integers(1, 20, 1 + case % 3))
+        data = _special_input(rng, shape)
+        g = rng.normal(size=shape)
+        out, grad = _forward_backward(ad.relu, data, g)
+        ref_out, ref_grad = _forward_backward(where_relu, data, g)
+        assert _same_bytes(out, ref_out) and _same_bytes(grad, ref_grad)
+        assert not np.signbit(out).any()
+
+
 def _pool_input(rng, kind, shape):
     if kind == "random":
         return rng.normal(size=shape)
@@ -170,15 +199,20 @@ def _pool_input(rng, kind, shape):
         return rng.integers(-2, 3, shape).astype(float)
     if kind == "post-relu":         # exact zeros tie wherever a window is clamped
         return np.maximum(rng.normal(size=shape), 0.0)
+    if kind == "relu-op":           # the library relu's output over every special value
+        return ad.relu(Tensor(_special_input(rng, shape))).data.copy()
     # signed zeros only, plus the odd small integer: -0.0 == +0.0 ties
     return rng.choice([-0.0, 0.0, 0.0, -0.0, 1.0, -1.0], size=shape)
 
 
-@pytest.mark.parametrize("kind", ["random", "integer", "post-relu", "signed-zero"])
+POOL_KINDS = ["random", "integer", "post-relu", "signed-zero", "relu-op"]
+
+
+@pytest.mark.parametrize("kind", POOL_KINDS)
 def test_maxpool_equals_argmax_oracle_bytes(kind):
     """Output and gradient are byte-equal to the argmax/take_along_axis form:
     the first max cell of each window gives both, a signed-zero tie included."""
-    rng = np.random.default_rng(["random", "integer", "post-relu", "signed-zero"].index(kind))
+    rng = np.random.default_rng(POOL_KINDS.index(kind))
     shapes = [(8, 64, 64), (16, 32, 32), (16, 16, 16), (3, 6, 10), (2, 4, 2), (1, 2, 2)]
     for case in range(120):
         shape = shapes[case % len(shapes)]
@@ -189,6 +223,60 @@ def test_maxpool_equals_argmax_oracle_bytes(kind):
         out, grad = _forward_backward(ad.max_pool2, data, g)
         ref_out, ref_grad = _forward_backward(argmax_max_pool2, data, g)
         assert _same_bytes(out, ref_out) and _same_bytes(grad, ref_grad)
+
+
+@pytest.mark.parametrize("signed_zero", [False, True])
+def test_maxpool_equals_where_oracle_bytes(signed_zero):
+    """Output and gradient are byte-equal to the np.where chain, NaN windows
+    included, on inputs without a -0.0 (max_pool2 returns the window max as
+    computed) and with one (it keeps the first max cell's zero)."""
+    rng = np.random.default_rng(5 + signed_zero)
+    shapes = [(8, 16, 16), (3, 6, 10), (2, 4, 2), (1, 2, 2)]
+    nan_windows = 0
+    for case in range(80):
+        shape = shapes[case % len(shapes)]
+        data = _special_input(rng, shape)
+        data[data == 0.0] = 0.0                 # every zero +0.0
+        if signed_zero:
+            data.reshape(-1)[rng.integers(data.size)] = -0.0
+        g = _special_input(rng, (shape[0], shape[1] // 2, shape[2] // 2))
+        out, grad = _forward_backward(ad.max_pool2, data, g)
+        ref_out, ref_grad = _forward_backward(where_max_pool2, data, g)
+        assert _same_bytes(out, ref_out) and _same_bytes(grad, ref_grad)
+        assert (np.signbit(data) & (data == 0.0)).any() == signed_zero
+        nan_windows += int(np.isnan(out).sum())
+    assert nan_windows > 0
+
+
+def test_roi_pool_gradient_equals_add_at_oracle_bytes():
+    """Output and feature gradient are byte-equal to the np.add.at scatter,
+    up to the sign of a NaN. Small maps put many samples on one cell, and the
+    upstream gradient mixes ±0, NaN, ±inf and magnitudes from 1e-300 to 1e16,
+    so a cell's bytes show the order its samples were summed in.
+
+    Which sign a sum of two NaNs keeps is left to the compiled add loop:
+    np.add.at over the 3-D index keeps the second NaN's, while np.bincount,
+    like np.add.at over a flat index, keeps the first's. So NaNs are compared
+    as NaN; a NaN gradient stops training before any step uses it."""
+    rng = np.random.default_rng(7)
+    scales = np.array([1.0, 1e16, 1e-16, 1e-300])
+    for case in range(100):
+        c, h, w = (int(v) for v in rng.integers(1, 5, 3))
+        n, size = int(rng.integers(0, 12)), int(rng.integers(1, 5))
+        xy = rng.uniform(-1.0, max(h, w) + 1.0, (n, 2))
+        rois = np.hstack([xy, xy + rng.uniform(0.0, 4.0, (n, 2))])
+        feats = rng.normal(size=(c, h, w))
+        g_shape = (n, c, size, size)
+        g = _special_input(rng, g_shape) * rng.choice(scales, size=g_shape)
+        results = []
+        for op in (ad.roi_pool, add_at_roi_pool):
+            f = Tensor(feats.copy(), requires_grad=True)
+            out = op(f, rois, size)
+            with np.errstate(invalid="ignore"):     # inf + -inf in one cell
+                out._backward(g)
+            results.append((out.data, np.where(np.isnan(f.grad), np.nan, f.grad)))
+        for a, b in zip(*results):
+            assert _same_bytes(a, b)
 
 
 def test_maxpool_signed_zero_tie_outputs_first_cells_zero():

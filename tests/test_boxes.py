@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_force_nms, loop_nms_indices, nms_detections, random_boxes
-from tripledet.boxes import (NMS_BLOCK, BBox, Detection, annotation_arrays, decode_deltas_array,
-                             encode_deltas_array, iou, iou_matrix, nms_indices, nms_per_class)
+from _oracles import (brute_force_nms, fancy_clip_boxes, loop_nms_indices, nms_detections,
+                      random_boxes)
+from tripledet.boxes import (NMS_BLOCK, BBox, Detection, annotation_arrays, clip_boxes,
+                             decode_deltas_array, encode_deltas_array, iou, iou_matrix,
+                             nms_indices, nms_per_class)
+
+NEG_NAN = np.copysign(np.nan, -1.0)
 
 
 # -- iou ------------------------------------------------------------------------
@@ -152,6 +156,37 @@ def test_nms_indices_equals_loop_oracle_600_cases():
         for max_keep in {1, max(1, len(full) // 2), len(full) + 1, int(rng.integers(1, n + 2))}:
             assert nms_indices(boxes, scores, thresh, max_keep) == \
                 loop_nms_indices(boxes, scores, thresh, max_keep)
+
+
+def test_nms_indices_equals_loop_oracle_on_tied_nan_and_signed_zero_scores():
+    """The stable argsort visits candidates in the two-key lexsort's order:
+    equal scores (+0.0 and -0.0 among them) by ascending index, and NaN
+    scores of either sign last, also by ascending index."""
+    rng = np.random.default_rng(17)
+    values = np.array([1.0, 0.5, 0.5, 0.0, -0.0, np.nan, NEG_NAN, np.inf, -np.inf])
+    for case in range(200):
+        n = int(rng.integers(0, 3 * NMS_BLOCK))
+        boxes, _ = _nms_case(rng, n)
+        scores = rng.choice(values, size=n)
+        thresh = float(rng.choice([0.3, 0.5, 0.7]))
+        assert nms_indices(boxes, scores, thresh) == loop_nms_indices(boxes, scores, thresh)
+
+
+def test_clip_boxes_equals_fancy_index_oracle_bytes():
+    """Clipping the strided column views in place gives the bytes of clipping
+    fancy-indexed copies, ±0, NaN of both signs and ±inf included, and leaves
+    the input as it was."""
+    rng = np.random.default_rng(19)
+    values = np.array([0.0, -0.0, np.nan, NEG_NAN, np.inf, -np.inf, 64.0, 1e-310, -1e-310])
+    for case in range(100):
+        boxes = rng.uniform(-20.0, 84.0, (int(rng.integers(0, 40)), 4))
+        pick = rng.random(boxes.shape) < 0.3
+        boxes[pick] = rng.choice(values, size=int(pick.sum()))
+        before = boxes.copy()
+        width, height = rng.choice([64, 64.0, 31.5], size=2)
+        got, ref = clip_boxes(boxes, width, height), fancy_clip_boxes(boxes, width, height)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes() and boxes.tobytes() == before.tobytes()
 
 
 def test_nms_indices_max_keep_stops_mid_block():

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
 _spec = importlib.util.spec_from_file_location("pairs", TOOL)
 pairs = importlib.util.module_from_spec(_spec)
@@ -67,3 +69,28 @@ def test_summary_flags_a_median_worse_than_its_bound():
     assert -0.25 < rows[0.19]["gain"] < 0 and not rows[0.19]["over_bound"]
     text = pairs.format_summary([rows[0.223], rows[0.19]], {})
     assert text.count("over bound") == 1 and "-29.7%" in text and "-10.5%" in text
+
+
+def test_paired_gain_is_the_median_of_per_pair_changes():
+    """Drift moves both runs of a pair: the change is 10% faster in pairs 1
+    and 2 and 10% slower in pair 3, which ran on a slow host. The paired gain
+    reads +10% where the ratio of medians reads -10%. For a lower-is-better
+    metric a per-pair drop is a positive change."""
+    lines = []
+    for pair, (p_ops, c_ops, p_set, c_set) in enumerate(
+            [(100.0, 110.0, 0.2, 0.1), (300.0, 330.0, 0.1, 0.11), (200.0, 180.0, 0.4, 0.2)],
+            start=1):
+        lines += [_line("parent", pair, p_ops, p_set), _line("change", pair, c_ops, c_set)]
+    ops, setup = pairs.summarize(lines, METRICS)
+    assert ops["gain"] == pytest.approx(-0.1) and ops["paired_gain"] == pytest.approx(0.1)
+    assert setup["paired_gain"] == pytest.approx(0.5)
+    text = pairs.format_summary([ops, setup], {})
+    assert "paired gain" in text.splitlines()[0]
+    assert "-10.0%" in text and "+10.0%" in text and "+50.0%" in text
+
+
+def test_paired_gain_without_a_scored_pair_prints_a_dash():
+    lines = [_line("parent", 1, 2.0, 0.05), _line("change", 2, 2.5, 0.04)]
+    ops, _ = pairs.summarize(lines, METRICS)
+    assert ops["pairs"] == 0 and ops["paired_gain"] is None
+    assert pairs.format_summary([ops], {}).splitlines()[1].split()[-1] == "-"

@@ -15,10 +15,13 @@ seed, order (1 or 2 within the pair), exit code, and the run's JSON result
 when it printed none. At the end the tool prints, for each end-to-end metric
 of `BENCHMARK.json`, both medians, the parent's quartiles (inclusive
 method), the number of pairs the change won, ties counting for neither
-side, and the change of the median relative to the parent's, positive when
-better; `over bound` marks a change worse than the metric's `bound`. Then
-the failed operations of each tree. Exit 0 when every run passed its
-correctness checks, 1 otherwise.
+side, the change of the median relative to the parent's, positive when
+better, and the paired gain: the median over the pairs of the change's
+relative change against the parent run of its own pair. The host drifts over
+minutes, and the two runs of one pair share most of that drift, so the paired
+gain cancels most of it. `over bound` marks a change of the median worse than
+the metric's `bound`. Then the failed operations of each tree. Exit 0 when
+every run passed its correctness checks, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -77,9 +80,11 @@ def quartiles(values: list[float]) -> tuple[float, float]:
 def summarize(records: list[dict], metrics: list[dict]) -> list[dict]:
     """One row per (workload, end-to-end metric): each tree's median over all
     its runs, the parent's quartiles, each side's wins over the pairs in
-    which both trees gave the metric, and the change of the median relative
+    which both trees gave the metric, the change of the median relative
     to the parent's (`gain`, positive when better), `over_bound` when it is
-    worse than the metric's `bound`."""
+    worse than the metric's `bound`, and the median of the per-pair relative
+    changes over those pairs (`paired_gain`, positive when better; None
+    without a pair)."""
     rows = []
     for workload in sorted({r["workload"] for r in records}):
         runs = {(r["tree"], r["pair"]): r for r in records if r["workload"] == workload}
@@ -94,6 +99,7 @@ def summarize(records: list[dict], metrics: list[dict]) -> list[dict]:
             sign = 1.0 if metric["better"] == "higher" else -1.0
             scored = sorted(p for t, p in value if t == "parent" and ("change", p) in value)
             margins = [sign * (value["change", p] - value["parent", p]) for p in scored]
+            paired = [m / value["parent", p] for m, p in zip(margins, scored)]
             q1, q3 = quartiles(parent)
             p_med, c_med = statistics.median(parent), statistics.median(change)
             gain = sign * (c_med - p_med) / p_med
@@ -103,6 +109,7 @@ def summarize(records: list[dict], metrics: list[dict]) -> list[dict]:
                 "change_median": c_med, "gain": gain, "over_bound": -gain > metric["bound"],
                 "change_wins": sum(m > 0 for m in margins),
                 "parent_wins": sum(m < 0 for m in margins), "pairs": len(scored),
+                "paired_gain": statistics.median(paired) if paired else None,
             })
     return rows
 
@@ -120,12 +127,15 @@ def failures(records: list[dict]) -> dict[tuple[str, str], tuple[int, int, int]]
 
 def format_summary(rows: list[dict], fails: dict) -> str:
     lines = [f"{'workload':<10} {'metric':<12} {'parent median':>14} {'parent q1':>11} "
-             f"{'parent q3':>11} {'change median':>14} {'change wins':>12} {'gain':>8}"]
+             f"{'parent q3':>11} {'change median':>14} {'change wins':>12} {'gain':>8} "
+             f"{'paired gain':>12}"]
     for row in rows:
+        paired = "-" if row["paired_gain"] is None else f"{row['paired_gain']:+.1%}"
         lines.append(f"{row['workload']:<10} {row['metric']:<12} {row['parent_median']:>14.5g} "
                      f"{row['parent_q1']:>11.5g} {row['parent_q3']:>11.5g} "
                      f"{row['change_median']:>14.5g} {row['change_wins']:>7}/{row['pairs']:<4} "
-                     f"{row['gain']:>+8.1%}" + ("  over bound" if row["over_bound"] else ""))
+                     f"{row['gain']:>+8.1%} {paired:>12}"
+                     + ("  over bound" if row["over_bound"] else ""))
     for (workload, tree), (failed, attempted, bad) in sorted(fails.items()):
         lines.append(f"{workload} {tree}: {failed} of {attempted} operations failed, "
                      f"{bad} runs not correct")
