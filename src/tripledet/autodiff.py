@@ -558,8 +558,10 @@ def max_pool2(x: Tensor) -> Tensor:
     top = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
     # equal values differ in their bytes only as -0.0 and +0.0, so without a
     # -0.0 in x the first cell equal to the max holds exactly `top`'s bytes,
-    # and a NaN window outputs `top`'s NaN either way
-    if (np.signbit(x.data) & (x.data == 0.0)).any():
+    # and a NaN window outputs `top`'s NaN either way. The chain below gives
+    # the first max cell's bytes for every input, so taking it for any set
+    # sign bit (one pass, and never set in a relu output) is as exact
+    if np.signbit(x.data).any():
         # np.maximum may return either zero of a signed-zero tie, so the value
         # comes from the first cell equal to the max; `top` is the last cell's
         # exact value wherever that cell alone is the max, and NaN where the

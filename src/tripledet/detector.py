@@ -283,37 +283,35 @@ def match_anchors(anchors: np.ndarray, targets: np.ndarray
     return pos, neg, match.astype(np.intp)
 
 
-RoiSample = tuple[np.ndarray, np.ndarray, np.ndarray]    # (rois, labels, match)
+RoiSample = tuple[np.ndarray, np.ndarray, np.ndarray]    # (rois, labels, deltas)
 
 
 def sample_rois(candidates: np.ndarray, targets: np.ndarray, labels: np.ndarray,
                 rng: np.random.Generator) -> RoiSample:
-    """Sample up to 16 RoIs with at most 1/4 positives.
+    """Sample up to 16 RoIs with at most 1/4 positives, positives first.
 
-    Returns (roi boxes, roi class labels, matched target index; -1 for
-    background). A candidate is positive when its best IoU against a target
-    is >= 0.5; its label is that target's class. Consumes two permutation
-    draws from `rng` (positives first, then negatives).
+    Returns (roi boxes (n,4), roi class labels (n,), box-regression targets
+    (n,4)). A candidate is positive when its best IoU against a target is
+    >= 0.5; its label is that target's class and its box target the RoI
+    encoded against that target. Background rows have label 0 and box target
+    0.0. Consumes two permutation draws from `rng` (positives first, then
+    negatives).
     """
-    n = len(candidates)
-    if len(targets) == 0:
-        match = np.full(n, -1, dtype=np.intp)
-        roi_labels = np.zeros(n, dtype=np.intp)
-        pos_idx = np.array([], dtype=np.intp)
-        neg_idx = np.arange(n, dtype=np.intp)
-    else:
-        ious = iou_matrix(candidates, targets)
-        best = ious.max(axis=1)
-        match = ious.argmax(axis=1).astype(np.intp)
-        is_pos = best >= RCNN_POS_IOU
-        roi_labels = np.where(is_pos, labels[match], 0).astype(np.intp)
-        match = np.where(is_pos, match, -1)
-        pos_idx = np.flatnonzero(is_pos)
-        neg_idx = np.flatnonzero(~is_pos)
-    take_pos = rng.permutation(pos_idx)[:ROI_POS_CAP]
-    take_neg = rng.permutation(neg_idx)[:ROI_SAMPLE_SIZE - len(take_pos)]
-    chosen = np.concatenate([take_pos, take_neg]).astype(np.intp)
-    return candidates[chosen], roi_labels[chosen], match[chosen]
+    ious = iou_matrix(candidates, targets)
+    # with no targets the (n, 0) matrix gives every candidate a best IoU of 0
+    is_pos = ious.max(axis=1, initial=0.0) >= RCNN_POS_IOU
+    take_pos = rng.permutation(np.flatnonzero(is_pos))[:ROI_POS_CAP]
+    take_neg = rng.permutation(np.flatnonzero(~is_pos))[:ROI_SAMPLE_SIZE - len(take_pos)]
+    chosen = np.concatenate([take_pos, take_neg])
+    rois = candidates[chosen]
+    roi_labels = np.zeros(len(chosen), dtype=np.intp)
+    deltas = np.zeros((len(chosen), 4))
+    npos = len(take_pos)
+    if npos:
+        match = ious[take_pos].argmax(axis=1)
+        roi_labels[:npos] = labels[match]
+        deltas[:npos] = encode_deltas_array(rois[:npos], targets[match])
+    return rois, roi_labels, deltas
 
 
 @dataclass(frozen=True)
@@ -355,7 +353,7 @@ def training_targets(model: DetectorModel, rpn_boxes: np.ndarray, rcnn_boxes: np
 
 @dataclass
 class LossInternals:
-    rois: np.ndarray                 # (n, 4) sampled RoIs, image coordinates
+    sample: RoiSample                # the (rois, labels, deltas) the loss used, drawn or pinned
     pooled: Tensor                   # (n, c, P, P)
     cls_logits: Tensor               # (n, C+1)
 
@@ -379,7 +377,7 @@ def frcnn_loss(model: DetectorModel, features: Tensor, targets: Targets,
 
     RoIs are drawn from `rng` by `sample_rois` over `roi_candidates`, built
     from the same RPN outputs the RPN terms read, unless `sampled` pins that
-    draw's `(rois, labels, match)`; then neither runs and `rng` is not read.
+    draw's `(rois, labels, deltas)`; then neither runs and `rng` is not read.
     Gradient checks pin it because RoI selection is piecewise constant in the
     parameters (zero gradient almost everywhere) and a selection flip inside
     the probe step would invalidate the finite difference.
@@ -397,11 +395,11 @@ def frcnn_loss(model: DetectorModel, features: Tensor, targets: Targets,
     rpn_reg = rpn_reg * Tensor(targets.rpn_reg_norm)
 
     # R-CNN terms on sampled RoIs
-    rcnn_boxes = targets.rcnn_boxes
     if sampled is None:
+        rcnn_boxes = targets.rcnn_boxes
         sampled = sample_rois(roi_candidates(cfg, obj.data, deltas.data, rcnn_boxes),
                               rcnn_boxes, targets.rcnn_labels, rng)
-    rois, roi_labels, roi_match = sampled
+    rois, roi_labels, roi_deltas = sampled
 
     pooled = roi_pool(cfg, features, rois)
     logits, pred_deltas = head_forward(model, pooled)
@@ -415,12 +413,12 @@ def frcnn_loss(model: DetectorModel, features: Tensor, targets: Targets,
     pos_rows = np.flatnonzero(roi_labels > 0)
     pos_cls = roi_labels[pos_rows] - 1
     dmask[pos_rows, pos_cls, 0] = 1.0
-    dtgt[pos_rows, pos_cls] = encode_deltas_array(rois[pos_rows], rcnn_boxes[roi_match[pos_rows]])
+    dtgt[pos_rows, pos_cls] = roi_deltas[pos_rows]
     rcnn_reg = ad.tsum(ad.smooth_l1(pred_deltas - Tensor(dtgt)) * Tensor(dmask))
     rcnn_reg = rcnn_reg * Tensor(1.0 / max(len(pos_rows), 1))
 
     total = rpn_cls + rpn_reg + rcnn_cls + rcnn_reg
-    return total, LossInternals(rois=rois, pooled=pooled, cls_logits=logits)
+    return total, LossInternals(sample=sampled, pooled=pooled, cls_logits=logits)
 
 
 # -- checkpoint I/O -------------------------------------------------------------

@@ -208,7 +208,7 @@ def compute_losses(triple: TripleNetwork, image, cfg: TrainConfig,
         if cfg.d_fea:
             d_fea_t = feature_distill_loss(feat)
         if cfg.d_res or cfg.d_cls:
-            rois = internals.rois
+            rois = internals.sample[0]
             p_om = roi_pool(om.config, om_features, rois)
             p_rm = roi_pool(rm.config, f_rm, rois)
             if cfg.d_res:

@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import FD_STEP, Tensor, grad_check, topo_order
-from .detector import (DetectorConfig, DetectorModel, RoiSample, Targets, forward_features,
-                       frcnn_loss, new_model, roi_candidates, rpn_forward, sample_rois,
+from .detector import (DetectorConfig, DetectorModel, forward_features, frcnn_loss, new_model,
                        training_targets)
 from .distill import (FeatureTriple, LogitTriple, PooledTriple, attention_pair_loss,
                       classification_distill_loss, feature_distill_loss,
@@ -121,14 +120,6 @@ def _model_param_arrays(model: DetectorModel) -> tuple[list[str], list[np.ndarra
     return names, [model.params[n].data.copy() for n in names]
 
 
-def _base_sample(model: DetectorModel, image: np.ndarray, targets: Targets,
-                 rng: np.random.Generator) -> RoiSample:
-    """The RoIs `frcnn_loss` would sample from `rng` at the base point."""
-    obj, deltas = rpn_forward(model, forward_features(model, image))
-    candidates = roi_candidates(model.config, obj.data, deltas.data, targets.rcnn_boxes)
-    return sample_rois(candidates, targets.rcnn_boxes, targets.rcnn_labels, rng)
-
-
 def _build_frcnn(rng: np.random.Generator):
     num_classes = 2
     model = _nudge(new_model(MICRO_CONFIG, num_classes, int(rng.integers(0, 2 ** 31))), rng)
@@ -136,10 +127,11 @@ def _build_frcnn(rng: np.random.Generator):
     boxes, labels = micro_targets(rng, num_classes)
     names, arrays = _model_param_arrays(model)
     sample_seed = int(rng.integers(0, 2 ** 31))
-    # pin the sampled RoIs at the base point: RoI selection is piecewise
-    # constant in the parameters, so this is the a.e. gradient
+    # pin the RoIs an unpinned loss samples at the base point: RoI selection
+    # is piecewise constant in the parameters, so this is the a.e. gradient
     targets = training_targets(model, boxes, boxes, labels)
-    sampled = _base_sample(model, image, targets, np.random.default_rng(sample_seed))
+    sampled = frcnn_loss(model, forward_features(model, image), targets,
+                         np.random.default_rng(sample_seed))[1].sample
 
     def f(*tensors):
         m = DetectorModel(MICRO_CONFIG, num_classes, dict(zip(names, tensors)))
@@ -171,8 +163,8 @@ def _build_total_loss(rng: np.random.Generator):
     # pin both samples at the base point (see _build_frcnn), drawn in
     # compute_losses's order: the incremental model first
     sample_rng = np.random.default_rng(sample_seed)
-    sampled = (_base_sample(triple.im, image, im_targets, sample_rng),
-               _base_sample(triple.rm, image, rm_targets, sample_rng))
+    sampled = tuple(frcnn_loss(m, forward_features(m, image), t, sample_rng)[1].sample
+                    for m, t in ((triple.im, im_targets), (triple.rm, rm_targets)))
 
     def f(*tensors):
         im_t = tensors[:len(im_names)]

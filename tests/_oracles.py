@@ -257,7 +257,9 @@ def per_target_match_anchors(anchors, targets):
 
 def array_frcnn_loss(model, features, rpn_boxes, rcnn_boxes, rcnn_labels, rng, sampled=None):
     """`frcnn_loss` taking its targets as three box arrays and matching and
-    encoding the anchors on every call."""
+    encoding the anchors on every call; it matches the positive RoIs to their
+    best-IoU target and encodes their box targets itself, never reading the
+    sample's deltas."""
     bad = rcnn_labels[(rcnn_labels < 1) | (rcnn_labels > model.num_classes)]
     if len(bad):
         raise DetectorError(f"rcnn target class {bad[0]} outside 1..{model.num_classes}")
@@ -288,7 +290,7 @@ def array_frcnn_loss(model, features, rpn_boxes, rcnn_boxes, rcnn_labels, rng, s
     if sampled is None:
         sampled = sample_rois(roi_candidates(cfg, obj.data, deltas.data, rcnn_boxes),
                               rcnn_boxes, rcnn_labels, rng)
-    rois, roi_labels, roi_match = sampled
+    rois, roi_labels, _ = sampled
 
     pooled = roi_pool(cfg, features, rois)
     logits, pred_deltas = head_forward(model, pooled)
@@ -302,12 +304,14 @@ def array_frcnn_loss(model, features, rpn_boxes, rcnn_boxes, rcnn_labels, rng, s
     pos_rows = np.flatnonzero(roi_labels > 0)
     pos_cls = roi_labels[pos_rows] - 1
     dmask[pos_rows, pos_cls, 0] = 1.0
-    dtgt[pos_rows, pos_cls] = encode_deltas_array(rois[pos_rows], rcnn_boxes[roi_match[pos_rows]])
+    if len(pos_rows):
+        match = iou_matrix(rois[pos_rows], rcnn_boxes).argmax(axis=1)
+        dtgt[pos_rows, pos_cls] = encode_deltas_array(rois[pos_rows], rcnn_boxes[match])
     rcnn_reg = ad.tsum(ad.smooth_l1(pred_deltas - Tensor(dtgt)) * Tensor(dmask))
     rcnn_reg = rcnn_reg * Tensor(1.0 / max(len(pos_rows), 1))
 
     total = rpn_cls + rpn_reg + rcnn_cls + rcnn_reg
-    return total, LossInternals(rois=rois, pooled=pooled, cls_logits=logits)
+    return total, LossInternals(sample=sampled, pooled=pooled, cls_logits=logits)
 
 
 # -- training steps ------------------------------------------------------------------

@@ -225,25 +225,32 @@ def test_maxpool_equals_argmax_oracle_bytes(kind):
         assert _same_bytes(out, ref_out) and _same_bytes(grad, ref_grad)
 
 
-@pytest.mark.parametrize("signed_zero", [False, True])
-def test_maxpool_equals_where_oracle_bytes(signed_zero):
+WHERE_KINDS = ["negative", "signed-zero", "no-sign-bit"]
+
+
+@pytest.mark.parametrize("kind", WHERE_KINDS)
+def test_maxpool_equals_where_oracle_bytes(kind):
     """Output and gradient are byte-equal to the np.where chain, NaN windows
-    included, on inputs without a -0.0 (max_pool2 returns the window max as
-    computed) and with one (it keeps the first max cell's zero)."""
-    rng = np.random.default_rng(5 + signed_zero)
+    included, on inputs with negatives but no -0.0 and with a -0.0 (max_pool2
+    takes the chain: the first max cell's bytes) and on inputs with no sign
+    bit set (it returns the window max as computed)."""
+    rng = np.random.default_rng(5 + WHERE_KINDS.index(kind))
     shapes = [(8, 16, 16), (3, 6, 10), (2, 4, 2), (1, 2, 2)]
     nan_windows = 0
     for case in range(80):
         shape = shapes[case % len(shapes)]
         data = _special_input(rng, shape)
         data[data == 0.0] = 0.0                 # every zero +0.0
-        if signed_zero:
-            data.reshape(-1)[rng.integers(data.size)] = -0.0
+        if kind == "no-sign-bit":
+            data = np.abs(data)                 # NaNs and zeros included
+        else:
+            data.reshape(-1)[rng.integers(data.size)] = -0.0 if kind == "signed-zero" else -1.0
         g = _special_input(rng, (shape[0], shape[1] // 2, shape[2] // 2))
         out, grad = _forward_backward(ad.max_pool2, data, g)
         ref_out, ref_grad = _forward_backward(where_max_pool2, data, g)
         assert _same_bytes(out, ref_out) and _same_bytes(grad, ref_grad)
-        assert (np.signbit(data) & (data == 0.0)).any() == signed_zero
+        assert np.signbit(data).any() == (kind != "no-sign-bit")
+        assert (np.signbit(data) & (data == 0.0)).any() == (kind == "signed-zero")
         nan_windows += int(np.isnan(out).sum())
     assert nan_windows > 0
 

@@ -333,9 +333,31 @@ def test_sample_rois_cap_and_reproducibility():
     r2 = sample_rois(candidates, targets, labels, np.random.default_rng(9))
     for a, b in zip(r1, r2):
         assert np.array_equal(a, b)
-    rois, roi_labels, match = r1
+    rois, roi_labels, _ = r1
     assert len(rois) <= det.ROI_SAMPLE_SIZE
     assert (roi_labels > 0).sum() <= det.ROI_POS_CAP
+
+
+def test_sample_rois_box_targets():
+    """Positives come first, each with its RoI encoded against its best-IoU
+    target; background rows hold +0.0; with no targets every row does."""
+    rng = np.random.default_rng(8)
+    candidates = np.concatenate([rng.uniform(0, 30, (40, 2)),
+                                 rng.uniform(32, 60, (40, 2))], axis=1)
+    targets = candidates[:10] + rng.uniform(-0.5, 0.5, (10, 4))
+    rois, labels, deltas = sample_rois(candidates, targets, np.arange(1, 11),
+                                       np.random.default_rng(3))
+    npos = int((labels > 0).sum())
+    assert npos > 0 and (labels[:npos] > 0).all() and deltas.shape == (len(rois), 4)
+    best = iou_matrix(rois[:npos], targets).argmax(axis=1)
+    assert np.array_equal(labels[:npos], best + 1)
+    assert deltas[:npos].tobytes() == encode_deltas_array(rois[:npos], targets[best]).tobytes()
+    assert deltas[npos:].size and deltas[npos:].tobytes() == np.zeros_like(deltas[npos:]).tobytes()
+
+    rois, labels, deltas = sample_rois(candidates, np.zeros((0, 4)), np.zeros(0, np.intp),
+                                       np.random.default_rng(3))
+    assert not labels.any()
+    assert deltas.shape == (len(rois), 4) and deltas.tobytes() == np.zeros((len(rois), 4)).tobytes()
 
 
 # -- losses -----------------------------------------------------------------------------
@@ -383,11 +405,11 @@ def random_targets(rng, config, num_classes, n):
 
 
 def loss_bytes(model, image, loss_fn):
-    """The loss value, sampled RoIs and every parameter gradient as bytes."""
+    """The loss value, RoI sample and every parameter gradient as bytes."""
     m = model.clone()
     loss, internals = loss_fn(m, forward_features(m, image))
     loss.backward()
-    return [loss.data.tobytes(), internals.rois.tobytes(),
+    return [loss.data.tobytes(), *(a.tobytes() for a in internals.sample),
             *(m.params[k].grad.tobytes() for k in sorted(m.params))]
 
 
@@ -452,16 +474,31 @@ def test_training_targets_rpn_layout(model):
 def test_frcnn_loss_calls_neither_match_anchors_nor_anchor_boxes(model, features, monkeypatch):
     """The anchors are matched once, by `training_targets`; the loss reads
     the record, and only its proposals read the (cached) anchors. A pinned
-    sample skips proposing and sampling altogether."""
+    sample skips proposing, sampling and encoding altogether."""
     boxes, labels = annotation_arrays([(BBox(10, 10, 26, 28), 1)])
     targets = training_targets(model, boxes, boxes, labels)
     pinned = sample_rois(boxes, boxes, labels, np.random.default_rng(0))
     counts = [count_calls(monkeypatch, det, name) for name in (
-        "match_anchors", "anchor_boxes", "propose", "roi_candidates", "sample_rois")]
+        "match_anchors", "anchor_boxes", "propose", "roi_candidates", "sample_rois",
+        "encode_deltas_array")]
     frcnn_loss(model, features, targets, None, pinned)
-    assert [len(c) for c in counts] == [0, 0, 0, 0, 0]
+    assert [len(c) for c in counts] == [0, 0, 0, 0, 0, 0]
+    # sampling encodes the box targets of its positives, the target box among them
     frcnn_loss(model, features, targets, np.random.default_rng(0))
-    assert [len(c) for c in counts] == [0, 1, 1, 1, 1]
+    assert [len(c) for c in counts] == [0, 1, 1, 1, 1, 1]
+
+
+def test_frcnn_loss_returns_its_sample(model, features, monkeypatch):
+    """`LossInternals.sample` is what `sample_rois` drew, or the pinned sample."""
+    boxes, labels = annotation_arrays([(BBox(10, 10, 26, 28), 1), (BBox(40, 38, 56, 60), 2)])
+    targets = training_targets(model, boxes, boxes, labels)
+    drawn = []
+    real = det.sample_rois
+    monkeypatch.setattr(det, "sample_rois", lambda *a: drawn.append(real(*a)) or drawn[-1])
+    _, internals = frcnn_loss(model, features, targets, np.random.default_rng(4))
+    assert len(drawn) == 1 and internals.sample is drawn[0]
+    _, internals = frcnn_loss(model, features, targets, None, drawn[0])
+    assert len(drawn) == 1 and internals.sample is drawn[0]
 
 
 def test_loss_gradcheck_micro_one_image():
