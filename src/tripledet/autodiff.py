@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from contextvars import ContextVar
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,7 +32,8 @@ class ShapeError(ValueError):
 
 
 class GradCheckError(RuntimeError):
-    """Raised when a finite-difference probe produces a non-finite value."""
+    """Raised when a finite-difference probe produces a non-finite value, or
+    when `f` breaks `grad_check`'s contract."""
 
 
 class Tensor:
@@ -166,81 +167,84 @@ def _broadcast_error(kind: str, a: Tensor, b: Tensor) -> ShapeError:
     return ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not broadcast")
 
 
-# -- grad_check's base-point record --------------------------------------------
+# -- grad_check's base-point tape ----------------------------------------------
 
-class _Record:
-    """Every op output of one `grad_check` base-point evaluation, keyed by the
-    op and its inputs, for the finite-difference probes to reuse. An op is
-    deterministic, so an output recorded from byte-identical inputs is the
-    output a probe would compute."""
+class _Tape:
+    """The op calls of one `grad_check` base-point evaluation, in call order.
 
-    __slots__ = ("outputs", "ids", "recording")
+    Slot `i` names input `i` of `f`, and slot `len(inputs) + k` the output of
+    entry `k`. An entry holds the raw op, the arguments it was called with,
+    and the (position or keyword, slot) of each Tensor argument that has a
+    slot; any other Tensor argument is a constant of `f`.
+    """
 
-    def __init__(self):
-        self.outputs: dict[tuple, Tensor] = {}
-        self.ids: set[int] = set()      # of the recorded outputs, which `outputs` keeps alive
-        self.recording = True
+    __slots__ = ("slots", "inputs", "outputs", "entries")
 
-    def key(self, op: Callable, args: tuple, kwargs: dict) -> tuple | None:
-        """`op` and its inputs: a recorded output by identity; a leaf Tensor
-        or an array by type, dtype, shape, strides and bytes; any other
-        argument by type and value. None when an input requires gradients or
-        is an interior Tensor this record did not produce."""
-        key = [op]
-        if kwargs:
-            key.append(tuple(kwargs))
-            args = (*args, *kwargs.values())
-        ids = self.ids
-        for a in args:
-            if isinstance(a, Tensor):
-                if a.requires_grad:
-                    return None
-                i = id(a)
-                if i in ids:
-                    key.append(i)
-                    continue
-                if a.op != "leaf":
-                    return None
-                d = a.data
-            elif isinstance(a, np.ndarray):
-                d = a
-            else:
-                key.append((type(a), a))
-                continue
-            key.append((type(a), d.dtype.str, d.shape, d.strides, d.tobytes()))
-        return tuple(key)
+    def __init__(self, inputs: list[Tensor]):
+        self.slots = {id(t): i for i, t in enumerate(inputs)}
+        # both lists keep every slotted Tensor, and so its id, alive
+        self.inputs = inputs
+        self.outputs: list[Tensor] = []
+        self.entries: list[tuple] = []
 
     def call(self, op: Callable, args: tuple, kwargs: dict) -> Tensor:
-        key = self.key(op, args, kwargs)
-        if key is not None:
-            try:
-                out = self.outputs.get(key)
-            except TypeError:           # an unhashable argument: computed, never recorded
-                key = None
-            else:
-                if out is not None:
-                    return out
         out = op(*args, **kwargs)
-        if key is not None and self.recording:
-            # every probe may return this output: a write into it raises
-            out.data.flags.writeable = False
-            self.outputs[key] = out
-            self.ids.add(id(out))
+        slots = self.slots
+        refs = tuple((j, slots[id(a)]) for j, a in enumerate(args)
+                     if isinstance(a, Tensor) and id(a) in slots)
+        kwrefs = tuple((k, slots[id(a)]) for k, a in kwargs.items()
+                       if isinstance(a, Tensor) and id(a) in slots)
+        # every probe that does not move this output's inputs reads it
+        out.data.flags.writeable = False
+        self.entries.append((op, args, kwargs, refs, kwrefs))
+        slots[id(out)] = len(self.inputs) + len(self.outputs)
+        self.outputs.append(out)
         return out
 
+    def downstream(self, source: int) -> list[tuple]:
+        """The entries that read slot `source`, directly or through another
+        such entry, in tape order, each with the arguments a replay
+        substitutes."""
+        n = len(self.inputs)
+        moved = {source}
+        steps = []
+        for k, (op, args, kwargs, refs, kwrefs) in enumerate(self.entries):
+            sub = tuple(r for r in refs if r[1] in moved)
+            kwsub = tuple(r for r in kwrefs if r[1] in moved)
+            if sub or kwsub:
+                moved.add(n + k)
+                steps.append((n + k, op, args, kwargs, sub, kwsub))
+        return steps
 
-_RECORD: ContextVar[_Record | None] = ContextVar("grad_check_record", default=None)
+
+def _replay(steps: list[tuple], source: int, moved: Tensor) -> dict[int, Tensor]:
+    """Slot `source` holding `moved`, and the outputs of `steps` re-run on it
+    and on the tape's other outputs, by slot."""
+    vals = {source: moved}
+    for slot, op, args, kwargs, sub, kwsub in steps:
+        a = list(args)
+        for j, s in sub:
+            a[j] = vals[s]
+        if kwsub:
+            kwargs = dict(kwargs)
+            for k, s in kwsub:
+                kwargs[k] = vals[s]
+        vals[slot] = op(*a, **kwargs)
+    return vals
+
+
+_TAPE: ContextVar[_Tape | None] = ContextVar("grad_check_tape", default=None)
 
 
 def _reusable(op: Callable[..., Tensor]) -> Callable[..., Tensor]:
-    """`op`, called through the record of the `grad_check` running in this
-    context, if any."""
+    """`op`, recorded on the tape of the `grad_check` base-point evaluation
+    running in this context, if any."""
     @functools.wraps(op)
     def call(*args, **kwargs):
-        record = _RECORD.get()
-        if record is None:
+        tape = _TAPE.get()
+        if tape is None:
             return op(*args, **kwargs)
-        return record.call(op, args, kwargs)
+        return tape.call(op, args, kwargs)
 
     return call
 
@@ -619,58 +623,88 @@ def roi_pool(features: Tensor, rois: np.ndarray, size: int) -> Tensor:
 
 # -- gradient checking --------------------------------------------------------
 
+def _probes(f: Callable[..., Tensor],
+            arrays: list[np.ndarray]) -> Iterator[tuple[int, int, float, float]]:
+    """`(input, coordinate, f_plus, f_minus)` of every central-difference
+    probe of `f` about the C-contiguous float64 `arrays`, input by input and
+    coordinate by coordinate. A probe moves one entry of `arrays` in place
+    and restores it before the probe is yielded. See `grad_check`."""
+    base = [Tensor(a.copy()) for a in arrays]
+    tape = _Tape(base)
+    token = _TAPE.set(tape)
+    try:
+        out = f(*base)
+    finally:
+        _TAPE.reset(token)
+    base_value = out.item()
+    root = tape.slots.get(id(out))
+    for ti, a in enumerate(arrays):
+        steps = tape.downstream(ti)
+        flat = a.reshape(-1)
+        for ci in range(flat.size):
+            orig = flat[ci]
+            values = []
+            try:
+                for x in (orig + FD_STEP, orig - FD_STEP):
+                    flat[ci] = x
+                    vals = _replay(steps, ti, Tensor(a.copy()))
+                    value = vals[root].item() if root in vals else base_value
+                    if ci == 0:
+                        full = f(*[Tensor(b.copy()) for b in arrays]).item()
+                        if full.hex() != value.hex():
+                            raise GradCheckError(
+                                f"input {ti}: f evaluated in full gives {full.hex()} at its "
+                                f"first probe, its replayed tape {value.hex()}; f's op "
+                                "sequence or a non-Tensor op argument depends on input values")
+                    values.append(value)
+            finally:
+                flat[ci] = orig
+            yield ti, ci, values[0], values[1]
+
+
 def grad_check(f: Callable[..., Tensor], points: Sequence[np.ndarray]) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    `f` maps one Tensor per entry of `points` to a scalar Tensor and must be
-    a deterministic function of its inputs. The error at each coordinate is
-    |analytic - numeric| / max(1, |analytic|, |numeric|).
+    `f` maps one Tensor per entry of `points` to a scalar Tensor. The error
+    at each coordinate is |analytic - numeric| / max(1, |analytic|, |numeric|).
+
+    Contract: `f` is a deterministic function of its inputs, and its op
+    sequence, and every argument other than a Tensor that it passes to an
+    op, do not depend on its inputs' values. In particular, `f` builds no
+    leaf and no array from an input's `.data`, nor from an op output's.
 
     After the analytic pass, one more evaluation of `f` without gradients
-    records every op's output at the base point. A probe moves one
-    coordinate of one input, so in a probe an op whose inputs are all
-    recorded outputs, or leaves and arrays byte-equal to the base point's,
-    returns its recorded output instead of computing the same bytes again.
-    Every probe value is the one a full evaluation gives. Recorded outputs
-    are read-only, since every probe may share them, and the record is
-    dropped when grad_check returns or raises.
+    records each op call on a tape. A probe moves one coordinate of one
+    input and does not call `f`: it re-runs, in tape order, only the taped
+    ops downstream of that input, and takes every other op's output from the
+    tape. Under the contract every probe value is the one a full evaluation
+    of `f` gives, byte for byte. A guard enforces it: the first probe of
+    each input also evaluates `f` in full, and a value whose bytes differ
+    from the replay's raises GradCheckError naming the input. Taped outputs
+    are read-only, since every probe may read them. The tape is dropped
+    before grad_check returns or raises, and a grad_check inside `f` records
+    nothing on the outer one.
     """
-    arrays = [np.array(p, dtype=np.float64) for p in points]
-
-    def evaluate(arrs) -> tuple[float, list[np.ndarray]]:
-        tensors = [Tensor(a.copy(), requires_grad=True) for a in arrs]
+    arrays = [np.array(p, dtype=np.float64, order="C") for p in points]
+    outer = _TAPE.set(None)
+    try:
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
         out = f(*tensors)
         out.backward()
-        grads = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
-        return out.item(), grads
-
-    _, analytic = evaluate(arrays)
-    for ti, grad in enumerate(analytic):
-        bad = np.flatnonzero(~np.isfinite(grad))
-        if bad.size:
-            raise GradCheckError(f"non-finite analytic gradient at input {ti}, coordinate {bad[0]}")
-    record = _Record()
-    token = _RECORD.set(record)
-    try:
-        f(*[Tensor(a.copy()) for a in arrays])
-        record.recording = False
+        analytic = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
+        for ti, grad in enumerate(analytic):
+            bad = np.flatnonzero(~np.isfinite(grad))
+            if bad.size:
+                raise GradCheckError(
+                    f"non-finite analytic gradient at input {ti}, coordinate {bad[0]}")
         worst = 0.0
-        for ti, base in enumerate(arrays):
-            flat = base.reshape(-1)
-            for ci in range(flat.size):
-                orig = flat[ci]
-                flat[ci] = orig + FD_STEP
-                f_plus = f(*[Tensor(a.copy()) for a in arrays]).item()
-                flat[ci] = orig - FD_STEP
-                f_minus = f(*[Tensor(a.copy()) for a in arrays]).item()
-                flat[ci] = orig
-                if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                    raise GradCheckError(
-                        f"non-finite value at input {ti}, coordinate {ci}")
-                numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
-                analytic_c = analytic[ti].reshape(-1)[ci]
-                err = abs(analytic_c - numeric) / max(1.0, abs(analytic_c), abs(numeric))
-                worst = max(worst, err)
+        for ti, ci, f_plus, f_minus in _probes(f, arrays):
+            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+                raise GradCheckError(f"non-finite value at input {ti}, coordinate {ci}")
+            numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
+            analytic_c = analytic[ti].reshape(-1)[ci]
+            err = abs(analytic_c - numeric) / max(1.0, abs(analytic_c), abs(numeric))
+            worst = max(worst, err)
     finally:
-        _RECORD.reset(token)
+        _TAPE.reset(outer)
     return worst

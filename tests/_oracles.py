@@ -462,9 +462,11 @@ def classification_distill_loss_ref(p_om: np.ndarray, y_im: np.ndarray,
 
 # -- finite differences --------------------------------------------------------------
 
-def full_evaluation_grad_check(f, points):
-    """`autodiff.grad_check` with every probe a full evaluation of `f`."""
-    arrays = [np.array(p, dtype=np.float64) for p in points]
+def full_evaluation_grad_check(f, points, probes=None):
+    """`autodiff.grad_check` with every probe a full evaluation of `f`; each
+    probe's `(input, coordinate, f_plus, f_minus)` is appended to `probes`,
+    if given."""
+    arrays = [np.array(p, dtype=np.float64, order="C") for p in points]
 
     def evaluate(arrs):
         tensors = [Tensor(a.copy(), requires_grad=True) for a in arrs]
@@ -488,6 +490,8 @@ def full_evaluation_grad_check(f, points):
             flat[ci] = orig - FD_STEP
             f_minus = f(*[Tensor(a.copy()) for a in arrays]).item()
             flat[ci] = orig
+            if probes is not None:
+                probes.append((ti, ci, f_plus, f_minus))
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                 raise GradCheckError(
                     f"non-finite value at input {ti}, coordinate {ci}")
@@ -499,21 +503,16 @@ def full_evaluation_grad_check(f, points):
 
 
 def assert_probes_exact(f, points):
-    """`ad.grad_check(f, points)` evaluates `f` to the same bytes as
-    `full_evaluation_grad_check` at every probe, and returns the same error."""
-    runs = []
-    for check in (ad.grad_check, full_evaluation_grad_check):
-        values = []
+    """Every probe `ad.grad_check(f, points)` consumes holds the float-hex
+    values `full_evaluation_grad_check` evaluates `f` to in full, and the two
+    return the same error."""
+    want = []
+    want_worst = full_evaluation_grad_check(f, points, want)
+    arrays = [np.array(p, dtype=np.float64, order="C") for p in points]
+    seen = list(ad._probes(f, arrays))
 
-        def logged(*tensors):
-            out = f(*tensors)
-            values.append(out.item().hex())
-            return out
+    def hexed(probes):
+        return [(ti, ci, p.hex(), m.hex()) for ti, ci, p, m in probes]
 
-        runs.append((check(logged, points).hex(), values))
-    (worst, seen), (want_worst, want) = runs
-    # the library evaluates the base point once more, between the analytic
-    # pass and the probes
-    assert len(seen) == len(want) + 1 and seen[1] == seen[0] == want[0]
-    assert seen[2:] == want[1:]
-    assert worst == want_worst
+    assert hexed(seen) == hexed(want)
+    assert ad.grad_check(f, points).hex() == want_worst.hex()

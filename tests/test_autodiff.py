@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from _oracles import (add_at_roi_pool, argmax_max_pool2, assert_probes_exact, np_pad_conv2d,
-                      where_max_pool2, where_relu)
+from _oracles import (add_at_roi_pool, argmax_max_pool2, assert_probes_exact,
+                      full_evaluation_grad_check, np_pad_conv2d, where_max_pool2, where_relu)
 from tripledet import autodiff as ad
 from tripledet.autodiff import GradCheckError, ShapeError, Tensor
 from tripledet.trainer import BaseTrainConfig, LossBreakdown, SGDMomentum, TrainingError, _fit
@@ -462,42 +462,49 @@ def test_grad_check_probes_equal_full_evaluations_bytes(kind, builder):
         assert_probes_exact(f, points)
 
 
-def test_grad_check_record_lives_only_inside_grad_check():
-    """No record during the analytic pass, one from the base-point
-    evaluation on, and none after a return or either GradCheckError, or
-    after `f` raises."""
+def test_grad_check_tape_lives_only_in_the_base_point_evaluation():
+    """No tape during the analytic pass or the guard's full evaluations, one
+    during the base-point evaluation, and none after a return, any
+    GradCheckError, or `f` raising at the base point or in a guard."""
     seen = []
 
     def f(t):
-        seen.append(ad._RECORD.get())
+        seen.append(ad._TAPE.get())
         return ad.tsum(t * t * t)
 
     ad.grad_check(f, [np.array([2.0])])
-    assert seen[0] is None and seen[1] is not None and all(r is seen[1] for r in seen[1:])
-    assert ad._RECORD.get() is None
+    # the analytic pass, the base point, and the first probe's two guard evaluations
+    assert len(seen) == 4 and seen[1] is not None
+    assert seen[0] is seen[2] is seen[3] is None
+    assert ad._TAPE.get() is None
     with np.errstate(divide="ignore"), pytest.raises(GradCheckError, match="non-finite value"):
         ad.grad_check(lambda t: ad.tsum(ad.divide(Tensor([1.0]), t)), [np.array([ad.FD_STEP])])
-    assert ad._RECORD.get() is None
+    assert ad._TAPE.get() is None
     with np.errstate(invalid="ignore"), pytest.raises(GradCheckError, match="analytic"):
         ad.grad_check(lambda t: ad.tsum(ad.relu(ad.multiply(t, Tensor([-np.inf])))),
                       [np.array([1.0])])
-    assert ad._RECORD.get() is None
-    calls = []
+    assert ad._TAPE.get() is None
+    with pytest.raises(GradCheckError, match="^input 0: "):
+        ad.grad_check(lambda t: ad.tsum(Tensor(t.data) * t), [np.array([1.0])])
+    assert ad._TAPE.get() is None
+    for failing_call in (2, 3):         # the base point, then a guard
+        calls = []
 
-    def fails_in_a_probe(t):
-        calls.append(t)
-        if len(calls) == 3:
-            raise ShapeError("raised by f")
-        return ad.tsum(t * t)
+        def fails(t):
+            calls.append(t)
+            if len(calls) == failing_call:
+                raise ShapeError("raised by f")
+            return ad.tsum(t * t)
 
-    with pytest.raises(ShapeError, match="raised by f"):
-        ad.grad_check(fails_in_a_probe, [np.array([1.0])])
-    assert ad._RECORD.get() is None
+        with pytest.raises(ShapeError, match="raised by f"):
+            ad.grad_check(fails, [np.array([1.0])])
+        assert ad._TAPE.get() is None
 
 
-def test_grad_check_record_is_read_only_by_probe_calls_without_gradients():
-    """A probe call on byte-equal inputs gets the recorded output; a call on
-    an input that requires gradients, or a call after grad_check, computes."""
+def test_grad_check_probes_replay_the_tape_without_calling_f():
+    """`f` runs for the analytic pass, the base point and each input's first
+    probe only. The taped outputs are read-only; a guard's evaluation, and a
+    call after grad_check, compute fresh ones."""
     const = np.array([1.5, -0.5])
     outs = []
 
@@ -508,35 +515,114 @@ def test_grad_check_record_is_read_only_by_probe_calls_without_gradients():
         return ad.tsum(t * plain) + ad.tsum(tracked)
 
     ad.grad_check(f, [np.array([0.3, 0.7])])
-    recorded = outs[1][0]
-    assert len(outs) == 6 and all(plain is recorded for plain, _ in outs[2:])
-    assert not recorded.data.flags.writeable       # every probe shares it
+    assert len(outs) == 4
+    taped = outs[1][0]
+    assert not taped.data.flags.writeable       # every probe may read it
+    assert all(plain.data.flags.writeable for plain, _ in (outs[0], *outs[2:]))
     assert all(tracked.requires_grad and tracked.parents for _, tracked in outs)
-    assert len({id(tracked) for _, tracked in outs}) == len(outs)
     after = ad.square(Tensor(const))
-    assert after is not recorded and np.array_equal(after.data, recorded.data)
+    assert after.data.flags.writeable and np.array_equal(after.data, taped.data)
 
 
-def test_nested_grad_check_restores_the_outer_record():
+def test_nested_grad_check_records_nothing_on_the_outer_tape():
+    """A grad_check inside `f` leaves the outer tape in place and puts none
+    of its own ops on it, and the outer error is the full evaluations'."""
     seen = []
 
     def outer(t):
-        before = ad._RECORD.get()
+        before = ad._TAPE.get()
         assert ad.grad_check(lambda u: ad.tsum(u * u), [np.array([1.0, 2.0])]) < 1e-6
-        seen.append((before, ad._RECORD.get(), ad.square(Tensor([2.0]))))
-        return ad.tsum(t * seen[-1][2])
+        after = ad._TAPE.get()
+        seen.append((before, after, None if after is None else len(after.entries)))
+        return ad.tsum(t * ad.square(Tensor([2.0])))
 
-    ad.grad_check(outer, [np.array([0.5])])
+    assert_probes_exact(outer, [np.array([0.5, -1.5])])
     assert all(before is after for before, after, _ in seen)
-    recorded = seen[1][2]
-    assert len(seen) == 4 and all(out is recorded for _, _, out in seen[2:])
-    assert ad._RECORD.get() is None
+    # one base point in ad._probes and one in ad.grad_check
+    assert [n for _, tape, n in seen if tape is not None] == [0, 0]
+    assert ad._TAPE.get() is None
 
 
-def test_grad_check_computes_a_call_with_an_unhashable_argument():
-    """A list `shape` cannot key the record: reshape computes, exactly."""
+def test_grad_check_replays_list_and_keyword_arguments():
+    """A list `shape` is an argument like any other, and a Tensor passed by
+    keyword is replayed like a positional one: both probe exactly."""
     assert_probes_exact(lambda t: ad.tsum(ad.square(ad.reshape(t, [4]))),
                         [np.arange(4.0).reshape(2, 2)])
+    assert_probes_exact(lambda a, b: ad.tsum(ad.multiply(a, b=ad.square(b))),
+                        [np.array([0.3, -1.1]), np.array([2.0, 0.5])])
+
+
+def test_grad_check_replays_nothing_for_an_input_f_never_reads():
+    """A probe of an input no taped op reads re-runs nothing and reads the
+    base value, as a full evaluation would compute it."""
+    calls = []
+
+    @ad._reusable
+    def counted_square(x):
+        calls.append(x)
+        return ad.square.__wrapped__(x)
+
+    const = Tensor([1.5, -0.5])
+
+    def reads_nothing(t):
+        return ad.tsum(counted_square(const))
+
+    assert full_evaluation_grad_check(reads_nothing, [np.zeros(3)]) == 0.0
+    calls.clear()
+    assert ad.grad_check(reads_nothing, [np.zeros(3)]) == 0.0
+    # the analytic pass, the base point and the guard's two evaluations
+    assert len(calls) == 4
+
+    def reads_a(a, b):
+        return ad.tsum(counted_square(a))
+
+    points = [np.array([0.3, -0.8]), np.array([1.0, 2.0, 3.0])]
+    calls.clear()
+    ad.grad_check(reads_a, points)
+    # as above, plus a's second guard evaluation and a's four replays
+    assert len(calls) == 10
+    assert_probes_exact(reads_a, points)
+
+
+def test_grad_check_of_f_whose_root_is_an_input():
+    assert_probes_exact(lambda t: t, [np.array([0.7])])
+    assert_probes_exact(lambda a, b: b, [np.array([0.3, -0.4]), np.array(0.7)])
+
+
+def _branches_on_b(a, b):
+    # b's first probe down crosses 1.0, where the op sequence changes
+    return ad.tsum(a * b) if b.data[0] >= 1.0 else ad.tsum(a + b)
+
+
+def _leaf_from_b_data(a, b):
+    return ad.tsum(a * b) + ad.tsum(Tensor(b.data) * b)
+
+
+def _rois_from_b_data(a, b):
+    # RoI (0, 0, 4, 4) samples columns 1 and 3; b's first probe down moves
+    # x1 below 0, which moves the first sample to column 0
+    return ad.tsum(ad.square(ad.roi_pool(a, b.data, 2))) + ad.tsum(ad.square(b))
+
+
+@pytest.mark.parametrize("f,points", [
+    (_branches_on_b, [np.array([0.4, -1.2]), np.array([1.0, 2.0])]),
+    (_leaf_from_b_data, [np.array([0.4, -1.2]), np.array([0.5, 2.0])]),
+    (_rois_from_b_data, [np.random.default_rng(3).normal(size=(2, 4, 4)),
+                         np.array([[0.0, 0.0, 4.0, 4.0]])]),
+])
+def test_grad_check_guard_names_the_input_f_breaks_the_contract_on(f, points):
+    """An `f` whose ops or non-Tensor arguments depend on an input's values
+    cannot be replayed; the guard's full evaluation of the first probe
+    finds it and names the input."""
+    with pytest.raises(GradCheckError, match="^input 1: f evaluated in full gives"):
+        ad.grad_check(f, points)
+    assert ad._TAPE.get() is None
+
+
+def test_grad_check_moves_every_coordinate_of_a_fortran_ordered_point():
+    point = np.asfortranarray(np.random.default_rng(4).normal(size=(3, 2)))
+    f = lambda t: ad.tsum(ad.square(ad.square(t)))
+    assert ad.grad_check(f, [point]) == ad.grad_check(f, [np.ascontiguousarray(point)]) < 1e-6
 
 
 def test_topo_visits_each_node_once():

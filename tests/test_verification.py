@@ -6,7 +6,7 @@ import pytest
 import tripledet.detector as det
 from _oracles import assert_probes_exact
 from tripledet.autodiff import Tensor
-from tripledet.verification import SUITE
+from tripledet.verification import GRAD_TOL, SUITE, SUITE_SEED, run_gradient_suite
 
 
 @pytest.mark.parametrize("name", ["frcnn_loss", "total_loss"])
@@ -36,10 +36,18 @@ def test_built_instances_draw_nothing(name, monkeypatch):
     assert first == second
 
 
-@pytest.mark.parametrize("name", ["frcnn_loss", "total_loss"])
+@pytest.mark.parametrize("name", SUITE)
 def test_built_instance_probes_equal_full_evaluations_bytes(name):
-    """On a network instance, where most of a probe's ops reuse the base
-    point's outputs, every probe value and the error are those of full
-    evaluations, byte for byte."""
+    """On every suite instance, where a probe replays only the ops
+    downstream of the moved input, every probe value and the error are those
+    of full evaluations, byte for byte."""
     build, _ = SUITE[name]
     assert_probes_exact(*build(np.random.default_rng(6)))
+
+
+def test_one_instance_of_every_suite_loss_passes():
+    """The quick suite's check of every loss's gradient: one instance each,
+    under the acceptance tolerance."""
+    errors = run_gradient_suite(1, seed=SUITE_SEED)
+    assert list(errors) == list(SUITE)
+    assert all(err < GRAD_TOL for err in errors.values()), errors
