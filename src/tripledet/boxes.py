@@ -1,8 +1,8 @@
 """Axis-aligned box arithmetic: IoU, per-class NMS, and delta coding.
 
-Inside the library, boxes travel as an (n,4) float array plus an (n,) int
-label array; `BBox`/`Detection` only carry annotations and returned
-detections (`annotation_arrays` converts annotations).
+Boxes travel as an (n,4) float array plus an (n,) int label array, scene
+annotations included; a single box is an `(x1, y1, x2, y2)` tuple of floats,
+as in a returned `Detection`.
 
 Boxes use continuous corner coordinates with area (x2-x1)*(y2-y1); a box is
 valid only when x2 > x1 and y2 > y1. NMS suppresses at strictly greater IoU
@@ -13,6 +13,7 @@ so a brute-force reference reproduces results bit-exactly.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,38 +23,8 @@ DELTA_CLAMP = math.log(16.0)
 
 
 @dataclass(frozen=True)
-class BBox:
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    def __post_init__(self):
-        vals = (self.x1, self.y1, self.x2, self.y2)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"box coordinates must be finite, got {vals}")
-        if not (self.x2 > self.x1 and self.y2 > self.y1):
-            raise ValueError(f"degenerate box {vals}: need x2 > x1 and y2 > y1")
-
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.y1, self.x2, self.y2], dtype=np.float64)
-
-
-@dataclass(frozen=True)
 class Detection:
-    bbox: BBox
+    bbox: tuple[float, float, float, float]     # (x1, y1, x2, y2)
     class_id: int
     score: float
 
@@ -64,14 +35,16 @@ class Detection:
             raise ValueError(f"score must lie in [0,1], got {self.score}")
 
 
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union; 0 for disjoint boxes."""
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
+def iou(a: Sequence[float], b: Sequence[float]) -> float:
+    """Intersection over union of two (x1, y1, x2, y2) boxes; 0 for disjoint boxes."""
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
+    ix = min(ax2, bx2) - max(ax1, bx1)
+    iy = min(ay2, by2) - max(ay1, by1)
     if ix <= 0.0 or iy <= 0.0:
         return 0.0
     inter = ix * iy
-    return inter / (a.area + b.area - inter)
+    return inter / ((ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter)
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -157,12 +130,6 @@ def nms_per_class(boxes: np.ndarray, scores: np.ndarray, labels: np.ndarray,
         kept.append(idx[nms_indices(boxes[idx], scores[idx], iou_thresh)])
     kept = np.concatenate(kept)
     return kept[np.lexsort((kept, -scores[kept]))]
-
-
-def annotation_arrays(pairs: list[tuple[BBox, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """(n,4) float boxes and (n,) int labels of `(BBox, class_id)` pairs."""
-    boxes = np.array([b.as_array() for b, _ in pairs], dtype=np.float64).reshape(-1, 4)
-    return boxes, np.array([c for _, c in pairs], dtype=np.intp)
 
 
 def encode_deltas_array(anchors: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .boxes import (BBox, Detection, clip_boxes, decode_deltas_array,
-                    encode_deltas_array, iou_matrix, nms_indices, nms_per_class)
+from .boxes import (Detection, clip_boxes, decode_deltas_array, encode_deltas_array,
+                    iou_matrix, nms_indices, nms_per_class)
 
 CHECKPOINT_MAGIC = b"TDETCKPT"
 CHECKPOINT_FORMAT = "tripledet-checkpoint-v1"
@@ -219,18 +219,28 @@ def roi_pool(config: DetectorConfig, features: Tensor, rois: np.ndarray) -> Tens
     return ad.roi_pool(features, arr / float(config.stride), config.pool_size)
 
 
+def _head_hidden(model: DetectorModel, pooled: Tensor) -> Tensor:
+    """The head's (n, fc_width) second hidden layer over pooled features."""
+    p = model.params
+    cfg = model.config
+    flat = ad.reshape(pooled, (pooled.shape[0], cfg.channels[2] * cfg.pool_size * cfg.pool_size))
+    h = ad.relu(ad.matmul(flat, p["rcnn.fc1.w"]) + p["rcnn.fc1.b"])
+    return ad.relu(ad.matmul(h, p["rcnn.fc2.w"]) + p["rcnn.fc2.b"])
+
+
+def head_logits(model: DetectorModel, pooled: Tensor) -> Tensor:
+    """Class logits (n, C+1) from pooled features, without the box deltas."""
+    p = model.params
+    return ad.matmul(_head_hidden(model, pooled), p["rcnn.cls.w"]) + p["rcnn.cls.b"]
+
+
 def head_forward(model: DetectorModel, pooled: Tensor) -> tuple[Tensor, Tensor]:
     """(class logits (n, C+1), per-class deltas (n, C, 4)) from pooled features."""
     p = model.params
-    n = pooled.shape[0]
-    cfg = model.config
-    flat = ad.reshape(pooled, (n, cfg.channels[2] * cfg.pool_size * cfg.pool_size))
-    h = ad.relu(ad.matmul(flat, p["rcnn.fc1.w"]) + p["rcnn.fc1.b"])
-    h = ad.relu(ad.matmul(h, p["rcnn.fc2.w"]) + p["rcnn.fc2.b"])
-    logits = ad.matmul(h, p["rcnn.cls.w"]) + p["rcnn.cls.b"]
-    deltas = ad.reshape(ad.matmul(h, p["rcnn.delta.w"]) + p["rcnn.delta.b"],
-                        (n, model.num_classes, 4))
-    return logits, deltas
+    h = _head_hidden(model, pooled)
+    return (ad.matmul(h, p["rcnn.cls.w"]) + p["rcnn.cls.b"],
+            ad.reshape(ad.matmul(h, p["rcnn.delta.w"]) + p["rcnn.delta.b"],
+                       (pooled.shape[0], model.num_classes, 4)))
 
 
 def detect(model: DetectorModel, features: Tensor, score_thresh: float,
@@ -254,8 +264,9 @@ def detect(model: DetectorModel, features: Tensor, score_thresh: float,
     boxes, keep = _decode_clipped(cfg, prop_boxes[rows], deltas.data[rows, cls])
     rows, labels = rows[keep], cls[keep] + 1
     scores = probs[rows, labels]
-    return [Detection(BBox(*boxes[i]), int(labels[i]), float(scores[i]))
-            for i in nms_per_class(boxes, scores, labels, nms_thresh)]
+    kept = nms_per_class(boxes, scores, labels, nms_thresh)
+    return [Detection(tuple(b), c, s) for b, c, s in
+            zip(boxes[kept].tolist(), labels[kept].tolist(), scores[kept].tolist())]
 
 
 # -- training targets and losses ------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .boxes import BBox, iou
+from .boxes import iou
 from .detector import DetectorModel, detect, forward_features
 from .synthdata import Scene
 
@@ -34,11 +34,11 @@ class APReport:
     vacuous_classes: list[int]
 
 
-def voc_ap(dets: list[tuple[int, float, BBox]], gts: dict[int, list[BBox]],
-           iou_thresh: float) -> float:
+def voc_ap(dets: list[tuple], gts: dict[int, list], iou_thresh: float) -> float:
     """AP for one class; `dets` are (image_id, score, box), `gts` map image
-    ids to that image's ground-truth boxes. Returns 0.0 with no ground truth
-    (callers flag that case as vacuous)."""
+    ids to that image's ground-truth boxes, each box an (x1, y1, x2, y2)
+    sequence. Returns 0.0 with no ground truth (callers flag that case as
+    vacuous)."""
     n_gt = sum(len(v) for v in gts.values())
     if n_gt == 0:
         return 0.0
@@ -83,10 +83,10 @@ def evaluate_model(model: DetectorModel, scenes: list[Scene], iou_thresh: float,
         raise ValueError(
             f"model covers {model.num_classes} classes, cannot evaluate class {max(classes)}")
     frozen = model.clone(requires_grad=False)
-    dets_by_class: dict[int, list[tuple[int, float, BBox]]] = {c: [] for c in classes}
-    gts_by_class: dict[int, dict[int, list[BBox]]] = {c: {} for c in classes}
+    dets_by_class: dict[int, list] = {c: [] for c in classes}
+    gts_by_class: dict[int, dict[int, list]] = {c: {} for c in classes}
     for img_id, scene in enumerate(scenes):
-        for box, cid in scene.annotations:
+        for box, cid in zip(scene.boxes.tolist(), scene.labels.tolist()):
             if cid in gts_by_class:
                 gts_by_class[cid].setdefault(img_id, []).append(box)
         features = forward_features(frozen, scene.image)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .boxes import Detection, annotation_arrays, iou_matrix
+from .boxes import Detection, iou_matrix
 from .detector import DetectorModel, detect
 
 
@@ -44,8 +44,7 @@ def generate_pseudo_gt(om: DetectorModel, features: Tensor, new_gt_boxes: np.nda
     theta_iou.
     """
     dets = detect(om, features, score_thresh=th.theta_low, nms_thresh=th.theta_iou)
-    det_boxes, _ = annotation_arrays([(d.bbox, d.class_id) for d in dets])
-    keep = (iou_matrix(det_boxes, new_gt_boxes) <= th.theta_iou).all(axis=1)
+    keep = (iou_matrix([d.bbox for d in dets], new_gt_boxes) <= th.theta_iou).all(axis=1)
     return [d for d, k in zip(dets, keep) if k]
 
 
@@ -55,7 +54,8 @@ def build_training_targets(boxes_p: list[Detection], gt_boxes: np.ndarray,
     """Split pseudo boxes by score (strict >) and union with new ground
     truth: (class-agnostic RPN boxes (n,4), R-CNN boxes (k,4), their class
     ids (k,)), pseudo boxes first."""
-    boxes, labels = annotation_arrays([(d.bbox, d.class_id) for d in boxes_p])
+    boxes = np.array([d.bbox for d in boxes_p], dtype=np.float64).reshape(-1, 4)
+    labels = np.array([d.class_id for d in boxes_p], dtype=np.intp)
     scores = np.array([d.score for d in boxes_p])
     low, high = scores > th.theta_low, scores > th.theta_high
     return (np.concatenate([boxes[low], gt_boxes]), np.concatenate([boxes[high], gt_boxes]),

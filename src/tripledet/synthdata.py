@@ -14,14 +14,15 @@ JSON manifest: a list of per-image entries
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .boxes import BBox, iou
+from .boxes import iou
 
 IMAGE_SIZE = 64
 MIN_OBJ = 10
@@ -63,7 +64,8 @@ class ClassDef:
 @dataclass
 class Scene:
     image: np.ndarray                      # (3, 64, 64) float64 in [0, 1]
-    annotations: list[tuple[BBox, int]] = field(default_factory=list)
+    boxes: np.ndarray                      # (n, 4) float64 ground-truth boxes
+    labels: np.ndarray                     # (n,) intp class ids
 
 
 def make_classes(n: int) -> list[ClassDef]:
@@ -107,14 +109,14 @@ def _shape_mask(shape: str, w: int, h: int) -> np.ndarray:
 
 
 def _place_objects(class_choices: list[ClassDef], rng: np.random.Generator
-                   ) -> list[tuple[BBox, ClassDef]] | None:
-    placed: list[tuple[BBox, ClassDef]] = []
+                   ) -> list[tuple[tuple, ClassDef]] | None:
+    placed: list[tuple[tuple, ClassDef]] = []
     for cdef in class_choices:
         w, h = _draw_size(cdef.shape, rng)
         for _ in range(MAX_PLACE_ATTEMPTS):
             x1 = int(rng.integers(0, IMAGE_SIZE - w + 1))
             y1 = int(rng.integers(0, IMAGE_SIZE - h + 1))
-            box = BBox(float(x1), float(y1), float(x1 + w), float(y1 + h))
+            box = (float(x1), float(y1), float(x1 + w), float(y1 + h))
             if all(iou(box, other) <= MAX_GT_IOU for other, _ in placed):
                 placed.append((box, cdef))
                 break
@@ -123,16 +125,16 @@ def _place_objects(class_choices: list[ClassDef], rng: np.random.Generator
     return placed
 
 
-def _render_scene(placed: list[tuple[BBox, ClassDef]], rng: np.random.Generator) -> Scene:
+def _render_scene(placed: list[tuple[tuple, ClassDef]], rng: np.random.Generator) -> Scene:
     img = np.full((3, IMAGE_SIZE, IMAGE_SIZE), BACKGROUND, dtype=np.float64)
     for box, cdef in placed:
-        x1, y1 = int(box.x1), int(box.y1)
-        w, h = int(box.width), int(box.height)
-        mask = _shape_mask(cdef.shape, w, h)
-        np.copyto(img[:, y1:y1 + h, x1:x1 + w], np.array(cdef.color)[:, None, None], where=mask)
+        x1, y1, x2, y2 = map(int, box)
+        mask = _shape_mask(cdef.shape, x2 - x1, y2 - y1)
+        np.copyto(img[:, y1:y2, x1:x2], np.array(cdef.color)[:, None, None], where=mask)
     img += rng.normal(0.0, NOISE_SIGMA, size=img.shape)
     np.clip(img, 0.0, 1.0, out=img)
-    return Scene(image=img, annotations=[(box, c.class_id) for box, c in placed])
+    return Scene(img, np.array([b for b, _ in placed], dtype=np.float64),
+                 np.array([c.class_id for _, c in placed], dtype=np.intp))
 
 
 def _draw(pool: list[ClassDef], rng: np.random.Generator) -> ClassDef:
@@ -185,10 +187,11 @@ def generate_incremental_dataset(old_classes: list[ClassDef],
             return choices + [_draw(pool, rng) for _ in range(k - len(choices))]
         return pick
 
-    new_ids = {c.class_id for c in new_classes}
+    new_ids = [c.class_id for c in new_classes]
     scenes = _generate(n, seed, picker)
     for scene in scenes:
-        scene.annotations = [(b, cid) for b, cid in scene.annotations if cid in new_ids]
+        keep = np.isin(scene.labels, new_ids)
+        scene.boxes, scene.labels = scene.boxes[keep], scene.labels[keep]
     return scenes
 
 
@@ -245,8 +248,8 @@ def save_dataset(scenes: list[Scene], directory) -> None:
             "width": w,
             "height": h,
             "objects": [
-                {"x1": b.x1, "y1": b.y1, "x2": b.x2, "y2": b.y2, "class_id": cid}
-                for b, cid in scene.annotations
+                {"x1": x1, "y1": y1, "x2": x2, "y2": y2, "class_id": cid}
+                for (x1, y1, x2, y2), cid in zip(scene.boxes.tolist(), scene.labels.tolist())
             ],
         })
     with open(directory / "manifest.json", "w") as f:
@@ -281,13 +284,18 @@ def load_dataset(directory) -> list[Scene]:
             if image.shape[1:] != size:
                 raise ValueError(f"{entry['file']} is {image.shape[2]}x{image.shape[1]}, not "
                                  f"the manifest's {entry['width']}x{entry['height']}")
-            annotations = [
-                (BBox(o["x1"], o["y1"], o["x2"], o["y2"]),
-                 _positive_int("class_id", o["class_id"]))
-                for o in entry["objects"]
-            ]
-        # OverflowError: an integer coordinate past float range
+            boxes, labels = [], []
+            for o in entry["objects"]:
+                x1, y1, x2, y2 = box = tuple(o[k] for k in ("x1", "y1", "x2", "y2"))
+                # math.isfinite also refuses a string, null or list coordinate
+                if not (all(math.isfinite(v) for v in box) and x2 > x1 and y2 > y1):
+                    raise ValueError(f"box {box} needs finite x2 > x1 and y2 > y1")
+                boxes.append(box)
+                labels.append(_positive_int("class_id", o["class_id"]))
+            boxes = np.array(boxes, dtype=np.float64).reshape(-1, 4)
+            labels = np.array(labels, dtype=np.intp)
+        # OverflowError: a coordinate past float range, or a class id past intp's
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise DatasetError(f"malformed manifest entry {i} in {manifest_path}: {e}") from e
-        scenes.append(Scene(image=image, annotations=annotations))
+        scenes.append(Scene(image, boxes, labels))
     return scenes

@@ -17,9 +17,8 @@ from functools import partial
 import numpy as np
 
 from .autodiff import Tensor
-from .boxes import annotation_arrays
 from .detector import (HEAD_STD, DetectorModel, RoiSample, Targets, forward_features, frcnn_loss,
-                       head_forward, new_model, roi_pool, training_targets)
+                       head_logits, new_model, roi_pool, training_targets)
 from .distill import (FeatureTriple, LogitTriple, PooledTriple,
                       classification_distill_loss, feature_distill_loss,
                       residual_distill_loss)
@@ -214,10 +213,8 @@ def compute_losses(triple: TripleNetwork, image, cfg: TrainConfig,
             if cfg.d_res:
                 d_res_t = residual_distill_loss(feat, PooledTriple(p_om, internals.pooled, p_rm))
             if cfg.d_cls:
-                om_logits, _ = head_forward(om, p_om)
-                rm_logits, _ = head_forward(rm, p_rm)
-                d_cls_t = classification_distill_loss(
-                    LogitTriple(om_logits, internals.cls_logits, rm_logits))
+                d_cls_t = classification_distill_loss(LogitTriple(
+                    head_logits(om, p_om), internals.cls_logits, head_logits(rm, p_rm)))
 
     total = loss_im + loss_rm
     active = [t for t in (d_fea_t, d_res_t, d_cls_t) if t is not None]
@@ -311,13 +308,12 @@ def train_incremental(triple: TripleNetwork, scenes: list[Scene], cfg: TrainConf
     once, before the first step.
     """
     om = triple.om
-    gts = [annotation_arrays(s.annotations) for s in scenes]
-    for i, (_, labels) in enumerate(gts):
-        bad = labels[(labels <= om.num_classes) | (labels > triple.im.num_classes)]
+    for i, s in enumerate(scenes):
+        bad = s.labels[(s.labels <= om.num_classes) | (s.labels > triple.im.num_classes)]
         if len(bad):
             raise ValueError(f"scene {i}: class {bad[0]} is not a new class "
                              f"({om.num_classes + 1}..{triple.im.num_classes})")
-    precomputed = [scene_targets(triple, s.image, *gt, cfg) for s, gt in zip(scenes, gts)]
+    precomputed = [scene_targets(triple, s.image, s.boxes, s.labels, cfg) for s in scenes]
     rng = np.random.default_rng(cfg.seed)
 
     def image_loss(idx):
@@ -334,8 +330,7 @@ def train_base(model: DetectorModel, scenes: list[Scene], cfg: BaseTrainConfig
     """Train a single detector on fully annotated scenes, each scene's
     targets built once; its epoch log reports the detection loss as both
     loss_im and total."""
-    targets = [training_targets(model, boxes, boxes, labels)
-               for boxes, labels in (annotation_arrays(s.annotations) for s in scenes)]
+    targets = [training_targets(model, s.boxes, s.boxes, s.labels) for s in scenes]
     rng = np.random.default_rng(cfg.seed)
 
     def image_loss(idx):

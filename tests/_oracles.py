@@ -10,8 +10,8 @@ import numpy as np
 
 from tripledet import autodiff as ad
 from tripledet.autodiff import FD_STEP, GradCheckError, Tensor
-from tripledet.boxes import (BBox, Detection, annotation_arrays, clip_boxes, decode_deltas_array,
-                             encode_deltas_array, iou, iou_matrix, nms_per_class)
+from tripledet.boxes import (Detection, clip_boxes, decode_deltas_array, encode_deltas_array,
+                             iou, iou_matrix, nms_per_class)
 from tripledet.detector import (DEGENERATE_EPS, RPN_NEG_IOU, RPN_POS_IOU, DetectorError,
                                 LossInternals, anchor_boxes, head_forward, match_anchors,
                                 propose, roi_candidates, roi_pool, rpn_forward, sample_rois)
@@ -25,7 +25,7 @@ def random_boxes(rng, n, span=40.0):
     for _ in range(n):
         x1 = rng.uniform(0, span)
         y1 = rng.uniform(0, span)
-        out.append(BBox(x1, y1, x1 + rng.uniform(2, 20), y1 + rng.uniform(2, 20)))
+        out.append((x1, y1, x1 + rng.uniform(2, 20), y1 + rng.uniform(2, 20)))
     return out
 
 
@@ -33,7 +33,7 @@ def random_detections(rng, n, num_classes=3):
     out = []
     for _ in range(n):
         x1, y1 = rng.uniform(0, 40, 2)
-        out.append(Detection(BBox(x1, y1, x1 + rng.uniform(4, 20), y1 + rng.uniform(4, 20)),
+        out.append(Detection((x1, y1, x1 + rng.uniform(4, 20), y1 + rng.uniform(4, 20)),
                              int(rng.integers(1, num_classes + 1)),
                              float(rng.uniform())))
     return out
@@ -57,7 +57,8 @@ def brute_force_nms(dets, thresh):
 def nms_detections(dets, thresh):
     """Not an oracle: the library's array `nms_per_class` applied to a list
     of Detections (to arrays, then the kept Detections back)."""
-    boxes, labels = annotation_arrays([(d.bbox, d.class_id) for d in dets])
+    boxes = np.array([d.bbox for d in dets], dtype=np.float64).reshape(-1, 4)
+    labels = np.array([d.class_id for d in dets], dtype=np.intp)
     keep = nms_per_class(boxes, np.array([d.score for d in dets]), labels, thresh)
     return [dets[i] for i in keep]
 
@@ -235,7 +236,7 @@ def per_class_detect(model, features, score_thresh, nms_thresh):
         scores.append(probs[rows[valid], c])
         labels.append(np.full(int(valid.sum()), c))
     boxes, scores, labels = (np.concatenate(a) for a in (boxes, scores, labels))
-    return [Detection(BBox(*boxes[i]), int(labels[i]), float(scores[i]))
+    return [Detection(tuple(boxes[i].tolist()), int(labels[i]), float(scores[i]))
             for i in nms_per_class(boxes, scores, labels, nms_thresh)]
 
 
@@ -374,7 +375,7 @@ def random_ap_case(rng):
         img = int(rng.integers(0, n_images))
         x1, y1 = rng.uniform(0, 40, 2)
         gts.setdefault(img, []).append(
-            BBox(x1, y1, x1 + rng.uniform(5, 20), y1 + rng.uniform(5, 20)))
+            (x1, y1, x1 + rng.uniform(5, 20), y1 + rng.uniform(5, 20)))
     dets = []
     for _ in range(int(rng.integers(0, 9))):
         img = int(rng.integers(0, n_images))
@@ -382,13 +383,12 @@ def random_ap_case(rng):
             # near-duplicate of a ground-truth box so true positives occur
             g = gts[img][int(rng.integers(0, len(gts[img])))]
             jitter = rng.uniform(-3, 3, 4)
-            x1 = g.x1 + jitter[0]
-            y1 = g.y1 + jitter[1]
-            box = BBox(x1, y1, max(g.x2 + jitter[2], x1 + 0.5),
-                       max(g.y2 + jitter[3], y1 + 0.5))
+            x1 = g[0] + jitter[0]
+            y1 = g[1] + jitter[1]
+            box = (x1, y1, max(g[2] + jitter[2], x1 + 0.5), max(g[3] + jitter[3], y1 + 0.5))
         else:
             x1, y1 = rng.uniform(0, 40, 2)
-            box = BBox(x1, y1, x1 + rng.uniform(5, 20), y1 + rng.uniform(5, 20))
+            box = (x1, y1, x1 + rng.uniform(5, 20), y1 + rng.uniform(5, 20))
         dets.append((img, float(np.round(rng.uniform(), 2)), box))
     return dets, gts
 

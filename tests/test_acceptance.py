@@ -21,7 +21,7 @@ from _oracles import (brute_force_nms, classification_distill_loss_ref, exhausti
                       random_ap_case, random_detections, residual_distill_loss_ref,
                       scene_losses)
 from tripledet.autodiff import Tensor
-from tripledet.boxes import annotation_arrays, iou_matrix
+from tripledet.boxes import iou_matrix
 from tripledet.detector import (DetectorConfig, checkpoint_bytes, checkpoint_hash, detect,
                                 forward_features, frcnn_loss, new_model, propose,
                                 rpn_forward, training_targets)
@@ -84,9 +84,7 @@ def _run_incremental_variant(world, cfg):
 
 
 def _rm_new_class_map(world, rm):
-    remapped = [Scene(image=s.image,
-                      annotations=[(b, c - len(OLD_IDS)) for b, c in s.annotations])
-                for s in world.held_new]
+    remapped = [Scene(s.image, s.boxes, s.labels - len(OLD_IDS)) for s in world.held_new]
     return evaluate_model(rm, remapped, IOU_EVAL, new_classes=[1]).map_new
 
 
@@ -188,10 +186,10 @@ def test_criterion_3_oracle_equivalence(world):
     th = Thresholds(0.1, 0.9, 0.3)
     checked = 0
     for scene in world.inc[:10]:
-        gt_boxes = [b for b, _ in scene.annotations]
+        gt_boxes = scene.boxes.tolist()
         features = forward_features(world.om, scene.image)
         raw = detect(world.om, features, th.theta_low, th.theta_iou)
-        got = generate_pseudo_gt(world.om, features, annotation_arrays(scene.annotations)[0], th)
+        got = generate_pseudo_gt(world.om, features, scene.boxes, th)
         assert got == exhaustive_filter(raw, gt_boxes, th.theta_iou)
         checked += len(raw)
     assert checked > 0
@@ -256,7 +254,7 @@ def test_criterion_7_switch_algebra(world):
     triple = TripleNetwork(om=om, im=init_incremental(om, 1, 21), rm=init_residual(om, 1, 21))
     scene = world.inc[0]
     cfg_off = finetune_config(inc_config(seed=21))
-    boxes, labels = annotation_arrays(scene.annotations)
+    boxes, labels = scene.boxes, scene.labels
     _, bd = scene_losses(triple, scene.image, boxes, labels, cfg_off, np.random.default_rng(77))
     rng = np.random.default_rng(77)
     li = frcnn_loss(triple.im, forward_features(triple.im, scene.image),
@@ -296,7 +294,7 @@ def test_trained_om_quality(world):
     for scene in world.test:
         obj, deltas = rpn_forward(world.om, forward_features(world.om, scene.image))
         boxes, _ = propose(world.om.config, obj.data, deltas.data)
-        gt = annotation_arrays(scene.annotations)[0]
+        gt = scene.boxes
         covered += (iou_matrix(boxes, gt).max(axis=0) >= 0.5).sum()
         total += len(gt)
     recall = covered / total
@@ -315,7 +313,7 @@ def test_self_targets_give_small_loss(world):
     features = forward_features(world.om, scene.image)
     dets = detect(world.om, features, 0.5, 0.3)
     assert dets, "trained model detects nothing at its inference settings"
-    boxes, labels = annotation_arrays([(d.bbox, d.class_id) for d in dets])
+    boxes, labels = np.array([d.bbox for d in dets]), np.array([d.class_id for d in dets])
     loss, _ = frcnn_loss(world.om, features, training_targets(world.om, boxes, boxes, labels),
                          np.random.default_rng(5))
     assert loss.item() < 1.0, f"loss on own detections {loss.item():.3f}"
@@ -327,7 +325,7 @@ def test_evaluate_model_matches_oracle_on_trained_om(world):
     for cid in OLD_IDS:
         dets, gts = [], {}
         for idx, scene in enumerate(scenes):
-            for box, c in scene.annotations:
+            for box, c in zip(scene.boxes.tolist(), scene.labels.tolist()):
                 if c == cid:
                     gts.setdefault(idx, []).append(box)
             for d in detect(world.om, forward_features(world.om, scene.image), 0.05, 0.3):

@@ -12,7 +12,7 @@ import tripledet.detector as det
 from _oracles import array_frcnn_loss, per_class_detect, per_target_match_anchors
 from tripledet import autodiff as ad
 from tripledet.autodiff import Tensor
-from tripledet.boxes import BBox, annotation_arrays, encode_deltas_array, iou_matrix, nms_indices
+from tripledet.boxes import encode_deltas_array, iou_matrix, nms_indices
 from tripledet.detector import (DetectorConfig, DetectorError, DetectorModel, anchor_boxes,
                                 checkpoint_bytes, checkpoint_hash, detect, forward_features,
                                 frcnn_loss, head_forward, load_checkpoint, match_anchors,
@@ -201,7 +201,7 @@ def count_calls(monkeypatch, module, name):
 def test_frcnn_loss_proposes_from_its_own_rpn_outputs(model, features, monkeypatch):
     calls = count_calls(monkeypatch, det, "rpn_forward")
     backbone_calls = count_calls(monkeypatch, det, "forward_features")
-    boxes, labels = annotation_arrays([(BBox(10, 10, 26, 28), 1)])
+    boxes, labels = np.array([[10, 10, 26, 28]], float), np.array([1])
     frcnn_loss(model, features, training_targets(model, boxes, boxes, labels),
                np.random.default_rng(0))
     assert calls == [model] and backbone_calls == []
@@ -363,7 +363,7 @@ def test_sample_rois_box_targets():
 # -- losses -----------------------------------------------------------------------------
 
 def test_loss_nonnegative_and_finite(model, features):
-    boxes, labels = annotation_arrays([(BBox(10, 10, 26, 26), 1), (BBox(40, 40, 58, 60), 2)])
+    boxes, labels = np.array([[10, 10, 26, 26], [40, 40, 58, 60]], float), np.array([1, 2])
     loss, _ = frcnn_loss(model, features, training_targets(model, boxes, boxes, labels),
                          np.random.default_rng(0))
     assert np.isfinite(loss.item()) and loss.item() >= 0.0
@@ -377,7 +377,7 @@ def test_loss_no_targets_negative_only_defined(model, features):
 
 
 def test_loss_reproducible_under_seed(model, image):
-    boxes, labels = annotation_arrays([(BBox(5, 5, 20, 22), 3)])
+    boxes, labels = np.array([[5, 5, 20, 22]], float), np.array([3])
     targets = training_targets(model, boxes, boxes, labels)
     a, _ = frcnn_loss(model, forward_features(model, image), targets, np.random.default_rng(11))
     b, _ = frcnn_loss(model, forward_features(model, image), targets, np.random.default_rng(11))
@@ -386,7 +386,7 @@ def test_loss_reproducible_under_seed(model, image):
 
 def test_loss_rejects_out_of_range_class(model):
     with pytest.raises(DetectorError):
-        training_targets(model, np.zeros((0, 4)), *annotation_arrays([(BBox(5, 5, 20, 22), 9)]))
+        training_targets(model, np.zeros((0, 4)), np.array([[5, 5, 20, 22]], float), np.array([9]))
 
 
 @pytest.mark.parametrize("label", [0, -2])
@@ -452,7 +452,7 @@ def test_training_targets_rpn_layout(model):
     """The RPN half is laid out as the head tensors: float label and mask over
     (A,H,W), dense (A,4,H,W) deltas that are zero off the positives, and the
     two normalisers; every array is read-only."""
-    boxes, labels = annotation_arrays([(BBox(10, 10, 26, 26), 1), (BBox(40, 40, 58, 60), 2)])
+    boxes, labels = np.array([[10, 10, 26, 26], [40, 40, 58, 60]], float), np.array([1, 2])
     t = training_targets(model, boxes, boxes, labels)
     cfg = model.config
     a, fs = len(cfg.anchor_sides), cfg.feature_size
@@ -475,7 +475,7 @@ def test_frcnn_loss_calls_neither_match_anchors_nor_anchor_boxes(model, features
     """The anchors are matched once, by `training_targets`; the loss reads
     the record, and only its proposals read the (cached) anchors. A pinned
     sample skips proposing, sampling and encoding altogether."""
-    boxes, labels = annotation_arrays([(BBox(10, 10, 26, 28), 1)])
+    boxes, labels = np.array([[10, 10, 26, 28]], float), np.array([1])
     targets = training_targets(model, boxes, boxes, labels)
     pinned = sample_rois(boxes, boxes, labels, np.random.default_rng(0))
     counts = [count_calls(monkeypatch, det, name) for name in (
@@ -490,7 +490,7 @@ def test_frcnn_loss_calls_neither_match_anchors_nor_anchor_boxes(model, features
 
 def test_frcnn_loss_returns_its_sample(model, features, monkeypatch):
     """`LossInternals.sample` is what `sample_rois` drew, or the pinned sample."""
-    boxes, labels = annotation_arrays([(BBox(10, 10, 26, 28), 1), (BBox(40, 38, 56, 60), 2)])
+    boxes, labels = np.array([[10, 10, 26, 28], [40, 38, 56, 60]], float), np.array([1, 2])
     targets = training_targets(model, boxes, boxes, labels)
     drawn = []
     real = det.sample_rois

@@ -12,7 +12,6 @@ import pytest
 import tripledet.cli as cli
 import tripledet.evaluate as ev
 from _oracles import prefix_integration_ap, random_ap_case
-from tripledet.boxes import BBox
 from tripledet.cli import (CSV_HEADER, RunConfig, UsageError, Variant, run_experiment,
                            variant_grid, write_rows_csv)
 from tripledet.detector import DetectorConfig, new_model
@@ -25,12 +24,12 @@ from tripledet.trainer import BaseTrainConfig, TrainConfig, finetune_config
 # -- voc_ap ---------------------------------------------------------------------
 
 def test_single_perfect_detection():
-    g = BBox(0, 0, 10, 10)
+    g = (0, 0, 10, 10)
     assert voc_ap([(0, 0.9, g)], {0: [g]}, 0.5) == 1.0
 
 
 def test_no_detections_with_gt():
-    assert voc_ap([], {0: [BBox(0, 0, 10, 10)]}, 0.5) == 0.0
+    assert voc_ap([], {0: [(0, 0, 10, 10)]}, 0.5) == 0.0
 
 
 def test_no_gt_no_dets_defined_zero():
@@ -38,14 +37,14 @@ def test_no_gt_no_dets_defined_zero():
 
 
 def test_fp_above_tp_hand_computed():
-    g = BBox(0, 0, 10, 10)
-    far = BBox(30, 30, 40, 40)
+    g = (0, 0, 10, 10)
+    far = (30, 30, 40, 40)
     dets = [(0, 0.9, far), (0, 0.8, g)]
     assert voc_ap(dets, {0: [g]}, 0.5) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_duplicate_detection_is_fp():
-    g = BBox(0, 0, 10, 10)
+    g = (0, 0, 10, 10)
     dets = [(0, 0.9, g), (0, 0.8, g)]
     # second match on the same GT counts as a false positive
     assert voc_ap(dets, {0: [g]}, 0.5) == 1.0
@@ -69,7 +68,7 @@ def test_fp_inserted_above_all_lowers_or_keeps_ap():
         if not gts:
             continue
         base = voc_ap(dets, gts, 0.5)
-        spiked = [(99, 1.0, BBox(900, 900, 910, 910))] + dets  # image 99 has no GT
+        spiked = [(99, 1.0, (900, 900, 910, 910))] + dets  # image 99 has no GT
         assert voc_ap(spiked, gts, 0.5) <= base + 1e-12
 
 
@@ -95,10 +94,10 @@ def stub_backbone(monkeypatch):
 def test_evaluate_model_aggregates(monkeypatch):
     from tripledet.boxes import Detection
     from tripledet.synthdata import Scene
-    g1 = BBox(5, 5, 20, 20)
-    g2 = BBox(30, 30, 50, 50)
-    scenes = [Scene(image=np.zeros((3, 64, 64)), annotations=[(g1, 1)]),
-              Scene(image=np.zeros((3, 64, 64)), annotations=[(g2, 2)])]
+    g1 = (5, 5, 20, 20)
+    g2 = (30, 30, 50, 50)
+    scenes = [Scene(np.zeros((3, 64, 64)), np.array([g1], dtype=float), np.array([1])),
+              Scene(np.zeros((3, 64, 64)), np.array([g2], dtype=float), np.array([2]))]
     stub = StubModel({0: [Detection(g1, 1, 0.9)], 1: []})
 
     def fake_detect(model, features, score_thresh, nms_thresh):
@@ -119,8 +118,8 @@ def test_evaluate_model_aggregates(monkeypatch):
 
 def test_evaluate_model_vacuous_excluded(monkeypatch):
     from tripledet.synthdata import Scene
-    g1 = BBox(5, 5, 20, 20)
-    scenes = [Scene(image=np.zeros((3, 64, 64)), annotations=[(g1, 1)])]
+    g1 = (5, 5, 20, 20)
+    scenes = [Scene(np.zeros((3, 64, 64)), np.array([g1], dtype=float), np.array([1]))]
     stub = StubModel({0: []})
     stub_backbone(monkeypatch)
     monkeypatch.setattr(ev, "detect", lambda m, f, s, n: [])
@@ -136,8 +135,8 @@ def _reject_constant(name):
 
 def test_report_json_is_strict_when_a_class_group_is_empty(tmp_path, monkeypatch):
     """A mean over no classes is written as null; other reports keep their bytes."""
-    scenes = [Scene(image=np.zeros((3, 64, 64)),
-                    annotations=[(BBox(5, 5, 20, 20), 1), (BBox(30, 30, 50, 50), 2)])]
+    scenes = [Scene(np.zeros((3, 64, 64)), np.array([[5.0, 5, 20, 20], [30, 30, 50, 50]]),
+                    np.array([1, 2]))]
     stub_backbone(monkeypatch)
     monkeypatch.setattr(ev, "detect", lambda m, f, s, n: [])
     path = tmp_path / "report.json"

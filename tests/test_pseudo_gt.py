@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import tripledet.pseudo_gt as pgt
 from _oracles import exhaustive_filter, random_detections
-from tripledet.boxes import BBox, Detection, annotation_arrays
+from tripledet.boxes import Detection
 from tripledet.detector import DetectorConfig, detect, forward_features, new_model
 from tripledet.pseudo_gt import Thresholds, build_training_targets, generate_pseudo_gt
 
@@ -33,13 +33,13 @@ def test_threshold_validation():
 def filter_through_generate(monkeypatch, dets, gt_boxes, theta_iou):
     """`generate_pseudo_gt` with the old model's `detect` replaced by `dets`."""
     monkeypatch.setattr(pgt, "detect", lambda *args, **kwargs: list(dets))
-    gt = annotation_arrays([(b, 0) for b in gt_boxes])[0]
+    gt = np.array(gt_boxes, dtype=np.float64).reshape(-1, 4)
     return generate_pseudo_gt(None, None, gt, Thresholds(0.1, 0.9, theta_iou))
 
 
 def test_overlapping_pseudo_box_removed(monkeypatch):
-    box = Detection(BBox(0, 0, 10, 10), 1, 0.8)
-    gt = [BBox(0, 0, 10, 5)]           # IoU 0.5 > 0.3
+    box = Detection((0, 0, 10, 10), 1, 0.8)
+    gt = [(0, 0, 10, 5)]           # IoU 0.5 > 0.3
     assert filter_through_generate(monkeypatch, [box], gt, 0.3) == []
     assert exhaustive_filter([box], gt, 0.3) == []
 
@@ -74,7 +74,7 @@ def test_generate_pseudo_gt_applies_conflict_filter():
     if not raw:
         pytest.skip("untrained model produced no detections above the floor")
     gt = [raw[0].bbox]                 # conflicts with itself at IoU 1
-    got = generate_pseudo_gt(om, features, annotation_arrays([(gt[0], 3)])[0], th)
+    got = generate_pseudo_gt(om, features, np.array(gt), th)
     assert got == exhaustive_filter(raw, gt, th.theta_iou)
     assert raw[0] not in got
     # pseudo boxes only ever carry the old model's (old) classes
@@ -91,7 +91,7 @@ def rows(boxes, labels=None):
 
 def test_split_mid_score_box_rpn_only():
     th = Thresholds(0.1, 0.9, 0.3)
-    d = Detection(BBox(0, 0, 10, 10), 2, 0.5)
+    d = Detection((0, 0, 10, 10), 2, 0.5)
     rpn_boxes, rcnn_boxes, rcnn_labels = build_training_targets([d], NO_BOXES, NO_LABELS, th)
     assert rows(rpn_boxes) == [(0, 0, 10, 10)]
     assert rcnn_boxes.shape == (0, 4) and rcnn_labels.shape == (0,)
@@ -110,13 +110,13 @@ def test_split_matches_filter_oracle():
     th = Thresholds(0.2, 0.7, 0.3)
     rng = np.random.default_rng(52)
     dets = random_detections(rng, 20)
-    gt_box = BBox(50, 50, 60, 60)
+    gt_box = (50, 50, 60, 60)
     rpn_boxes, rcnn_boxes, rcnn_labels = build_training_targets(
-        dets, *annotation_arrays([(gt_box, 4)]), th)
-    assert rows(rpn_boxes) == [tuple(d.bbox.as_array()) for d in dets if d.score > 0.2] \
+        dets, np.array([gt_box], dtype=np.float64), np.array([4], dtype=np.intp), th)
+    assert rows(rpn_boxes) == [d.bbox for d in dets if d.score > 0.2] \
         + [(50, 50, 60, 60)]
     assert rows(rcnn_boxes, rcnn_labels) == \
-        [(tuple(d.bbox.as_array()), d.class_id) for d in dets if d.score > 0.7] \
+        [(d.bbox, d.class_id) for d in dets if d.score > 0.7] \
         + [((50, 50, 60, 60), 4)]
 
 
@@ -143,7 +143,7 @@ def test_threshold_monotonicity(seed, low, high):
 
 def test_two_threshold_class_ids_preserved():
     th = Thresholds(0.1, 0.5, 0.3)
-    dets = [Detection(BBox(0, 0, 10, 10), 3, 0.9)]
+    dets = [Detection((0, 0, 10, 10), 3, 0.9)]
     _, rcnn_boxes, rcnn_labels = build_training_targets(
-        dets, *annotation_arrays([(BBox(20, 20, 30, 30), 4)]), th)
+        dets, np.array([[20.0, 20, 30, 30]]), np.array([4], dtype=np.intp), th)
     assert ((0, 0, 10, 10), 3) in rows(rcnn_boxes, rcnn_labels)

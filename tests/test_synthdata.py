@@ -15,8 +15,8 @@ from tripledet.synthdata import (DatasetError, generate_dataset, generate_increm
 
 
 def scenes_equal(a, b):
-    return all(np.array_equal(x.image, y.image) and x.annotations == y.annotations
-               for x, y in zip(a, b))
+    return all(np.array_equal(x.image, y.image) and np.array_equal(x.boxes, y.boxes)
+               and np.array_equal(x.labels, y.labels) for x, y in zip(a, b))
 
 
 def test_same_seed_bit_identical():
@@ -39,11 +39,11 @@ def test_scene_invariants():
     for scene in generate_dataset(classes, 50, seed=3):
         assert scene.image.shape == (3, 64, 64)
         assert scene.image.min() >= 0.0 and scene.image.max() <= 1.0
-        assert 1 <= len(scene.annotations) <= 4
-        boxes = [b for b, _ in scene.annotations]
-        for b in boxes:
-            assert 0 <= b.x1 < b.x2 <= 64 and 0 <= b.y1 < b.y2 <= 64
-            assert 10 <= b.width <= 28 and 10 <= b.height <= 28
+        assert 1 <= len(scene.labels) <= 4
+        boxes = scene.boxes.tolist()
+        for x1, y1, x2, y2 in boxes:
+            assert 0 <= x1 < x2 <= 64 and 0 <= y1 < y2 <= 64
+            assert 10 <= x2 - x1 <= 28 and 10 <= y2 - y1 <= 28
         for i in range(len(boxes)):
             for j in range(i + 1, len(boxes)):
                 assert iou(boxes[i], boxes[j]) <= 0.2
@@ -54,7 +54,7 @@ def test_class_frequency_roughly_uniform():
     counts = {c.class_id: 0 for c in classes}
     total = 0
     for scene in generate_dataset(classes, 1000, seed=5):
-        for _, cid in scene.annotations:
+        for cid in scene.labels.tolist():
             counts[cid] += 1
             total += 1
     expected = total / len(classes)
@@ -66,9 +66,9 @@ def test_objects_land_on_their_color():
     classes = make_classes(3)
     scene = generate_dataset(classes, 1, seed=11)[0]
     by_id = {c.class_id: c for c in classes}
-    for box, cid in scene.annotations:
-        cx = int((box.x1 + box.x2) / 2)
-        cy = int((box.y1 + box.y2) / 2)
+    for (x1, y1, x2, y2), cid in zip(scene.boxes.tolist(), scene.labels.tolist()):
+        cx = int((x1 + x2) / 2)
+        cy = int((y1 + y2) / 2)
         # center pixel of any default shape carries the class color (plus noise)
         assert np.abs(scene.image[:, cy, cx] - np.array(by_id[cid].color)).max() < 0.1
 
@@ -78,8 +78,8 @@ def test_incremental_dataset_annotations_new_only():
     scenes = generate_incremental_dataset(classes[:3], classes[3:], 40, seed=6)
     assert len(scenes) == 40
     for s in scenes:
-        assert s.annotations, "every incremental scene has a new-class object"
-        assert all(cid == 4 for _, cid in s.annotations)
+        assert len(s.labels), "every incremental scene has a new-class object"
+        assert all(cid == 4 for cid in s.labels.tolist())
 
 
 def test_incremental_images_contain_unannotated_old_objects():
@@ -109,7 +109,7 @@ def test_impossible_placement_regenerates_with_fewer_objects(monkeypatch):
     # so every scene falls back to a single object
     monkeypatch.setattr(sd, "MAX_GT_IOU", -1.0)
     scenes = generate_dataset(make_classes(3), 10, seed=21)
-    assert all(len(s.annotations) == 1 for s in scenes)
+    assert all(len(s.labels) == 1 for s in scenes)
 
 
 # -- I/O ------------------------------------------------------------------------
@@ -128,7 +128,7 @@ def test_dataset_roundtrip(tmp_path):
     back = load_dataset(tmp_path / "ds")
     assert len(back) == 5
     for a, b in zip(scenes, back):
-        assert a.annotations == b.annotations
+        assert np.array_equal(a.boxes, b.boxes) and np.array_equal(a.labels, b.labels)
         assert np.abs(a.image - b.image).max() <= 1.0 / 255.0 + 1e-12
 
 
@@ -218,6 +218,42 @@ def test_manifest_rejects_non_integer_or_nonpositive_size(tmp_path, key, value):
     with pytest.raises(DatasetError, match=rf"entry 1 in .*manifest\.json: {key} must be an "
                                            rf"integer >= 1, got {value!r}"):
         load_dataset(tmp_path / "ds")
+
+
+# edits of one object's coordinates that no box survives
+BAD_BOXES = {
+    "x2_eq_x1": {"x1": 5, "x2": 5},
+    "y2_lt_y1": {"y1": 9, "y2": 8},
+    "nan": {"x1": float("nan")},
+    "infinity": {"y2": float("inf")},
+    "string": {"x1": "1.5"},
+    "null": {"y1": None},
+    "list": {"x2": [1]},
+}
+
+
+@pytest.mark.parametrize("edit", BAD_BOXES.values(), ids=BAD_BOXES.keys())
+def test_manifest_rejects_bad_box(tmp_path, edit):
+    """Coordinates must be finite numbers with x2 > x1 and y2 > y1."""
+    save_dataset(generate_dataset(make_classes(2), 2, seed=19), tmp_path / "ds")
+    path = tmp_path / "ds" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest[1]["objects"][0].update(edit)
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(DatasetError, match=r"entry 1 in .*manifest\.json: "):
+        load_dataset(tmp_path / "ds")
+
+
+def test_manifest_integer_coordinates_load_as_floats(tmp_path):
+    scenes = generate_dataset(make_classes(2), 2, seed=19)
+    save_dataset(scenes, tmp_path / "ds")
+    path = tmp_path / "ds" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    obj = manifest[1]["objects"][0]
+    obj.update({k: int(obj[k]) for k in ("x1", "y1", "x2", "y2")})
+    path.write_text(json.dumps(manifest))
+    boxes = load_dataset(tmp_path / "ds")[1].boxes
+    assert boxes.dtype == np.float64 and np.array_equal(boxes, scenes[1].boxes)
 
 
 @pytest.fixture(scope="module")

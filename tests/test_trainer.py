@@ -16,7 +16,6 @@ import tripledet.detector as det
 from _oracles import scene_losses
 import tripledet.trainer as trainer
 from tripledet.autodiff import Tensor
-from tripledet.boxes import BBox, annotation_arrays
 from tripledet.cli import RunConfig
 from tripledet.detector import (DetectorConfig, checkpoint_bytes, checkpoint_hash, detect,
                                 forward_features, frcnn_loss, head_forward, load_checkpoint,
@@ -151,7 +150,7 @@ def test_rm_local_targets_mapping(om, image, monkeypatch):
         return real(model, features, targets, *args, **kwargs)
 
     monkeypatch.setattr(trainer, "frcnn_loss", recorded)
-    boxes, labels = annotation_arrays([(BBox(0, 0, 5, 5), 4), (BBox(1, 1, 6, 6), 5)])
+    boxes, labels = np.array([[0, 0, 5, 5], [1, 1, 6, 6]], float), np.array([4, 5])
     scene_losses(triple, image, boxes, labels, finetune_config(small_cfg()),
                  np.random.default_rng(0))
     (im, _, im_labels), (rm, rm_boxes, rm_labels) = seen
@@ -182,14 +181,14 @@ def test_sgd_momentum_formula():
 
 def test_lambda_zero_total_is_exact_sum(om, image):
     triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
-    gt = annotation_arrays([(BBox(10, 10, 26, 28), 4)])
+    gt = np.array([[10, 10, 26, 28]], float), np.array([4])
     total, bd = scene_losses(triple, image, *gt, small_cfg(lam=0.0), np.random.default_rng(0))
     assert bd.total == bd.loss_im + bd.loss_rm
 
 
 def test_lambda_affinity(om, image):
     triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
-    gt = annotation_arrays([(BBox(10, 10, 26, 28), 4)])
+    gt = np.array([[10, 10, 26, 28]], float), np.array([4])
     results = {}
     for lam in (0.0, 0.5, 1.0, 2.0):
         _, bd = scene_losses(triple, image, *gt, small_cfg(lam=lam), np.random.default_rng(123))
@@ -206,7 +205,7 @@ def test_all_switches_off_equals_plain_finetune_term_by_term(om, image):
     sampling; composing the two detector losses directly with one generator
     must reproduce the breakdown exactly."""
     triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
-    boxes, labels = annotation_arrays([(BBox(10, 10, 26, 28), 4), (BBox(40, 38, 56, 60), 4)])
+    boxes, labels = np.array([[10, 10, 26, 28], [40, 38, 56, 60]], float), np.array([4, 4])
     cfg = finetune_config(small_cfg())
     _, bd = scene_losses(triple, image, boxes, labels, cfg, np.random.default_rng(9))
 
@@ -223,7 +222,7 @@ def test_all_switches_off_equals_plain_finetune_term_by_term(om, image):
 
 def test_disabled_terms_report_zero(om, image):
     triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
-    gt = annotation_arrays([(BBox(10, 10, 26, 28), 4)])
+    gt = np.array([[10, 10, 26, 28]], float), np.array([4])
     _, bd = scene_losses(triple, image, *gt, small_cfg(d_fea=False, d_res=True, d_cls=False),
                          np.random.default_rng(4))
     assert bd.feature_distill == 0.0 and bd.cls_distill == 0.0
@@ -234,7 +233,7 @@ def test_nonfinite_loss_aborts_with_term_name(om, image):
     triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
     triple.im.params["rcnn.fc1.w"].data[0, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(TrainingError) as exc:
-        scene_losses(triple, image, *annotation_arrays([(BBox(10, 10, 26, 28), 4)]),
+        scene_losses(triple, image, np.array([[10, 10, 26, 28]], float), np.array([4]),
                      small_cfg(), np.random.default_rng(0))
     assert "loss_im" in str(exc.value)
 
@@ -243,7 +242,7 @@ def test_nonfinite_loss_aborts_with_term_name(om, image):
 def test_each_distill_term_reaches_residual_backbone_gradient(om, image, term):
     # two new classes: the residual side of d_cls is a softmax over the new
     # classes, constant (zero gradient) with only one
-    gt = annotation_arrays([(BBox(10, 10, 26, 28), 4), (BBox(40, 38, 56, 60), 5)])
+    gt = np.array([[10, 10, 26, 28], [40, 38, 56, 60]], float), np.array([4, 5])
     off = dict(d_fea=False, d_res=False, d_cls=False)
     grads = []
     for switches in (off, {**off, term: True}):
@@ -303,7 +302,7 @@ def test_compute_losses_runs_each_network_once(om, image, monkeypatch):
     triple = init_triple(om, 1, 1)
     rpn = count_forwards(monkeypatch, "rpn_forward")
     backbone = count_forwards(monkeypatch, "forward_features")
-    gt = annotation_arrays([(BBox(10, 10, 26, 28), 4)])
+    gt = np.array([[10, 10, 26, 28]], float), np.array([4])
     for cfg, om_once in ((small_cfg(), {id(triple.om): 1}), (finetune_config(small_cfg()), {})):
         # the old model runs in the scene's precompute only, and not at all
         # when neither pseudo-GT nor distillation reads it
@@ -401,7 +400,7 @@ def test_pinned_samples_reproduce_a_training_step(om, image, monkeypatch):
     """`sampled=` given the two draws of an unpinned step, incremental model
     first, gives that step's loss and gradients byte for byte: the order the
     gradient suite pins its samples in."""
-    gt = annotation_arrays([(BBox(10, 10, 26, 28), 4), (BBox(40, 38, 56, 60), 5)])
+    gt = np.array([[10, 10, 26, 28], [40, 38, 56, 60]], float), np.array([4, 5])
     cfg = small_cfg()
     draws = []
     real = det.sample_rois
@@ -436,14 +435,14 @@ def test_empty_dataset_rejected(om):
 def test_train_incremental_rejects_non_new_class_up_front(om, inc_scenes, monkeypatch):
     monkeypatch.setattr(trainer, "forward_features", None)   # no network runs
     scenes = list(inc_scenes)
-    scenes[2] = Scene(image=scenes[2].image,
-                      annotations=[*scenes[2].annotations, (BBox(5, 5, 20, 22), 2)])
+    scenes[2] = Scene(scenes[2].image, np.vstack([scenes[2].boxes, [5, 5, 20, 22]]),
+                      np.append(scenes[2].labels, 2))
     with pytest.raises(ValueError, match=r"scene 2: class 2 is not a new class \(4\.\.4\)"):
         train_incremental(init_triple(om, 1, 0), scenes, small_cfg())
 
 
 def test_train_base_rejects_background_class(base_scenes):
-    scenes = [Scene(image=base_scenes[0].image, annotations=[(BBox(5, 5, 20, 22), 0)])]
+    scenes = [Scene(base_scenes[0].image, np.array([[5, 5, 20, 22]], float), np.array([0]))]
     with pytest.raises(det.DetectorError, match="class 0 outside 1..3"):
         train_base(new_model(DetectorConfig(), 3, seed=0), scenes, BaseTrainConfig(epochs=1))
 
@@ -461,7 +460,7 @@ def test_train_base_deterministic(base_scenes):
 
 def test_train_base_nan_image_names_epoch(base_scenes):
     scenes = list(base_scenes)
-    scenes[3] = Scene(np.full_like(scenes[3].image, np.nan), scenes[3].annotations)
+    scenes[3] = Scene(np.full_like(scenes[3].image, np.nan), scenes[3].boxes, scenes[3].labels)
     model = new_model(DetectorConfig(), 3, seed=2)
     with np.errstate(invalid="ignore"), pytest.raises(TrainingError) as exc:
         train_base(model, scenes, BaseTrainConfig(epochs=1, seed=6))

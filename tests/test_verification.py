@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import tripledet.autodiff as ad
 import tripledet.detector as det
 from _oracles import assert_probes_exact
 from tripledet.autodiff import Tensor
@@ -43,6 +44,29 @@ def test_built_instance_probes_equal_full_evaluations_bytes(name):
     of full evaluations, byte for byte."""
     build, _ = SUITE[name]
     assert_probes_exact(*build(np.random.default_rng(6)))
+
+
+def test_every_op_on_the_total_loss_tape_reaches_the_loss():
+    """The triple-network loss computes nothing it does not use: walked back
+    from the root, the grad_check tape of a `total_loss` instance reaches
+    every op it recorded."""
+    build, _ = SUITE["total_loss"]
+    f, points = build(np.random.default_rng(6))
+    base = [Tensor(np.array(p, dtype=np.float64)) for p in points]
+    tape = ad._Tape(base)
+    token = ad._TAPE.set(tape)
+    try:
+        out = f(*base)
+    finally:
+        ad._TAPE.reset(token)
+    n = len(base)
+    live = {tape.slots[id(out)]}
+    for k in reversed(range(len(tape.entries))):
+        _, _, _, refs, kwrefs = tape.entries[k]
+        if n + k in live:
+            live.update(slot for _, slot in refs + kwrefs)
+    dead = [(k, entry[0].__name__) for k, entry in enumerate(tape.entries) if n + k not in live]
+    assert len(tape.entries) > 100 and dead == []
 
 
 def test_one_instance_of_every_suite_loss_passes():

@@ -123,7 +123,6 @@ def library_calls(out: Path) -> None:
     """The library half of the pipeline; runs with this checkout's tripledet importable."""
     import numpy as np
 
-    from tripledet.boxes import annotation_arrays
     from tripledet.detector import (detect, forward_features, frcnn_loss, load_checkpoint,
                                     training_targets)
     from tripledet.evaluate import EVAL_NMS_THRESH
@@ -135,14 +134,13 @@ def library_calls(out: Path) -> None:
     scenes = generate_dataset(make_classes(model.num_classes), LIBRARY_SCENES, seed=11)
     for floor in SCORE_FLOORS:
         frozen = model.clone(requires_grad=False)
-        rows = [[i, d.class_id, d.score, d.bbox.x1, d.bbox.y1, d.bbox.x2, d.bbox.y2]
+        rows = [[i, d.class_id, d.score, *d.bbox]
                 for i, s in enumerate(scenes)
                 for d in detect(frozen, forward_features(frozen, s.image), floor, EVAL_NMS_THRESH)]
         np.save(out / f"detect_{floor}.npy", np.array(rows, dtype=np.float64).reshape(-1, 7))
     for i, scene in enumerate(scenes):
-        boxes, labels = annotation_arrays(scene.annotations)
         loss, _ = frcnn_loss(model, forward_features(model, scene.image),
-                             training_targets(model, boxes, boxes, labels),
+                             training_targets(model, scene.boxes, scene.boxes, scene.labels),
                              np.random.default_rng(i))
         loss.backward()
         grads = [model.params[k].grad.reshape(-1) for k in sorted(model.params)]
