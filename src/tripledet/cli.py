@@ -24,6 +24,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -353,17 +354,11 @@ def _run_incremental(cfg: RunConfig, train_cfg: TrainConfig, tag: str) -> int:
     test_scenes = _load_split(cfg, "test")
     om = load_checkpoint(Path(cfg.checkpoint_dir) / "om.ckpt", requires_grad=False)
     triple = init_triple(om, len(cfg.new_class_ids), cfg.seed)
-    reports = []
-
-    def eval_fn(model):
-        report = evaluate_model(model, test_scenes, cfg.iou_thresh,
-                                old_classes=cfg.old_class_ids, new_classes=cfg.new_class_ids)
-        reports.append(report)
-        return report.map_old, report.map_new, report.map_all
-
+    eval_fn = partial(evaluate_model, scenes=test_scenes, iou_thresh=cfg.iou_thresh,
+                      old_classes=cfg.old_class_ids, new_classes=cfg.new_class_ids)
     log = train_incremental(triple, scenes, train_cfg, eval_fn=eval_fn)
     # the last epoch's evaluation is of the final model
-    report = reports[-1]
+    report = log[-1].report
     ckpt_dir = _made_dir(cfg.checkpoint_dir)
     out_dir = _made_dir(cfg.out_dir)
     save_checkpoint(triple.im, ckpt_dir / f"{tag}_im.ckpt")

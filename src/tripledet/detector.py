@@ -254,8 +254,6 @@ def detect(model: DetectorModel, features: Tensor, score_thresh: float,
     cfg = model.config
     obj, deltas = rpn_forward(model, features)
     prop_boxes, _ = propose(cfg, obj.data, deltas.data)
-    if len(prop_boxes) == 0:
-        return []
     pooled = roi_pool(cfg, features, prop_boxes)
     logits, deltas = head_forward(model, pooled)
     probs = ad.softmax(logits).data

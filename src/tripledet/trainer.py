@@ -1,11 +1,11 @@
 """Triple-network training: frozen old model, trainable incremental and
 residual models, joint optimization with SGD + momentum.
 
-Determinism contract: every random draw of a run flows from one seeded
-generator in a documented order — model-init draws first, then per epoch one
-shuffle permutation, then per step the incremental model's RoI sampling
-followed by the residual model's. Identical config + data + seed therefore
-reproduce bit-identical checkpoints.
+Determinism contract: every draw of the training loop flows from the one
+generator `_fit` seeds from `cfg.seed` (model init has its own seeds), in a
+documented order — per epoch one shuffle permutation, then per step the
+incremental model's RoI sampling followed by the residual model's. Identical
+config + data + seed therefore reproduce bit-identical checkpoints.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .detector import (HEAD_STD, DetectorModel, RoiSample, Targets, forward_feat
 from .distill import (FeatureTriple, LogitTriple, PooledTriple,
                       classification_distill_loss, feature_distill_loss,
                       residual_distill_loss)
+from .evaluate import APReport
 from .pseudo_gt import Thresholds, build_training_targets, generate_pseudo_gt
 from .synthdata import Scene
 
@@ -184,14 +185,15 @@ def compute_losses(triple: TripleNetwork, image, cfg: TrainConfig,
                    rng: np.random.Generator | None, om_features: Tensor | None,
                    im_targets: Targets, rm_targets: Targets,
                    sampled: tuple[RoiSample, RoiSample] | None = None
-                   ) -> tuple[Tensor, LossBreakdown]:
-    """Total loss tensor and its per-term breakdown for one image.
+                   ) -> tuple[Tensor, LossBreakdown, tuple[RoiSample, RoiSample]]:
+    """Total loss tensor, its per-term breakdown and the `(im_sample,
+    rm_sample)` pair of RoI samples it used, for one image.
 
     `om_features`, `im_targets` and `rm_targets` are the scene's
     `scene_targets` under the same `cfg`. Disabled terms contribute exactly
     zero. The incremental model samples its RoIs from `rng` first, then the
-    residual model; `sampled`, a pair of `sample_rois` results in that order,
-    pins both draws for gradient checking (see `frcnn_loss`).
+    residual model; `sampled`, such a pair, pins both draws for gradient
+    checking (see `frcnn_loss`) and is returned as given.
     """
     om, im, rm = triple.om, triple.im, triple.rm
     im_sample, rm_sample = sampled or (None, None)
@@ -199,7 +201,7 @@ def compute_losses(triple: TripleNetwork, image, cfg: TrainConfig,
     loss_im, internals = frcnn_loss(im, f_im, im_targets, rng, im_sample)
 
     f_rm = forward_features(rm, image)
-    loss_rm, _ = frcnn_loss(rm, f_rm, rm_targets, rng, rm_sample)
+    loss_rm, rm_internals = frcnn_loss(rm, f_rm, rm_targets, rng, rm_sample)
 
     d_fea_t = d_res_t = d_cls_t = None
     if cfg.d_fea or cfg.d_res or cfg.d_cls:
@@ -229,16 +231,14 @@ def compute_losses(triple: TripleNetwork, image, cfg: TrainConfig,
     for name, value in asdict(breakdown).items():
         if not np.isfinite(value):
             raise TrainingError(f"non-finite loss term {name!r}: {value}")
-    return total, breakdown
+    return total, breakdown, (internals.sample, rm_internals.sample)
 
 
 @dataclass
 class EpochStats:
     epoch: int
     losses: LossBreakdown
-    map_old: float = float("nan")
-    map_new: float = float("nan")
-    map_all: float = float("nan")
+    report: APReport | None = None      # what the epoch's evaluation returned, if one ran
 
 
 def _mean_breakdown(items: list[LossBreakdown]) -> LossBreakdown:
@@ -252,18 +252,22 @@ def write_epoch_log(path, log: list[EpochStats]) -> None:
         writer.writerow(["epoch", *(f.name for f in fields(LossBreakdown)),
                          "map_old", "map_new", "map_all"])
         for e in log:
-            writer.writerow([e.epoch, *astuple(e.losses), e.map_old, e.map_new, e.map_all])
+            r = e.report
+            maps = (float("nan"),) * 3 if r is None else (r.map_old, r.map_new, r.map_all)
+            writer.writerow([e.epoch, *astuple(e.losses), *maps])
 
 
-def _fit(image_loss, n: int, cfg: TrainConfig | BaseTrainConfig, rng: np.random.Generator,
+def _fit(image_loss, n: int, cfg: TrainConfig | BaseTrainConfig,
          optimizers: list[SGDMomentum], lr_at, evaluate=None) -> list[EpochStats]:
-    """The SGD loop behind both trainers: per epoch the rate `lr_at(epoch)`,
-    one shuffle draw from `rng`, then `cfg.batch_size` minibatches in that
-    order. `image_loss(idx)` returns one image's (loss tensor, LossBreakdown)
+    """The SGD loop behind both trainers and the owner of the run's one
+    generator, seeded from `cfg.seed`: per epoch the rate `lr_at(epoch)`,
+    one shuffle draw, then `cfg.batch_size` minibatches in that order.
+    `image_loss(idx, rng)` returns one image's (loss tensor, LossBreakdown)
     and makes its step's own draws from `rng`. Each batch minimizes its mean
-    image loss; `evaluate() -> (map_old, map_new, map_all)` runs per epoch."""
+    image loss; `evaluate() -> APReport` runs per epoch into its `EpochStats`."""
     if n == 0:
         raise ValueError("empty training dataset")
+    rng = np.random.default_rng(cfg.seed)
     log: list[EpochStats] = []
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch)
@@ -274,7 +278,7 @@ def _fit(image_loss, n: int, cfg: TrainConfig | BaseTrainConfig, rng: np.random.
             total = None
             parts = []
             for idx in batch:
-                t, breakdown = image_loss(idx)
+                t, breakdown = image_loss(idx, rng)
                 parts.append(breakdown)
                 total = t if total is None else total + t
             total = total * Tensor(1.0 / len(batch))
@@ -291,10 +295,8 @@ def _fit(image_loss, n: int, cfg: TrainConfig | BaseTrainConfig, rng: np.random.
             for opt in optimizers:
                 opt.step(lr)
             epoch_losses.append(_mean_breakdown(parts))
-        stats = EpochStats(epoch=epoch, losses=_mean_breakdown(epoch_losses))
-        if evaluate is not None:
-            stats.map_old, stats.map_new, stats.map_all = evaluate()
-        log.append(stats)
+        log.append(EpochStats(epoch, _mean_breakdown(epoch_losses),
+                              None if evaluate is None else evaluate()))
     return log
 
 
@@ -302,10 +304,10 @@ def train_incremental(triple: TripleNetwork, scenes: list[Scene], cfg: TrainConf
                       eval_fn=None) -> list[EpochStats]:
     """Train the incremental and residual models on new-class scenes.
 
-    `eval_fn(im_model) -> (map_old, map_new, map_all)` runs after each epoch
-    when provided. Both models' training targets and the old-model features
-    depend only on frozen state, so each scene's `scene_targets` is computed
-    once, before the first step.
+    `eval_fn(im_model) -> APReport` runs after each epoch when provided, into
+    that epoch's `EpochStats.report`. Both models' training targets and the
+    old-model features depend only on frozen state, so each scene's
+    `scene_targets` is computed once, before the first step.
     """
     om = triple.om
     for i, s in enumerate(scenes):
@@ -314,13 +316,12 @@ def train_incremental(triple: TripleNetwork, scenes: list[Scene], cfg: TrainConf
             raise ValueError(f"scene {i}: class {bad[0]} is not a new class "
                              f"({om.num_classes + 1}..{triple.im.num_classes})")
     precomputed = [scene_targets(triple, s.image, s.boxes, s.labels, cfg) for s in scenes]
-    rng = np.random.default_rng(cfg.seed)
 
-    def image_loss(idx):
-        return compute_losses(triple, scenes[idx].image, cfg, rng, *precomputed[idx])
+    def image_loss(idx, rng):
+        return compute_losses(triple, scenes[idx].image, cfg, rng, *precomputed[idx])[:2]
 
     optimizers = [SGDMomentum(triple.im.trainable()), SGDMomentum(triple.rm.trainable())]
-    return _fit(image_loss, len(scenes), cfg, rng, optimizers,
+    return _fit(image_loss, len(scenes), cfg, optimizers,
                 lambda epoch: cfg.lr * (LR_DECAY if epoch >= cfg.epochs // 2 else 1.0),
                 None if eval_fn is None else partial(eval_fn, triple.im))
 
@@ -331,13 +332,12 @@ def train_base(model: DetectorModel, scenes: list[Scene], cfg: BaseTrainConfig
     targets built once; its epoch log reports the detection loss as both
     loss_im and total."""
     targets = [training_targets(model, s.boxes, s.boxes, s.labels) for s in scenes]
-    rng = np.random.default_rng(cfg.seed)
 
-    def image_loss(idx):
+    def image_loss(idx, rng):
         t, _ = frcnn_loss(model, forward_features(model, scenes[idx].image), targets[idx], rng)
         return t, LossBreakdown(t.item(), 0.0, 0.0, 0.0, 0.0, t.item())
 
-    return _fit(image_loss, len(scenes), cfg, rng, [SGDMomentum(model.trainable())],
+    return _fit(image_loss, len(scenes), cfg, [SGDMomentum(model.trainable())],
                 lambda epoch: cfg.lr * (LR_DECAY ** (epoch // BASE_DECAY_EVERY)))
 
 

@@ -160,11 +160,9 @@ def _build_total_loss(rng: np.random.Generator):
     im_names, im_arrays = _model_param_arrays(triple.im)
     rm_names, rm_arrays = _model_param_arrays(triple.rm)
     sample_seed = int(rng.integers(0, 2 ** 31))
-    # pin both samples at the base point (see _build_frcnn), drawn in
-    # compute_losses's order: the incremental model first
-    sample_rng = np.random.default_rng(sample_seed)
-    sampled = tuple(frcnn_loss(m, forward_features(m, image), t, sample_rng)[1].sample
-                    for m, t in ((triple.im, im_targets), (triple.rm, rm_targets)))
+    # pin the two samples an unpinned step draws at the base point (see _build_frcnn)
+    _, _, sampled = compute_losses(triple, image, cfg, np.random.default_rng(sample_seed),
+                                   om_feat, im_targets, rm_targets)
 
     def f(*tensors):
         im_t = tensors[:len(im_names)]
@@ -174,9 +172,8 @@ def _build_total_loss(rng: np.random.Generator):
             im=DetectorModel(MICRO_CONFIG, triple.im.num_classes, dict(zip(im_names, im_t))),
             rm=DetectorModel(MICRO_CONFIG, triple.rm.num_classes, dict(zip(rm_names, rm_t))),
         )
-        total, _ = compute_losses(trip, image, cfg, None, om_feat, im_targets, rm_targets,
-                                  sampled)
-        return total
+        return compute_losses(trip, image, cfg, None, om_feat, im_targets, rm_targets,
+                              sampled)[0]
 
     return f, im_arrays + rm_arrays
 

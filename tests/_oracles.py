@@ -321,7 +321,7 @@ def scene_losses(triple, image, gt_boxes, gt_labels, cfg, rng):
     """`compute_losses` on the scene's own `scene_targets`, as a step of
     `train_incremental` runs it."""
     return compute_losses(triple, image, cfg, rng,
-                          *scene_targets(triple, image, gt_boxes, gt_labels, cfg))
+                          *scene_targets(triple, image, gt_boxes, gt_labels, cfg))[:2]
 
 
 def exhaustive_filter(dets, gt_boxes, theta_iou):

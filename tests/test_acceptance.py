@@ -31,8 +31,8 @@ from tripledet.distill import (FeatureTriple, LogitTriple, PooledTriple,
 from tripledet.evaluate import evaluate_model, voc_ap
 from tripledet.pseudo_gt import Thresholds, generate_pseudo_gt
 from tripledet.synthdata import Scene, generate_dataset, generate_incremental_dataset, make_classes
-from tripledet.trainer import (BaseTrainConfig, TrainConfig, TripleNetwork, finetune_config,
-                               init_incremental, init_residual, train_base, train_incremental)
+from tripledet.trainer import (BaseTrainConfig, TrainConfig, finetune_config, init_triple,
+                               train_base, train_incremental)
 from tripledet.verification import GRAD_TOL, run_gradient_suite
 
 OLD_IDS = [1, 2, 3]
@@ -74,9 +74,7 @@ def world():
 
 def _run_incremental_variant(world, cfg):
     om = world.om
-    triple = TripleNetwork(om=om,
-                           im=init_incremental(om, len(NEW_IDS), cfg.seed),
-                           rm=init_residual(om, len(NEW_IDS), cfg.seed))
+    triple = init_triple(om, len(NEW_IDS), cfg.seed)
     train_incremental(triple, world.inc, cfg)
     report_im = evaluate_model(triple.im, world.test, IOU_EVAL,
                                old_classes=OLD_IDS, new_classes=NEW_IDS)
@@ -208,9 +206,7 @@ def test_criterion_4_frozen_om_and_determinism(world):
     h_before = checkpoint_hash(world.om)
     outputs = []
     for _ in range(2):
-        triple = TripleNetwork(om=world.om,
-                               im=init_incremental(world.om, 1, cfg.seed),
-                               rm=init_residual(world.om, 1, cfg.seed))
+        triple = init_triple(world.om, 1, cfg.seed)
         train_incremental(triple, subset, cfg)
         outputs.append((checkpoint_bytes(triple.im), checkpoint_bytes(triple.rm)))
     h_after = checkpoint_hash(world.om)
@@ -251,7 +247,7 @@ def test_criterion_6_threshold_ablation(runs):
 
 def test_criterion_7_switch_algebra(world):
     om = world.om
-    triple = TripleNetwork(om=om, im=init_incremental(om, 1, 21), rm=init_residual(om, 1, 21))
+    triple = init_triple(om, 1, 21)
     scene = world.inc[0]
     cfg_off = finetune_config(inc_config(seed=21))
     boxes, labels = scene.boxes, scene.labels

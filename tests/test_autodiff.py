@@ -307,13 +307,13 @@ def test_maxpool_nan_window_outputs_nan_and_stops_training():
 
     p = Tensor(data, requires_grad=True)
 
-    def image_loss(idx):
+    def image_loss(idx, rng):
         loss = ad.tsum(ad.max_pool2(p))
         return loss, LossBreakdown(loss.item(), 0.0, 0.0, 0.0, 0.0, loss.item())
 
     with pytest.raises(TrainingError, match="non-finite loss nan at epoch 0"):
         _fit(image_loss, 1, BaseTrainConfig(epochs=1, batch_size=1),
-             np.random.default_rng(0), [SGDMomentum({"p": p})], lambda epoch: 0.1)
+             [SGDMomentum({"p": p})], lambda epoch: 0.1)
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +245,18 @@ def test_detect_builds_one_detection_per_result(model, features, monkeypatch):
 
 def test_detect_score_thresh_one_empty(model, features):
     assert detect(model, features, score_thresh=1.0, nms_thresh=0.3) == []
+
+
+def test_detect_without_proposals_is_empty(image):
+    """Every decoded anchor leaves the image, so no proposal survives; the
+    general path then returns no detections, and no numpy warning."""
+    m = new_model(DetectorConfig(), 3, seed=0)
+    m.params["rpn.delta.b"].data[0::4] = 100.0
+    f = forward_features(m, image)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(proposals(m, f)[0]) == 0
+        assert detect(m, f, score_thresh=0.05, nms_thresh=0.3) == []
 
 
 def test_detect_never_emits_background(model, features):

@@ -1,7 +1,9 @@
 """Trainer: initialization contracts, frozen old model, determinism,
 switch algebra, and the distillation weight's affine role."""
 
+import csv
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -21,13 +23,14 @@ from tripledet.detector import (DetectorConfig, checkpoint_bytes, checkpoint_has
                                 forward_features, frcnn_loss, head_forward, load_checkpoint,
                                 new_model, roi_pool, save_checkpoint, training_targets)
 from tripledet.distill import LogitTriple, classification_distill_loss
+from tripledet.evaluate import APReport
 from tripledet.pseudo_gt import Thresholds
 from tripledet.synthdata import (Scene, generate_dataset, generate_incremental_dataset,
                                  make_classes)
 from tripledet.trainer import (BaseTrainConfig, SGDMomentum, TrainConfig, TrainingError,
                                TripleNetwork, compute_losses, finetune_config,
                                init_incremental, init_residual, init_triple, scene_targets,
-                               train_base, train_incremental)
+                               train_base, train_incremental, write_epoch_log)
 from tripledet.verification import MICRO_CONFIG, check_loss_gradient, micro_image, micro_targets
 
 
@@ -180,14 +183,14 @@ def test_sgd_momentum_formula():
 # -- loss assembly --------------------------------------------------------------------
 
 def test_lambda_zero_total_is_exact_sum(om, image):
-    triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
+    triple = init_triple(om, 1, 1)
     gt = np.array([[10, 10, 26, 28]], float), np.array([4])
     total, bd = scene_losses(triple, image, *gt, small_cfg(lam=0.0), np.random.default_rng(0))
     assert bd.total == bd.loss_im + bd.loss_rm
 
 
 def test_lambda_affinity(om, image):
-    triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
+    triple = init_triple(om, 1, 1)
     gt = np.array([[10, 10, 26, 28]], float), np.array([4])
     results = {}
     for lam in (0.0, 0.5, 1.0, 2.0):
@@ -204,7 +207,7 @@ def test_all_switches_off_equals_plain_finetune_term_by_term(om, image):
     """The all-off path consumes RNG as: incremental sampling, then residual
     sampling; composing the two detector losses directly with one generator
     must reproduce the breakdown exactly."""
-    triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
+    triple = init_triple(om, 1, 1)
     boxes, labels = np.array([[10, 10, 26, 28], [40, 38, 56, 60]], float), np.array([4, 4])
     cfg = finetune_config(small_cfg())
     _, bd = scene_losses(triple, image, boxes, labels, cfg, np.random.default_rng(9))
@@ -221,7 +224,7 @@ def test_all_switches_off_equals_plain_finetune_term_by_term(om, image):
 
 
 def test_disabled_terms_report_zero(om, image):
-    triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
+    triple = init_triple(om, 1, 1)
     gt = np.array([[10, 10, 26, 28]], float), np.array([4])
     _, bd = scene_losses(triple, image, *gt, small_cfg(d_fea=False, d_res=True, d_cls=False),
                          np.random.default_rng(4))
@@ -230,7 +233,7 @@ def test_disabled_terms_report_zero(om, image):
 
 
 def test_nonfinite_loss_aborts_with_term_name(om, image):
-    triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
+    triple = init_triple(om, 1, 1)
     triple.im.params["rcnn.fc1.w"].data[0, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(TrainingError) as exc:
         scene_losses(triple, image, np.array([[10, 10, 26, 28]], float), np.array([4]),
@@ -359,7 +362,7 @@ def test_anchors_matched_once_per_scene_per_model(om, base_scenes, inc_scenes, m
 # -- training loops ---------------------------------------------------------------------
 
 def test_om_frozen_through_steps(om, inc_scenes):
-    triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
+    triple = init_triple(om, 1, 1)
     h0 = checkpoint_hash(triple.om)
     train_incremental(triple, inc_scenes, small_cfg(epochs=2))
     assert checkpoint_hash(triple.om) == h0
@@ -367,7 +370,7 @@ def test_om_frozen_through_steps(om, inc_scenes):
 
 
 def test_train_incremental_updates_trainable_models(om, inc_scenes):
-    triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
+    triple = init_triple(om, 1, 1)
     before_im = checkpoint_hash(triple.im)
     before_rm = checkpoint_hash(triple.rm)
     train_incremental(triple, inc_scenes[:2], small_cfg(epochs=1, lr=1e-3))
@@ -378,7 +381,7 @@ def test_train_incremental_updates_trainable_models(om, inc_scenes):
 def test_train_incremental_deterministic(om, inc_scenes):
     outs = []
     for _ in range(2):
-        triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
+        triple = init_triple(om, 1, 1)
         log = train_incremental(triple, inc_scenes, small_cfg(epochs=2, seed=5))
         outs.append((checkpoint_bytes(triple.im), checkpoint_bytes(triple.rm),
                      [e.losses.total for e in log]))
@@ -390,32 +393,32 @@ def test_train_incremental_deterministic(om, inc_scenes):
 def test_train_incremental_seed_changes_result(om, inc_scenes):
     finals = []
     for seed in (1, 2):
-        triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
+        triple = init_triple(om, 1, 1)
         train_incremental(triple, inc_scenes, small_cfg(epochs=1, seed=seed))
         finals.append(checkpoint_bytes(triple.im))
     assert finals[0] != finals[1]
 
 
-def test_pinned_samples_reproduce_a_training_step(om, image, monkeypatch):
-    """`sampled=` given the two draws of an unpinned step, incremental model
-    first, gives that step's loss and gradients byte for byte: the order the
-    gradient suite pins its samples in."""
+def test_pinned_samples_reproduce_a_training_step(om, image):
+    """`sampled=` given the pair an unpinned step returns, incremental model
+    first, gives that step's loss and gradients byte for byte, and comes back
+    as given: the pair the gradient suite pins."""
     gt = np.array([[10, 10, 26, 28], [40, 38, 56, 60]], float), np.array([4, 5])
     cfg = small_cfg()
-    draws = []
-    real = det.sample_rois
-    monkeypatch.setattr(det, "sample_rois", lambda *a: draws.append(real(*a)) or draws[-1])
-    steps = []
+    pairs, steps = [], []
     for rng in (np.random.default_rng(11), None):
         triple = init_triple(om, 2, 1)
         precomputed = scene_targets(triple, image, *gt, cfg)
-        total, _ = compute_losses(triple, image, cfg, rng, *precomputed,
-                                  sampled=None if rng is not None else tuple(draws))
+        total, _, pair = compute_losses(triple, image, cfg, rng, *precomputed,
+                                        sampled=pairs[0] if pairs else None)
+        pairs.append(pair)
         total.backward()
         steps.append([total.data.tobytes(), *(m.params[k].grad.tobytes()
                                                for m in (triple.im, triple.rm)
                                                for k in sorted(m.params))])
-    assert len(draws) == 2 and not np.array_equal(draws[0][0], draws[1][0])
+    drawn, pinned = pairs
+    assert len(drawn) == 2 and not np.array_equal(drawn[0][0], drawn[1][0])
+    assert pinned[0] is drawn[0] and pinned[1] is drawn[1]
     assert steps[0] == steps[1]
 
 
@@ -425,7 +428,7 @@ def test_micro_total_loss_gradcheck_single_instance():
 
 
 def test_empty_dataset_rejected(om):
-    triple = TripleNetwork(om=om, im=init_incremental(om, 1, 1), rm=init_residual(om, 1, 1))
+    triple = init_triple(om, 1, 1)
     with pytest.raises(ValueError):
         train_incremental(triple, [], small_cfg())
     with pytest.raises(ValueError):
@@ -456,6 +459,36 @@ def test_train_base_deterministic(base_scenes):
         outs.append((checkpoint_bytes(model), [dataclasses.astuple(e.losses) for e in log]))
     assert outs[0] == outs[1]
     assert len(outs[0][1]) == 2
+
+
+def _epoch_log_maps(path):
+    with open(path, newline="") as f:
+        return [tuple(float(row[k]) for k in ("map_old", "map_new", "map_all"))
+                for row in csv.DictReader(f)]
+
+
+def test_epoch_log_holds_each_epochs_report(om, inc_scenes, base_scenes, tmp_path):
+    """With `eval_fn`, each epoch keeps the report it returned and its log
+    row holds that report's means; without one (`train_base`), nan."""
+    reports = []
+
+    def eval_fn(model):
+        k = len(reports)
+        reports.append(APReport({}, 0.5 + k, 0.25 + k, 0.125 + k, {}, {}, []))
+        return reports[-1]
+
+    log = train_incremental(init_triple(om, 1, 1), inc_scenes[:2], small_cfg(epochs=2),
+                            eval_fn=eval_fn)
+    assert len(reports) == 2 and all(e.report is r for e, r in zip(log, reports))
+    write_epoch_log(tmp_path / "inc.csv", log)
+    assert _epoch_log_maps(tmp_path / "inc.csv") == [(0.25, 0.125, 0.5), (1.25, 1.125, 1.5)]
+
+    log = train_base(new_model(DetectorConfig(), 3, seed=1), base_scenes[:2],
+                     BaseTrainConfig(epochs=2, seed=1))
+    assert [e.report for e in log] == [None, None]
+    write_epoch_log(tmp_path / "base.csv", log)
+    maps = _epoch_log_maps(tmp_path / "base.csv")
+    assert len(maps) == 2 and all(math.isnan(v) for row in maps for v in row)
 
 
 def test_train_base_nan_image_names_epoch(base_scenes):
