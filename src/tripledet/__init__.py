@@ -8,8 +8,7 @@ from .boxes import Detection, decode_deltas_array, encode_deltas_array, iou, nms
 from .detector import (DetectorConfig, DetectorModel, Targets, checkpoint_hash, detect,
                        forward_features, frcnn_loss, head_forward, load_checkpoint,
                        new_model, propose, roi_pool, save_checkpoint, training_targets)
-from .distill import (FeatureTriple, LogitTriple, PooledTriple, attention_map,
-                      attention_pair_loss, classification_distill_loss,
+from .distill import (attention_map, attention_pair_loss, classification_distill_loss,
                       feature_distill_loss, residual_distill_loss)
 from .evaluate import APReport, evaluate_model, voc_ap
 from .pseudo_gt import Thresholds, build_training_targets, generate_pseudo_gt

@@ -19,67 +19,15 @@ documented zero cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 
 GRAM_EPS = 1e-12
 
 
-@dataclass
-class FeatureTriple:
-    """Backbone feature maps (c,h,w) of old, incremental, residual models."""
-    f_om: Tensor
-    f_im: Tensor
-    f_rm: Tensor
-
-    def __post_init__(self):
-        if not (self.f_om.shape == self.f_im.shape == self.f_rm.shape):
-            raise ShapeError(
-                f"feature shapes differ: {self.f_om.shape}, {self.f_im.shape}, {self.f_rm.shape}")
-
-
-@dataclass
-class PooledTriple:
-    """Pooled features (n,c,P,P) of the three models over the same RoIs."""
-    p_om: Tensor
-    p_im: Tensor
-    p_rm: Tensor
-
-    def __post_init__(self):
-        if not (self.p_om.shape == self.p_im.shape == self.p_rm.shape):
-            raise ShapeError(
-                f"pooled shapes differ: {self.p_om.shape}, {self.p_im.shape}, {self.p_rm.shape}")
-
-
-@dataclass
-class LogitTriple:
-    """Per-RoI class logits: old (n,Ca+1), incremental (n,Ca+Cb+1), residual (n,Cb+1)."""
-    p_om_logits: Tensor
-    y_im_logits: Tensor
-    p_rm_logits: Tensor
-
-    def __post_init__(self):
-        n = self.p_om_logits.shape[0]
-        if self.y_im_logits.shape[0] != n or self.p_rm_logits.shape[0] != n:
-            raise ShapeError("logit triple row counts differ")
-        ca = self.num_old
-        cb = self.num_new
-        if ca < 1 or self.y_im_logits.shape[1] != ca + cb + 1:
-            raise ShapeError(
-                f"inconsistent logit widths: old={self.p_om_logits.shape[1]}, "
-                f"incremental={self.y_im_logits.shape[1]}, residual={self.p_rm_logits.shape[1]}")
-
-    @property
-    def num_old(self) -> int:
-        return self.p_om_logits.shape[1] - 1
-
-    @property
-    def num_new(self) -> int:
-        return self.p_rm_logits.shape[1] - 1
+def _check_same_shape(kind: str, *tensors: Tensor) -> None:
+    if len({t.shape for t in tensors}) > 1:
+        raise ShapeError(f"{kind} shapes differ: " + ", ".join(str(t.shape) for t in tensors))
 
 
 def attention_map(f: Tensor) -> Tensor:
@@ -101,47 +49,61 @@ def attention_pair_loss(m_a: Tensor, m_b: Tensor) -> Tensor:
     return ad.tmean(ad.tabs(_normalized_gram(m_b) - _normalized_gram(m_a)))
 
 
-def feature_distill_loss(triple: FeatureTriple) -> Tensor:
-    """Keep incremental features close to old features and to old+residual."""
-    m_im = attention_map(triple.f_im)
-    direct = attention_pair_loss(attention_map(triple.f_om), m_im)
-    merged = attention_pair_loss(attention_map(triple.f_om + triple.f_rm), m_im)
+def feature_distill_loss(f_om: Tensor, f_im: Tensor, f_rm: Tensor) -> Tensor:
+    """Keep incremental features close to old features and to old+residual.
+    The three (c,h,w) backbone maps share one shape."""
+    _check_same_shape("feature", f_om, f_im, f_rm)
+    m_im = attention_map(f_im)
+    direct = attention_pair_loss(attention_map(f_om), m_im)
+    merged = attention_pair_loss(attention_map(f_om + f_rm), m_im)
     return direct + merged
 
 
-def residual_base_loss(triple: FeatureTriple) -> Tensor:
+def residual_base_loss(f_om: Tensor, f_im: Tensor, f_rm: Tensor) -> Tensor:
     """Backbone residual (incremental - old) should match the residual model."""
-    return attention_pair_loss(attention_map(triple.f_im - triple.f_om),
-                               attention_map(triple.f_rm))
+    _check_same_shape("feature", f_om, f_im, f_rm)
+    return attention_pair_loss(attention_map(f_im - f_om), attention_map(f_rm))
 
 
-def residual_pool_loss(pooled: PooledTriple) -> Tensor:
-    """Bidirectional L1 over pooled features; both terms kept as written."""
-    first = ad.tmean(ad.tabs((pooled.p_im - pooled.p_om) - pooled.p_rm))
-    second = ad.tmean(ad.tabs((pooled.p_im - pooled.p_rm) - pooled.p_om))
+def residual_pool_loss(p_om: Tensor, p_im: Tensor, p_rm: Tensor) -> Tensor:
+    """Bidirectional L1 over pooled features (n,c,P,P) of the three models
+    over the same RoIs; both terms kept as written."""
+    _check_same_shape("pooled", p_om, p_im, p_rm)
+    first = ad.tmean(ad.tabs((p_im - p_om) - p_rm))
+    second = ad.tmean(ad.tabs((p_im - p_rm) - p_om))
     return first + second
 
 
-def residual_distill_loss(feat: FeatureTriple, pooled: PooledTriple) -> Tensor:
-    return residual_base_loss(feat) + residual_pool_loss(pooled)
+def residual_distill_loss(f_om: Tensor, f_im: Tensor, f_rm: Tensor,
+                          p_om: Tensor, p_im: Tensor, p_rm: Tensor) -> Tensor:
+    return residual_base_loss(f_om, f_im, f_rm) + residual_pool_loss(p_om, p_im, p_rm)
 
 
-def classification_distill_loss(logits: LogitTriple) -> Tensor:
+def classification_distill_loss(om_logits: Tensor, im_logits: Tensor,
+                                rm_logits: Tensor) -> Tensor:
     """Match restricted softmax distributions of the incremental head against
     the old model (old classes + background) and the residual model (new
-    classes, background excluded). Mean over RoIs; the new-class term is 0
-    when there are no new classes.
+    classes, background excluded). Per-RoI logits: old (n,Ca+1), incremental
+    (n,Ca+Cb+1), residual (n,Cb+1), with Ca >= 1. Mean over RoIs; the
+    new-class term is 0 when there are no new classes.
 
     With exactly one new class the new-class term is also exactly 0, with
     zero gradient: each side is a softmax over a single logit, identically 1.
     Only the old-class term then acts, as in the default 3+1 protocol.
     """
-    ca, cb = logits.num_old, logits.num_new
-    im_old = ad.softmax(logits.y_im_logits, index_range=(0, ca + 1))
-    om = ad.softmax(logits.p_om_logits)
+    n = om_logits.shape[0]
+    if im_logits.shape[0] != n or rm_logits.shape[0] != n:
+        raise ShapeError("logit triple row counts differ")
+    ca, cb = om_logits.shape[1] - 1, rm_logits.shape[1] - 1
+    if ca < 1 or im_logits.shape[1] != ca + cb + 1:
+        raise ShapeError(
+            f"inconsistent logit widths: old={om_logits.shape[1]}, "
+            f"incremental={im_logits.shape[1]}, residual={rm_logits.shape[1]}")
+    im_old = ad.softmax(im_logits, index_range=(0, ca + 1))
+    om = ad.softmax(om_logits)
     per_roi = ad.tsum(ad.square(im_old - om), axis=1) * Tensor(1.0 / (ca + 1))
     if cb > 0:
-        im_new = ad.softmax(logits.y_im_logits, index_range=(ca + 1, ca + 1 + cb))
-        rm = ad.softmax(logits.p_rm_logits, index_range=(1, cb + 1))
+        im_new = ad.softmax(im_logits, index_range=(ca + 1, ca + 1 + cb))
+        rm = ad.softmax(rm_logits, index_range=(1, cb + 1))
         per_roi = per_roi + ad.tsum(ad.square(im_new - rm), axis=1) * Tensor(1.0 / cb)
     return ad.tmean(per_roi)

@@ -19,9 +19,7 @@ import numpy as np
 from .autodiff import Tensor
 from .detector import (HEAD_STD, DetectorModel, RoiSample, Targets, forward_features, frcnn_loss,
                        head_logits, new_model, roi_pool, training_targets)
-from .distill import (FeatureTriple, LogitTriple, PooledTriple,
-                      classification_distill_loss, feature_distill_loss,
-                      residual_distill_loss)
+from .distill import classification_distill_loss, feature_distill_loss, residual_distill_loss
 from .evaluate import APReport
 from .pseudo_gt import Thresholds, build_training_targets, generate_pseudo_gt
 from .synthdata import Scene
@@ -204,19 +202,18 @@ def compute_losses(triple: TripleNetwork, image, cfg: TrainConfig,
     loss_rm, rm_internals = frcnn_loss(rm, f_rm, rm_targets, rng, rm_sample)
 
     d_fea_t = d_res_t = d_cls_t = None
-    if cfg.d_fea or cfg.d_res or cfg.d_cls:
-        feat = FeatureTriple(om_features, f_im, f_rm)
-        if cfg.d_fea:
-            d_fea_t = feature_distill_loss(feat)
-        if cfg.d_res or cfg.d_cls:
-            rois = internals.sample[0]
-            p_om = roi_pool(om.config, om_features, rois)
-            p_rm = roi_pool(rm.config, f_rm, rois)
-            if cfg.d_res:
-                d_res_t = residual_distill_loss(feat, PooledTriple(p_om, internals.pooled, p_rm))
-            if cfg.d_cls:
-                d_cls_t = classification_distill_loss(LogitTriple(
-                    head_logits(om, p_om), internals.cls_logits, head_logits(rm, p_rm)))
+    if cfg.d_fea:
+        d_fea_t = feature_distill_loss(om_features, f_im, f_rm)
+    if cfg.d_res or cfg.d_cls:
+        rois = internals.sample[0]
+        p_om = roi_pool(om.config, om_features, rois)
+        p_rm = roi_pool(rm.config, f_rm, rois)
+        if cfg.d_res:
+            d_res_t = residual_distill_loss(om_features, f_im, f_rm,
+                                            p_om, internals.pooled, p_rm)
+        if cfg.d_cls:
+            d_cls_t = classification_distill_loss(
+                head_logits(om, p_om), internals.cls_logits, head_logits(rm, p_rm))
 
     total = loss_im + loss_rm
     active = [t for t in (d_fea_t, d_res_t, d_cls_t) if t is not None]

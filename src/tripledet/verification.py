@@ -15,8 +15,7 @@ import numpy as np
 from .autodiff import FD_STEP, Tensor, grad_check, topo_order
 from .detector import (DetectorConfig, DetectorModel, forward_features, frcnn_loss, new_model,
                        training_targets)
-from .distill import (FeatureTriple, LogitTriple, PooledTriple, attention_pair_loss,
-                      classification_distill_loss, feature_distill_loss,
+from .distill import (attention_pair_loss, classification_distill_loss, feature_distill_loss,
                       residual_base_loss, residual_pool_loss)
 from .pseudo_gt import Thresholds
 from .trainer import (TrainConfig, TripleNetwork, compute_losses, init_incremental,
@@ -140,8 +139,7 @@ def _build_frcnn(rng: np.random.Generator):
     return f, arrays
 
 
-def micro_triple(rng: np.random.Generator) -> TripleNetwork:
-    num_old, num_new = 1, 1
+def micro_triple(rng: np.random.Generator, num_old: int = 1, num_new: int = 1) -> TripleNetwork:
     # the frozen model takes a short random walk away from its raw initialization
     om = _nudge(new_model(MICRO_CONFIG, num_old, int(rng.integers(0, 2 ** 31))), rng)
     om = om.clone(requires_grad=False)
@@ -150,12 +148,13 @@ def micro_triple(rng: np.random.Generator) -> TripleNetwork:
     return TripleNetwork(om=om, im=im, rm=rm)
 
 
-def _build_total_loss(rng: np.random.Generator):
-    triple = micro_triple(rng)
+def _build_total_loss(rng: np.random.Generator, num_old: int = 1, num_new: int = 1):
+    """The triple loss over `num_old` + `num_new` classes on one image with
+    `num_new` boxes, each of a random new class."""
+    triple = micro_triple(rng, num_old, num_new)
     cfg = TrainConfig(epochs=1, thresholds=Thresholds(0.1, 0.9, 0.3))
     image = micro_image(rng)
-    gt_boxes, gt_labels = micro_targets(rng, triple.im.num_classes, n=1,
-                                        lo=triple.om.num_classes + 1)
+    gt_boxes, gt_labels = micro_targets(rng, num_old + num_new, n=num_new, lo=num_old + 1)
     om_feat, im_targets, rm_targets = scene_targets(triple, image, gt_boxes, gt_labels, cfg)
     im_names, im_arrays = _model_param_arrays(triple.im)
     rm_names, rm_arrays = _model_param_arrays(triple.rm)
@@ -184,13 +183,13 @@ FEAT, POOLED = (2, 4, 4), (2, 2, 2, 2)
 SUITE = {
     "attention_pair_loss": (_normal_inputs(lambda a, b: attention_pair_loss(a, b), (3, 4), (3, 4)),
                             ELEMENTWISE_MARGIN),
-    "feature_distill": (_normal_inputs(lambda o, i, r: feature_distill_loss(FeatureTriple(o, i, r)),
+    "feature_distill": (_normal_inputs(lambda o, i, r: feature_distill_loss(o, i, r),
                                        FEAT, FEAT, FEAT), ELEMENTWISE_MARGIN),
-    "residual_distill_base": (_normal_inputs(lambda o, i, r: residual_base_loss(FeatureTriple(o, i, r)),
+    "residual_distill_base": (_normal_inputs(lambda o, i, r: residual_base_loss(o, i, r),
                                              FEAT, FEAT, FEAT), ELEMENTWISE_MARGIN),
-    "residual_distill_pool": (_normal_inputs(lambda o, i, r: residual_pool_loss(PooledTriple(o, i, r)),
+    "residual_distill_pool": (_normal_inputs(lambda o, i, r: residual_pool_loss(o, i, r),
                                              POOLED, POOLED, POOLED), ELEMENTWISE_MARGIN),
-    "cls_distill": (_normal_inputs(lambda o, y, r: classification_distill_loss(LogitTriple(o, y, r)),
+    "cls_distill": (_normal_inputs(lambda o, y, r: classification_distill_loss(o, y, r),
                                    (3, 3), (3, 5), (3, 3)), ELEMENTWISE_MARGIN),
     "frcnn_loss": (_build_frcnn, NETWORK_MARGIN),
     "total_loss": (_build_total_loss, NETWORK_MARGIN),

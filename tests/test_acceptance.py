@@ -25,8 +25,7 @@ from tripledet.boxes import iou_matrix
 from tripledet.detector import (DetectorConfig, checkpoint_bytes, checkpoint_hash, detect,
                                 forward_features, frcnn_loss, new_model, propose,
                                 rpn_forward, training_targets)
-from tripledet.distill import (FeatureTriple, LogitTriple, PooledTriple,
-                               classification_distill_loss, feature_distill_loss,
+from tripledet.distill import (classification_distill_loss, feature_distill_loss,
                                residual_distill_loss)
 from tripledet.evaluate import evaluate_model, voc_ap
 from tripledet.pseudo_gt import Thresholds, generate_pseudo_gt
@@ -121,22 +120,20 @@ def test_criterion_1_gradient_suite():
 def test_criterion_2_zero_cases():
     rng = np.random.default_rng(70)
     f = rng.normal(size=(3, 4, 4))
-    d_fea = feature_distill_loss(
-        FeatureTriple(Tensor(f), Tensor(f.copy()), Tensor(np.zeros_like(f)))).item()
+    d_fea = feature_distill_loss(Tensor(f), Tensor(f.copy()), Tensor(np.zeros_like(f))).item()
 
     f_om = rng.integers(-3, 4, (3, 4, 4)).astype(float)
     f_im = rng.integers(-3, 4, (3, 4, 4)).astype(float)
     p_om = rng.integers(-3, 4, (2, 3, 2, 2)).astype(float)
     p_rm = rng.integers(-3, 4, (2, 3, 2, 2)).astype(float)
-    d_res = residual_distill_loss(
-        FeatureTriple(Tensor(f_om), Tensor(f_im), Tensor(f_im - f_om)),
-        PooledTriple(Tensor(p_om), Tensor(p_om + p_rm), Tensor(p_rm))).item()
+    d_res = residual_distill_loss(Tensor(f_om), Tensor(f_im), Tensor(f_im - f_om),
+                                  Tensor(p_om), Tensor(p_om + p_rm), Tensor(p_rm)).item()
 
     ca, cb, n = 2, 2, 3
     y = rng.normal(size=(n, ca + cb + 1))
-    d_cls = classification_distill_loss(LogitTriple(
+    d_cls = classification_distill_loss(
         Tensor(y[:, :ca + 1].copy()), Tensor(y),
-        Tensor(np.hstack([rng.normal(size=(n, 1)), y[:, ca + 1:].copy()])))).item()
+        Tensor(np.hstack([rng.normal(size=(n, 1)), y[:, ca + 1:].copy()]))).item()
 
     detail = f"d_fea={d_fea:.2e}, d_res={d_res:.2e}, d_cls={d_cls:.2e}"
     report("criterion 2: zero cases", max(d_fea, d_res, d_cls) < 1e-12, detail)
@@ -170,12 +167,12 @@ def test_criterion_3_oracle_equivalence(world):
         rm_l = rng.normal(size=(3, 3))      # 2 new classes + background
         distill_worst = max(
             distill_worst,
-            abs(feature_distill_loss(FeatureTriple(Tensor(f_om), Tensor(f_im), Tensor(f_rm))).item()
+            abs(feature_distill_loss(Tensor(f_om), Tensor(f_im), Tensor(f_rm)).item()
                 - feature_distill_loss_ref(f_om, f_im, f_rm)),
-            abs(residual_distill_loss(FeatureTriple(Tensor(f_om), Tensor(f_im), Tensor(f_rm)),
-                                      PooledTriple(Tensor(p_om), Tensor(p_im), Tensor(p_rm))).item()
+            abs(residual_distill_loss(Tensor(f_om), Tensor(f_im), Tensor(f_rm),
+                                      Tensor(p_om), Tensor(p_im), Tensor(p_rm)).item()
                 - residual_distill_loss_ref(f_om, f_im, f_rm, p_om, p_im, p_rm)),
-            abs(classification_distill_loss(LogitTriple(Tensor(om_l), Tensor(im_l), Tensor(rm_l))).item()
+            abs(classification_distill_loss(Tensor(om_l), Tensor(im_l), Tensor(rm_l)).item()
                 - classification_distill_loss_ref(om_l, im_l, rm_l)),
         )
     assert distill_worst < 1e-12

@@ -22,7 +22,7 @@ from tripledet.cli import RunConfig
 from tripledet.detector import (DetectorConfig, checkpoint_bytes, checkpoint_hash, detect,
                                 forward_features, frcnn_loss, head_forward, load_checkpoint,
                                 new_model, roi_pool, save_checkpoint, training_targets)
-from tripledet.distill import LogitTriple, classification_distill_loss
+from tripledet.distill import classification_distill_loss
 from tripledet.evaluate import APReport
 from tripledet.pseudo_gt import Thresholds
 from tripledet.synthdata import (Scene, generate_dataset, generate_incremental_dataset,
@@ -275,9 +275,9 @@ def test_cls_distill_new_class_half_is_live_with_two_new_classes():
         return head_forward(model, roi_pool(MICRO_CONFIG, features, rois))[0]
 
     om_l, im_l, rm_l = logits(om), logits(im), logits(rm)
-    loss = classification_distill_loss(LogitTriple(om_l, im_l, rm_l))
-    old_half = classification_distill_loss(LogitTriple(
-        Tensor(om_l.data), Tensor(im_l.data[:, :3].copy()), Tensor(rm_l.data[:, :1].copy())))
+    loss = classification_distill_loss(om_l, im_l, rm_l)
+    old_half = classification_distill_loss(
+        Tensor(om_l.data), Tensor(im_l.data[:, :3].copy()), Tensor(rm_l.data[:, :1].copy()))
     assert loss.item() - old_half.item() > 0.0
     loss.backward()
     assert np.any(im.params["rcnn.cls.w"].grad[:, 3:] != 0.0)

@@ -7,7 +7,8 @@ import tripledet.autodiff as ad
 import tripledet.detector as det
 from _oracles import assert_probes_exact
 from tripledet.autodiff import Tensor
-from tripledet.verification import GRAD_TOL, SUITE, SUITE_SEED, run_gradient_suite
+from tripledet.verification import (GRAD_TOL, NETWORK_MARGIN, SUITE, SUITE_SEED,
+                                    _build_total_loss, _draw_safe_instance, run_gradient_suite)
 
 
 @pytest.mark.parametrize("name", ["frcnn_loss", "total_loss"])
@@ -75,3 +76,18 @@ def test_one_instance_of_every_suite_loss_passes():
     errors = run_gradient_suite(1, seed=SUITE_SEED)
     assert list(errors) == list(SUITE)
     assert all(err < GRAD_TOL for err in errors.values()), errors
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_total_loss_gradient_with_two_old_and_two_new_classes(seed):
+    """The triple loss over 2 old + 2 new classes with two new-class boxes:
+    d_cls's new-class half is live here, over `init_incremental`'s widened
+    columns, the (n, C, 4) delta reshape and real `index_range` slices. The
+    suite's `total_loss` instance is 1 + 1, where that half is exactly zero.
+    Not a `SUITE` entry: one `gradcheck` benchmark operation is one `SUITE`
+    instance, about 70 ms on average, so a 0.4 s instance would cut that
+    benchmark's rate by about 40%."""
+    rng = np.random.default_rng([seed, 99])
+    f, points = _draw_safe_instance(rng, lambda r: _build_total_loss(r, 2, 2), NETWORK_MARGIN)
+    assert sum(p.size for p in points) == 672
+    assert ad.grad_check(f, points) < GRAD_TOL
