@@ -4,7 +4,9 @@ Every operation builds an implicit value graph: a non-leaf Tensor records its
 op kind and parent tensors together with a closure that pushes gradients to
 the parents. ``Tensor.backward()`` topologically orders the reachable graph
 and runs the closures once each, so calling it twice on the same graph yields
-identical gradients.
+identical gradients. An interior node's gradient lives from its first
+contribution until its own closure has run; only leaf and root gradients
+survive the pass.
 
 Numerical conventions used throughout:
   * all data is float64,
@@ -66,7 +68,10 @@ class Tensor:
         """Populate ``grad`` on every requires_grad tensor reachable from self.
 
         Gradients are recomputed from scratch on each call; no state carries
-        over between calls.
+        over between calls. A node's closure runs after all of its consumers,
+        so its gradient is complete then. An interior node hands its gradient
+        to its closure and drops it, so the array is freed once the closure
+        returns; after the pass only the leaves and the root hold ``grad``.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() root must be scalar, got shape {self.shape}")
@@ -75,12 +80,13 @@ class Tensor:
             node.grad = None
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-        # keep gradients on leaves only; interior grads are scratch space
-        for node in order:
-            if node._backward is not None and node is not self:
+            if node._backward is None:
+                continue
+            g = node.grad
+            if node is not self:
                 node.grad = None
+            if g is not None:
+                node._backward(g)
 
     # -- operator sugar ---------------------------------------------------
 

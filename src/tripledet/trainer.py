@@ -41,6 +41,11 @@ class TripleNetwork:
     rm: DetectorModel
 
     def __post_init__(self):
+        trainable = sorted(self.om.trainable())
+        if trainable:
+            # train_incremental never steps om; a trainable om would only make
+            # every backward pass store its gradients for nothing
+            raise ValueError(f"old model must be frozen, got trainable {', '.join(trainable)}")
         num_new = self.rm.num_classes
         if self.im.num_classes != self.om.num_classes + num_new:
             raise ValueError(

@@ -71,6 +71,32 @@ def test_backward_twice_identical():
     assert np.array_equal(first, x.grad)
 
 
+def test_interior_gradient_freed_once_its_node_has_used_it():
+    """By the time relu's closure runs, its consumer `square` has pushed its
+    gradient and dropped it; the root keeps its own. After the pass only the
+    leaf and the root hold a gradient, and a second pass repeats the first."""
+    x = Tensor(np.random.default_rng(5).normal(size=(3, 4)), requires_grad=True)
+    r = ad.relu(x)
+    sq = ad.square(r)
+    root = ad.tsum(sq)
+    seen = []
+    relu_backward = r._backward
+
+    def recording(g):
+        seen.append((sq.grad, root.grad))
+        relu_backward(g)
+
+    r._backward = recording
+    root.backward()
+    assert len(seen) == 1
+    sq_grad, root_grad = seen[0]
+    assert sq_grad is None and root_grad is not None
+    assert [t.grad is not None for t in (x, r, sq, root)] == [True, False, False, True]
+    first = x.grad.copy()
+    root.backward()
+    assert first.tobytes() == x.grad.tobytes()
+
+
 def test_forward_deterministic():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(2, 8, 8))

@@ -94,3 +94,38 @@ def test_paired_gain_without_a_scored_pair_prints_a_dash():
     ops, _ = pairs.summarize(lines, METRICS)
     assert ops["pairs"] == 0 and ops["paired_gain"] is None
     assert pairs.format_summary([ops], {}).splitlines()[1].split()[-1] == "-"
+
+
+def _with_usage(line, faults, sys_s):
+    return {**line, "minor_faults": faults, "sys_s": sys_s}
+
+
+def test_usage_medians_skip_lines_without_the_fields():
+    """Committed `BENCH_*.json` lines carry no fault or system-CPU fields:
+    they still summarize, and only the lines that carry both give medians."""
+    lines = [_with_usage(_line("parent", 1, 2.0, 0.05, workload="train"), 54000, 0.12),
+             _with_usage(_line("change", 1, 2.2, 0.05, workload="train"), 900, 0.004),
+             _with_usage(_line("parent", 2, 2.1, 0.05, workload="train"), 56000, 0.10),
+             _with_usage(_line("change", 2, 2.3, 0.05, workload="train"), 1100, 0.002),
+             _line("parent", 3, 1.9, 0.05, workload="train"),
+             _line("change", 3, 2.0, 0.05, workload="train"),
+             _line("parent", 1, 9.0, 0.02)]             # gradcheck: no fields at all
+    ops, _ = pairs.summarize(lines, METRICS)
+    assert ops["workload"] == "train" and ops["pairs"] == 3 and ops["change_wins"] == 3
+    use = pairs.usage(lines)
+    assert use == {("train", "parent"): (55000, 0.11, 2), ("train", "change"): (1000, 0.003, 2)}
+    text = pairs.format_summary([ops], pairs.failures(lines), use)
+    assert "train parent: median 55000 minor faults, 0.110 s system CPU per run (2 runs)" in text
+    assert "train change: median 1000 minor faults, 0.003 s system CPU per run (2 runs)" in text
+    assert "gradcheck parent: median" not in text
+
+
+def test_run_once_records_the_childs_faults_and_system_cpu(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        'import json\nprint(json.dumps({"correct": True, "attempted": 1, "failed": 0, '
+        '"metrics": {}}))\n')
+    run = pairs.run_once(tmp_path, "train", 1, 0.1)
+    assert run["exit"] == 0 and run["correct"] is True
+    assert isinstance(run["minor_faults"], int) and run["minor_faults"] > 0
+    assert run["sys_s"] >= 0.0

@@ -167,6 +167,13 @@ def test_triple_network_width_validation(om):
         TripleNetwork(om=om, im=init_incremental(om, 2, 0), rm=init_residual(om, 1, 0))
 
 
+def test_triple_network_refuses_a_trainable_old_model(om):
+    trainable = om.clone(requires_grad=False)
+    trainable.params["rcnn.cls.b"].requires_grad = True
+    with pytest.raises(ValueError, match=r"old model must be frozen, got trainable rcnn\.cls\.b$"):
+        TripleNetwork(om=trainable, im=init_incremental(om, 1, 0), rm=init_residual(om, 1, 0))
+
+
 # -- optimizer -----------------------------------------------------------------------
 
 def test_sgd_momentum_formula():

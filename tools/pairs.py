@@ -10,17 +10,21 @@ Pair i uses seed i (1, 2, ...) on both trees; odd pairs run the parent first
 and even pairs the change first.
 
 Every run appends one JSON line to FILE as soon as it ends: its tree, pair,
-seed, order (1 or 2 within the pair), exit code, and the run's JSON result
-(`correct`, `attempted`, `failed`, `metrics`), or the tail of its stderr
-when it printed none. At the end the tool prints, for each end-to-end metric
-of `BENCHMARK.json`, both medians, the parent's quartiles (inclusive
-method), the number of pairs the change won, ties counting for neither
-side, the change of the median relative to the parent's, positive when
-better, and the paired gain: the median over the pairs of the change's
-relative change against the parent run of its own pair. The host drifts over
-minutes, and the two runs of one pair share most of that drift, so the paired
-gain cancels most of it. `over bound` marks a change of the median worse than
-the metric's `bound`. Then the failed operations of each tree. Exit 0 when
+seed, order (1 or 2 within the pair), exit code, the process's minor page
+faults and system CPU seconds (`minor_faults`, `sys_s`: the
+`getrusage(RUSAGE_CHILDREN)` delta around the run, so only that child's
+own accounting), and the run's JSON result (`correct`, `attempted`,
+`failed`, `metrics`), or the tail of its stderr when it printed none. At
+the end the tool prints, for each end-to-end metric of `BENCHMARK.json`,
+both medians, the parent's quartiles (inclusive method), the number of
+pairs the change won, ties counting for neither side, the change of the
+median relative to the parent's, positive when better, and the paired
+gain: the median over the pairs of the change's relative change against the
+parent run of its own pair. The host drifts over minutes, and the two runs
+of one pair share most of that drift, so the paired gain cancels most of it.
+`over bound` marks a change of the median worse than the metric's `bound`.
+Then each tree's median minor faults and system CPU per run, over the runs
+that recorded them, and the failed operations of each tree. Exit 0 when
 every run passed its correctness checks, 1 otherwise.
 """
 
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -39,16 +44,21 @@ STDERR_TAIL = 2000      # characters of stderr kept for a run that printed no re
 
 
 def run_once(tree_dir: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One `perfbench/run.py` process in `tree_dir`; its exit code and result."""
+    """One `perfbench/run.py` process in `tree_dir`; its exit code, page
+    faults, system CPU and result."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                           cwd=tree_dir, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    run = {"exit": proc.returncode, "minor_faults": after.ru_minflt - before.ru_minflt,
+           "sys_s": after.ru_stime - before.ru_stime}
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        return {"exit": proc.returncode, "error": proc.stderr[-STDERR_TAIL:]}
-    return {"exit": proc.returncode, **result}
+        return {**run, "error": proc.stderr[-STDERR_TAIL:]}
+    return {**run, **result}
 
 
 def run_pairs(dirs: dict[str, Path], workload: str, pairs: int, seconds: float,
@@ -65,6 +75,7 @@ def run_pairs(dirs: dict[str, Path], workload: str, pairs: int, seconds: float,
                 f.flush()
                 records.append(record)
                 print(f"# pair {pair} {tree}: exit {record['exit']} "
+                      f"minor_faults={record['minor_faults']} sys_s={record['sys_s']:.3f} "
                       + " ".join(f"{k}={v['value']:.4g}"
                                  for k, v in record.get("metrics", {}).items()), flush=True)
     return records
@@ -125,7 +136,19 @@ def failures(records: list[dict]) -> dict[tuple[str, str], tuple[int, int, int]]
     return out
 
 
-def format_summary(rows: list[dict], fails: dict) -> str:
+def usage(records: list[dict]) -> dict[tuple[str, str], tuple[float, float, int]]:
+    """(workload, tree) -> (median minor faults, median system CPU seconds,
+    runs) over the runs that recorded them; trees with none are left out."""
+    out: dict[tuple[str, str], list[tuple[int, float]]] = {}
+    for r in records:
+        if "minor_faults" in r:
+            out.setdefault((r["workload"], r["tree"]), []).append((r["minor_faults"], r["sys_s"]))
+    return {key: (statistics.median(f for f, _ in runs), statistics.median(s for _, s in runs),
+                  len(runs))
+            for key, runs in out.items()}
+
+
+def format_summary(rows: list[dict], fails: dict, use: dict | None = None) -> str:
     lines = [f"{'workload':<10} {'metric':<12} {'parent median':>14} {'parent q1':>11} "
              f"{'parent q3':>11} {'change median':>14} {'change wins':>12} {'gain':>8} "
              f"{'paired gain':>12}"]
@@ -136,6 +159,9 @@ def format_summary(rows: list[dict], fails: dict) -> str:
                      f"{row['change_median']:>14.5g} {row['change_wins']:>7}/{row['pairs']:<4} "
                      f"{row['gain']:>+8.1%} {paired:>12}"
                      + ("  over bound" if row["over_bound"] else ""))
+    for (workload, tree), (faults, sys_s, runs) in sorted((use or {}).items()):
+        lines.append(f"{workload} {tree}: median {faults:.0f} minor faults, "
+                     f"{sys_s:.3f} s system CPU per run ({runs} runs)")
     for (workload, tree), (failed, attempted, bad) in sorted(fails.items()):
         lines.append(f"{workload} {tree}: {failed} of {attempted} operations failed, "
                      f"{bad} runs not correct")
@@ -161,7 +187,8 @@ def main(argv=None) -> int:
             parser.error(f"{tree} has no perfbench/run.py")
     records = run_pairs({"parent": args.parent, "change": args.change}, args.workload,
                         args.pairs, bench["run_seconds"], args.out)
-    print(format_summary(summarize(records, bench["end_to_end"]), failures(records)))
+    print(format_summary(summarize(records, bench["end_to_end"]), failures(records),
+                         usage(records)))
     return 0 if all(r.get("correct") for r in records) else 1
 
 
