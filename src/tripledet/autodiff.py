@@ -20,6 +20,7 @@ Numerical conventions used throughout:
 from __future__ import annotations
 
 import functools
+import inspect
 from contextvars import ContextVar
 from typing import Callable, Iterator, Sequence
 
@@ -179,9 +180,10 @@ class _Tape:
     """The op calls of one `grad_check` base-point evaluation, in call order.
 
     Slot `i` names input `i` of `f`, and slot `len(inputs) + k` the output of
-    entry `k`. An entry holds the raw op, the arguments it was called with,
-    and the (position or keyword, slot) of each Tensor argument that has a
-    slot; any other Tensor argument is a constant of `f`.
+    entry `k`. An entry holds the op's kernel, the op's arguments by position
+    with every Tensor replaced by its array, and the (position, slot) of each
+    Tensor argument that has a slot; any other Tensor's array is a constant
+    of `f`.
     """
 
     __slots__ = ("slots", "inputs", "outputs", "entries")
@@ -193,16 +195,17 @@ class _Tape:
         self.outputs: list[Tensor] = []
         self.entries: list[tuple] = []
 
-    def call(self, op: Callable, args: tuple, kwargs: dict) -> Tensor:
+    def call(self, op: Callable, kernel: Callable, params: tuple[inspect.Parameter, ...],
+             args: tuple, kwargs: dict) -> Tensor:
         out = op(*args, **kwargs)
+        args += tuple(kwargs.get(p.name, p.default) for p in params[len(args):])
         slots = self.slots
         refs = tuple((j, slots[id(a)]) for j, a in enumerate(args)
                      if isinstance(a, Tensor) and id(a) in slots)
-        kwrefs = tuple((k, slots[id(a)]) for k, a in kwargs.items()
-                       if isinstance(a, Tensor) and id(a) in slots)
         # every probe that does not move this output's inputs reads it
         out.data.flags.writeable = False
-        self.entries.append((op, args, kwargs, refs, kwrefs))
+        self.entries.append(
+            (kernel, tuple(a.data if isinstance(a, Tensor) else a for a in args), refs))
         slots[id(out)] = len(self.inputs) + len(self.outputs)
         self.outputs.append(out)
         return out
@@ -214,53 +217,55 @@ class _Tape:
         n = len(self.inputs)
         moved = {source}
         steps = []
-        for k, (op, args, kwargs, refs, kwrefs) in enumerate(self.entries):
+        for k, (kernel, args, refs) in enumerate(self.entries):
             sub = tuple(r for r in refs if r[1] in moved)
-            kwsub = tuple(r for r in kwrefs if r[1] in moved)
-            if sub or kwsub:
+            if sub:
                 moved.add(n + k)
-                steps.append((n + k, op, args, kwargs, sub, kwsub))
+                steps.append((n + k, kernel, list(args), sub))
         return steps
 
 
-def _replay(steps: list[tuple], source: int, moved: Tensor) -> dict[int, Tensor]:
-    """Slot `source` holding `moved`, and the outputs of `steps` re-run on it
-    and on the tape's other outputs, by slot."""
+def _replay(steps: list[tuple], source: int, moved: np.ndarray) -> dict[int, np.ndarray]:
+    """Slot `source` holding the array `moved`, and the values of `steps`'
+    kernels re-run on it and on the tape's other arrays, by slot."""
     vals = {source: moved}
-    for slot, op, args, kwargs, sub, kwsub in steps:
-        a = list(args)
+    for slot, kernel, args, sub in steps:
         for j, s in sub:
-            a[j] = vals[s]
-        if kwsub:
-            kwargs = dict(kwargs)
-            for k, s in kwsub:
-                kwargs[k] = vals[s]
-        vals[slot] = op(*a, **kwargs)
+            args[j] = vals[s]
+        vals[slot] = kernel(*args)
     return vals
 
 
 _TAPE: ContextVar[_Tape | None] = ContextVar("grad_check_tape", default=None)
 
 
-def _reusable(op: Callable[..., Tensor]) -> Callable[..., Tensor]:
-    """`op`, recorded on the tape of the `grad_check` base-point evaluation
-    running in this context, if any."""
-    @functools.wraps(op)
-    def call(*args, **kwargs):
-        tape = _TAPE.get()
-        if tape is None:
-            return op(*args, **kwargs)
-        return tape.call(op, args, kwargs)
+def _reusable(kernel: Callable[..., np.ndarray]
+              ) -> Callable[[Callable[..., Tensor]], Callable[..., Tensor]]:
+    """Decorate an op whose value is `kernel` applied to the op's arguments,
+    each Tensor replaced by its array and every parameter passed by
+    position. A call records the op's kernel and arrays on the tape of the
+    `grad_check` base-point evaluation running in this context, if any."""
+    def wrap(op: Callable[..., Tensor]) -> Callable[..., Tensor]:
+        params = tuple(inspect.signature(op).parameters.values())
 
-    return call
+        @functools.wraps(op)
+        def call(*args, **kwargs):
+            tape = _TAPE.get()
+            if tape is None:
+                return op(*args, **kwargs)
+            return tape.call(op, kernel, params, args, kwargs)
+
+        return call
+
+    return wrap
 
 
 # -- elementwise arithmetic ------------------------------------------------
 
-@_reusable
+@_reusable(np.add)
 def add(a: Tensor, b: Tensor) -> Tensor:
     try:
-        val = a.data + b.data
+        val = np.add(a.data, b.data)
     except ValueError:
         raise _broadcast_error("add", a, b) from None
 
@@ -271,10 +276,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(val, "add", (a, b), bw)
 
 
-@_reusable
+@_reusable(np.subtract)
 def subtract(a: Tensor, b: Tensor) -> Tensor:
     try:
-        val = a.data - b.data
+        val = np.subtract(a.data, b.data)
     except ValueError:
         raise _broadcast_error("subtract", a, b) from None
 
@@ -285,10 +290,10 @@ def subtract(a: Tensor, b: Tensor) -> Tensor:
     return _make(val, "subtract", (a, b), bw)
 
 
-@_reusable
+@_reusable(np.multiply)
 def multiply(a: Tensor, b: Tensor) -> Tensor:
     try:
-        val = a.data * b.data
+        val = np.multiply(a.data, b.data)
     except ValueError:
         raise _broadcast_error("multiply", a, b) from None
 
@@ -299,11 +304,11 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
     return _make(val, "multiply", (a, b), bw)
 
 
-@_reusable
+@_reusable(np.true_divide)
 def divide(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise a/b; callers keep |b| bounded away from zero."""
     try:
-        val = a.data / b.data
+        val = np.true_divide(a.data, b.data)
     except ValueError:
         raise _broadcast_error("divide", a, b) from None
 
@@ -316,7 +321,7 @@ def divide(a: Tensor, b: Tensor) -> Tensor:
 
 # -- linear algebra --------------------------------------------------------
 
-@_reusable
+@_reusable(np.matmul)
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
@@ -325,10 +330,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, g @ b.data.T)
         _accum(b, a.data.T @ g)
 
-    return _make(a.data @ b.data, "matmul", (a, b), bw)
+    return _make(np.matmul(a.data, b.data), "matmul", (a, b), bw)
 
 
-@_reusable
+def _gram(m: np.ndarray) -> np.ndarray:
+    return m @ m.T
+
+
+@_reusable(_gram)
 def gram(m: Tensor) -> Tensor:
     """M @ M.T for a 2-D tensor."""
     if m.data.ndim != 2:
@@ -337,12 +346,12 @@ def gram(m: Tensor) -> Tensor:
     def bw(g):
         _accum(m, (g + g.T) @ m.data)
 
-    return _make(m.data @ m.data.T, "gram", (m,), bw)
+    return _make(_gram(m.data), "gram", (m,), bw)
 
 
 # -- reductions ------------------------------------------------------------
 
-@_reusable
+@_reusable(np.add.reduce)
 def tsum(x: Tensor, axis: int | None = None) -> Tensor:
     def bw(g):
         if axis is None:
@@ -350,10 +359,16 @@ def tsum(x: Tensor, axis: int | None = None) -> Tensor:
         else:
             _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.shape))
 
-    return _make(x.data.sum(axis=axis), "sum", (x,), bw)
+    return _make(np.add.reduce(x.data, axis), "sum", (x,), bw)
 
 
-@_reusable
+def _mean(x: np.ndarray, axis: int | None) -> np.ndarray:
+    """`np.mean`'s bytes: the sum over `axis` divided by its term count, as
+    `np.mean` computes it, without its dispatch."""
+    return np.add.reduce(x, axis) / (x.size if axis is None else x.shape[axis])
+
+
+@_reusable(_mean)
 def tmean(x: Tensor, axis: int | None = None) -> Tensor:
     n = x.data.size if axis is None else x.shape[axis]
 
@@ -363,37 +378,44 @@ def tmean(x: Tensor, axis: int | None = None) -> Tensor:
         else:
             _accum(x, np.broadcast_to(np.expand_dims(g, axis) / n, x.shape))
 
-    return _make(x.data.mean(axis=axis), "mean", (x,), bw)
+    return _make(_mean(x.data, axis), "mean", (x,), bw)
 
 
-@_reusable
+def _frobenius_norm(x: np.ndarray) -> np.ndarray:
+    return np.sqrt((x * x).sum() + EPS)
+
+
+@_reusable(_frobenius_norm)
 def frobenius_norm(x: Tensor) -> Tensor:
     """sqrt(sum(x^2) + 1e-12); the epsilon keeps the all-zeros gradient finite."""
-    val = np.sqrt((x.data * x.data).sum() + EPS)
+    val = _frobenius_norm(x.data)
 
     def bw(g):
         _accum(x, g * x.data / val)
 
-    return _make(np.asarray(val), "frobenius_norm", (x,), bw)
+    return _make(val, "frobenius_norm", (x,), bw)
 
 
 # -- elementwise nonlinearities ---------------------------------------------
 
-@_reusable
+def _relu(x: np.ndarray) -> np.ndarray:
+    out = np.fmax(x, 0.0)
+    out += 0.0
+    return out
+
+
+@_reusable(_relu)
 def relu(x: Tensor) -> Tensor:
     """max(x, 0) with NaN, -inf and -0.0 all mapped to +0.0: `fmax` returns
     the 0.0 for a NaN, and adding +0.0 turns a -0.0 into +0.0 and leaves
     every other value's bytes as they are."""
-    out = np.fmax(x.data, 0.0)
-    out += 0.0
-
     def bw(g):
         _accum(x, g * (x.data > 0))
 
-    return _make(out, "relu", (x,), bw)
+    return _make(_relu(x.data), "relu", (x,), bw)
 
 
-@_reusable
+@_reusable(np.abs)
 def tabs(x: Tensor) -> Tensor:
     sign = np.sign(x.data)
 
@@ -403,31 +425,42 @@ def tabs(x: Tensor) -> Tensor:
     return _make(np.abs(x.data), "abs", (x,), bw)
 
 
-@_reusable
+@_reusable(np.square)
 def square(x: Tensor) -> Tensor:
     def bw(g):
         _accum(x, 2.0 * g * x.data)
 
-    return _make(x.data * x.data, "square", (x,), bw)
+    return _make(np.square(x.data), "square", (x,), bw)
 
 
-@_reusable
+def _smooth_l1_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """smooth_l1's value and the mask of its quadratic branch."""
+    inner = np.abs(x) < 1.0
+    return np.where(inner, 0.5 * x * x, np.abs(x) - 0.5), inner
+
+
+def _smooth_l1(x: np.ndarray) -> np.ndarray:
+    return _smooth_l1_parts(x)[0]
+
+
+@_reusable(_smooth_l1)
 def smooth_l1(x: Tensor) -> Tensor:
     """Elementwise 0.5 x^2 for |x|<1, |x|-0.5 otherwise."""
-    inner = np.abs(x.data) < 1.0
+    val, inner = _smooth_l1_parts(x.data)
 
     def bw(g):
         _accum(x, g * np.where(inner, x.data, np.sign(x.data)))
 
-    val = np.where(inner, 0.5 * x.data * x.data, np.abs(x.data) - 0.5)
     return _make(val, "smooth_l1", (x,), bw)
 
 
-@_reusable
+def _softplus(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+@_reusable(_softplus)
 def softplus(x: Tensor) -> Tensor:
     """log(1 + e^x), evaluated stably; derivative is sigmoid(x)."""
-    val = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
-
     def bw(g):
         pos = x.data >= 0
         sig = np.empty_like(x.data)
@@ -436,12 +469,19 @@ def softplus(x: Tensor) -> Tensor:
         sig[~pos] = expv / (1.0 + expv)
         _accum(x, g * sig)
 
-    return _make(val, "softplus", (x,), bw)
+    return _make(_softplus(x.data), "softplus", (x,), bw)
 
 
 # -- softmax family ----------------------------------------------------------
 
-@_reusable
+def _softmax(x: np.ndarray, index_range: tuple[int, int] | None) -> np.ndarray:
+    sub = x if index_range is None else x[:, index_range[0]:index_range[1]]
+    shifted = sub - sub.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+@_reusable(_softmax)
 def softmax(x: Tensor, index_range: tuple[int, int] | None = None) -> Tensor:
     """Softmax of each row of (n, C) logits, optionally over columns [lo, hi) only.
 
@@ -454,10 +494,7 @@ def softmax(x: Tensor, index_range: tuple[int, int] | None = None) -> Tensor:
     lo, hi = (0, x.shape[1]) if index_range is None else index_range
     if not (0 <= lo < hi <= x.shape[1]):
         raise ShapeError(f"softmax: index_range {index_range} invalid for {x.shape[1]} columns")
-    sub = x.data[:, lo:hi]
-    shifted = sub - sub.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    val = e / e.sum(axis=1, keepdims=True)
+    val = _softmax(x.data, index_range)
 
     def bw(g):
         full = np.zeros_like(x.data)
@@ -467,13 +504,17 @@ def softmax(x: Tensor, index_range: tuple[int, int] | None = None) -> Tensor:
     return _make(val, "softmax", (x,), bw)
 
 
-@_reusable
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+@_reusable(_log_softmax)
 def log_softmax(x: Tensor) -> Tensor:
     """Log-softmax of each row of (n, C) logits."""
     if x.data.ndim != 2:
         raise ShapeError(f"log_softmax: need (n, C) logits, got shape {x.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    val = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    val = _log_softmax(x.data)
 
     def bw(g):
         _accum(x, g - np.exp(val) * g.sum(axis=1, keepdims=True))
@@ -483,12 +524,12 @@ def log_softmax(x: Tensor) -> Tensor:
 
 # -- shape ops ----------------------------------------------------------------
 
-@_reusable
+@_reusable(np.reshape)
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     def bw(g):
         _accum(x, g.reshape(x.shape))
 
-    return _make(x.data.reshape(shape), "reshape", (x,), bw)
+    return _make(np.reshape(x.data, shape), "reshape", (x,), bw)
 
 
 # -- convolution / pooling -----------------------------------------------------
@@ -505,7 +546,28 @@ def _im2col(xp: np.ndarray, k: int, h: int, w: int) -> np.ndarray:
     return np.ascontiguousarray(win.reshape(cin * k * k, h * w))
 
 
-@_reusable
+def _conv2d_parts(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """conv2d's value and its (cin*k*k, h*w) im2col columns; a k = 1 conv
+    reads its input as its columns, with no pad or copy."""
+    cin, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    pad = k // 2
+    if k == 1:
+        cols = x.reshape(cin, h * wd)
+    else:
+        xp = np.zeros((cin, h + 2 * pad, wd + 2 * pad))
+        xp[:, pad:pad + h, pad:pad + wd] = x
+        cols = _im2col(xp, k, h, wd)
+    out = (w.reshape(cout, cin * k * k) @ cols).reshape(cout, h, wd)
+    out += b
+    return out, cols
+
+
+def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _conv2d_parts(x, w, b)[0]
+
+
+@_reusable(_conv2d)
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Stride-1 "same" convolution of a (cin,h,w) map with (cout,cin,k,k)
     kernels, k odd, zero-padded by k//2 so the output keeps the input's size,
@@ -519,15 +581,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if k != kw or k % 2 == 0:
         raise ShapeError(f"conv2d: need an odd square kernel, got {w.shape}")
     pad = k // 2
-    if k == 1:
-        cols = x.data.reshape(cin, h * wd)
-    else:
-        xp = np.zeros((cin, h + 2 * pad, wd + 2 * pad))
-        xp[:, pad:pad + h, pad:pad + wd] = x.data
-        cols = _im2col(xp, k, h, wd)
-    wm = w.data.reshape(cout, cin * k * k)
-    out = (wm @ cols).reshape(cout, h, wd)
-    out += b.data
+    out, cols = _conv2d_parts(x.data, w.data, b.data)
 
     def bw(g):
         _accum(b, g.sum(axis=(1, 2), keepdims=True))
@@ -535,7 +589,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if w.requires_grad:
             _accum(w, (gm @ cols.T).reshape(w.shape))
         if x.requires_grad:
-            gcols = (wm.T @ gm).reshape(cin, k, k, h, wd)
+            gcols = (w.data.reshape(cout, cin * k * k).T @ gm).reshape(cin, k, k, h, wd)
             # col2im: window (ki, kj) adds its output rows r0:r1 and columns
             # c0:c1 that land inside the map, shifted by (ki - pad, kj - pad);
             # its terms that land in the padding are dropped, and each cell
@@ -553,7 +607,33 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(out, "conv2d", (x, w, b), bw)
 
 
-@_reusable
+def _max_pool2_parts(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """max_pool2's value, the four window cells as strided views of x in
+    row-major window order, and their elementwise max."""
+    cells = [x[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+    top = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
+    # equal values differ in their bytes only as -0.0 and +0.0, so without a
+    # -0.0 in x the first cell equal to the max holds exactly `top`'s bytes,
+    # and a NaN window outputs `top`'s NaN either way. The chain below gives
+    # the first max cell's bytes for every input, so taking it for any set
+    # sign bit (one pass, and never set in a relu output) is as exact
+    if np.signbit(x).any():
+        # np.maximum may return either zero of a signed-zero tie, so the value
+        # comes from the first cell equal to the max; `top` is the last cell's
+        # exact value wherever that cell alone is the max, and NaN where the
+        # window holds NaN
+        out = np.where(cells[0] == top, cells[0], np.where(
+            cells[1] == top, cells[1], np.where(cells[2] == top, cells[2], top)))
+    else:
+        out = top
+    return out, cells, top
+
+
+def _max_pool2(x: np.ndarray) -> np.ndarray:
+    return _max_pool2_parts(x)[0]
+
+
+@_reusable(_max_pool2)
 def max_pool2(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2; ties go to the first window cell.
 
@@ -564,22 +644,7 @@ def max_pool2(x: Tensor) -> Tensor:
     """
     if x.data.ndim != 3 or x.shape[1] % 2 or x.shape[2] % 2:
         raise ShapeError(f"max_pool2: need (c, even, even), got {x.shape}")
-    cells = [x.data[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]
-    top = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
-    # equal values differ in their bytes only as -0.0 and +0.0, so without a
-    # -0.0 in x the first cell equal to the max holds exactly `top`'s bytes,
-    # and a NaN window outputs `top`'s NaN either way. The chain below gives
-    # the first max cell's bytes for every input, so taking it for any set
-    # sign bit (one pass, and never set in a relu output) is as exact
-    if np.signbit(x.data).any():
-        # np.maximum may return either zero of a signed-zero tie, so the value
-        # comes from the first cell equal to the max; `top` is the last cell's
-        # exact value wherever that cell alone is the max, and NaN where the
-        # window holds NaN
-        out = np.where(cells[0] == top, cells[0], np.where(
-            cells[1] == top, cells[1], np.where(cells[2] == top, cells[2], top)))
-    else:
-        out = top
+    out, cells, top = _max_pool2_parts(x.data)
 
     def bw(g):
         hits = [cell == top for cell in cells[:3]]
@@ -593,7 +658,27 @@ def max_pool2(x: Tensor) -> Tensor:
     return _make(out, "max_pool2", (x,), bw)
 
 
-@_reusable
+def _roi_pool_parts(features: np.ndarray, rois, size: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """roi_pool's value and the (n,P,1) row and (n,1,P) column indices of
+    the feature cells it samples."""
+    rois = np.asarray(rois, dtype=np.float64)
+    _, h, w = features.shape
+    frac = (np.arange(size) + 0.5) / size
+    xs = rois[:, 0:1] + frac[None, :] * (rois[:, 2:3] - rois[:, 0:1])  # (n,P)
+    ys = rois[:, 1:2] + frac[None, :] * (rois[:, 3:4] - rois[:, 1:2])
+    xi = np.clip(np.floor(xs), 0, w - 1).astype(np.intp)
+    yi = np.clip(np.floor(ys), 0, h - 1).astype(np.intp)
+    yy = yi[:, :, None]                     # (n,P,1) row index per output row
+    xx = xi[:, None, :]                     # (n,1,P) col index per output col
+    return features[:, yy, xx].transpose(1, 0, 2, 3), yy, xx  # (n,c,P,P)
+
+
+def _roi_pool(features: np.ndarray, rois, size: int) -> np.ndarray:
+    return _roi_pool_parts(features, rois, size)[0]
+
+
+@_reusable(_roi_pool)
 def roi_pool(features: Tensor, rois: np.ndarray, size: int) -> Tensor:
     """Nearest-neighbor grid pooling of (c,h,w) features into (n,c,P,P).
 
@@ -608,14 +693,7 @@ def roi_pool(features: Tensor, rois: np.ndarray, size: int) -> Tensor:
     if features.data.ndim != 3 or rois.ndim != 2 or rois.shape[1] != 4:
         raise ShapeError(f"roi_pool: bad shapes features={features.shape}, rois={rois.shape}")
     c, h, w = features.shape
-    frac = (np.arange(size) + 0.5) / size
-    xs = rois[:, 0:1] + frac[None, :] * (rois[:, 2:3] - rois[:, 0:1])  # (n,P)
-    ys = rois[:, 1:2] + frac[None, :] * (rois[:, 3:4] - rois[:, 1:2])
-    xi = np.clip(np.floor(xs), 0, w - 1).astype(np.intp)
-    yi = np.clip(np.floor(ys), 0, h - 1).astype(np.intp)
-    yy = yi[:, :, None]                     # (n,P,1) row index per output row
-    xx = xi[:, None, :]                     # (n,1,P) col index per output col
-    out = features.data[:, yy, xx].transpose(1, 0, 2, 3)  # (n,c,P,P)
+    out, yy, xx = _roi_pool_parts(features.data, rois, size)
 
     def bw(g):
         # flat (channel, cell) index of each (channel, sample) in C order, so
@@ -653,7 +731,7 @@ def _probes(f: Callable[..., Tensor],
             try:
                 for x in (orig + FD_STEP, orig - FD_STEP):
                     flat[ci] = x
-                    vals = _replay(steps, ti, Tensor(a.copy()))
+                    vals = _replay(steps, ti, a.copy())
                     value = vals[root].item() if root in vals else base_value
                     if ci == 0:
                         full = f(*[Tensor(b.copy()) for b in arrays]).item()
@@ -680,16 +758,18 @@ def grad_check(f: Callable[..., Tensor], points: Sequence[np.ndarray]) -> float:
     leaf and no array from an input's `.data`, nor from an op output's.
 
     After the analytic pass, one more evaluation of `f` without gradients
-    records each op call on a tape. A probe moves one coordinate of one
-    input and does not call `f`: it re-runs, in tape order, only the taped
-    ops downstream of that input, and takes every other op's output from the
-    tape. Under the contract every probe value is the one a full evaluation
-    of `f` gives, byte for byte. A guard enforces it: the first probe of
-    each input also evaluates `f` in full, and a value whose bytes differ
-    from the replay's raises GradCheckError naming the input. Taped outputs
-    are read-only, since every probe may read them. The tape is dropped
-    before grad_check returns or raises, and a grad_check inside `f` records
-    nothing on the outer one.
+    records each op call on a tape: the op's kernel, the one array function
+    that computes its value, and the arrays of its arguments. A probe moves
+    one coordinate of one input and does not call `f`: it re-runs, in tape
+    order, only the kernels downstream of that input, on plain arrays, and
+    takes every other op's output from the tape. No Tensor or backward
+    closure is built. Under the contract every probe value is the one a full
+    evaluation of `f` gives, byte for byte. A guard enforces it: the first
+    probe of each input also evaluates `f` in full, and a value whose bytes
+    differ from the replay's raises GradCheckError naming the input. Taped
+    outputs are read-only, since every probe may read them. The tape is
+    dropped before grad_check returns or raises, and a grad_check inside `f`
+    records nothing on the outer one.
     """
     arrays = [np.array(p, dtype=np.float64, order="C") for p in points]
     outer = _TAPE.set(None)

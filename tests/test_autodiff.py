@@ -218,6 +218,21 @@ def test_relu_equals_where_oracle_bytes():
         assert not np.signbit(out).any()
 
 
+
+def test_mean_equals_np_mean_bytes():
+    """tmean's value, the sum over the axis divided by its term count, holds
+    `np.mean`'s bytes over the whole array and every axis, signed zeros and
+    the other special values included."""
+    rng = np.random.default_rng(1)
+    cases = [np.full((2, 3), -0.0), np.array(-0.0)]
+    cases += [_special_input(rng, tuple(int(v) for v in rng.integers(1, 7, case % 4)))
+              for case in range(400)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for data in cases:
+            for axis in (None, *range(-data.ndim, data.ndim)):
+                assert _same_bytes(ad.tmean(Tensor(data), axis).data,
+                                   np.asarray(np.mean(data, axis)))
+
 def _pool_input(rng, kind, shape):
     if kind == "random":
         return rng.normal(size=shape)
@@ -376,6 +391,16 @@ def test_smooth_l1_values_and_slope():
     assert np.allclose(out.data, [0.125, 4.5, 1.5])
     err = ad.grad_check(lambda t: ad.tsum(ad.smooth_l1(t)), [np.array([5.0])])
     assert err < 1e-6  # analytic slope 1 on the linear branch
+
+
+def test_smooth_l1_is_linear_just_past_its_kink():
+    """At |x| = 1.0005 smooth_l1 is on its linear branch: value |x| - 0.5 and
+    slope sign(x), not the quadratic branch's 0.500500125 and x."""
+    x = Tensor([1.0005, -1.0005], requires_grad=True)
+    out = ad.smooth_l1(x)
+    assert out.data.tolist() == [1.0005 - 0.5, 1.0005 - 0.5]
+    ad.tsum(out).backward()
+    assert x.grad.tolist() == [1.0, -1.0]
 
 
 def test_grad_check_cubic():
@@ -579,14 +604,18 @@ def test_grad_check_replays_list_and_keyword_arguments():
 
 
 def test_grad_check_replays_nothing_for_an_input_f_never_reads():
-    """A probe of an input no taped op reads re-runs nothing and reads the
+    """A probe of an input no taped op reads re-runs no kernel and reads the
     base value, as a full evaluation would compute it."""
     calls = []
 
-    @ad._reusable
-    def counted_square(x):
+    def counted_kernel(x):
         calls.append(x)
-        return ad.square.__wrapped__(x)
+        return np.square(x)
+
+    @ad._reusable(counted_kernel)
+    def counted_square(x):
+        return ad._make(counted_kernel(x.data), "square", (x,),
+                        lambda g: ad._accum(x, 2.0 * g * x.data))
 
     const = Tensor([1.5, -0.5])
 
@@ -605,7 +634,7 @@ def test_grad_check_replays_nothing_for_an_input_f_never_reads():
     points = [np.array([0.3, -0.8]), np.array([1.0, 2.0, 3.0])]
     calls.clear()
     ad.grad_check(reads_a, points)
-    # as above, plus a's second guard evaluation and a's four replays
+    # as above with b's two guard evaluations too, plus a's four kernel replays
     assert len(calls) == 10
     assert_probes_exact(reads_a, points)
 

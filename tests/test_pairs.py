@@ -1,6 +1,7 @@
 """`tools/pairs.py`'s summary on canned result lines; no benchmark is run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,38 @@ def test_usage_medians_skip_lines_without_the_fields():
     assert "train parent: median 55000 minor faults, 0.110 s system CPU per run (2 runs)" in text
     assert "train change: median 1000 minor faults, 0.003 s system CPU per run (2 runs)" in text
     assert "gradcheck parent: median" not in text
+
+
+def _stub_tree(root, ops_offset):
+    """A checkout whose `perfbench/run.py` reports `ops_per_s` = its seed +
+    `ops_offset`."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(
+        "import json, sys\n"
+        "seed = int(sys.argv[sys.argv.index('--seed') + 1])\n"
+        'print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": '
+        f'{{"ops_per_s": {{"value": seed + {ops_offset}, "unit": "1/s"}}}}}}))\n')
+    return root
+
+
+def test_a_second_invocation_numbers_its_pairs_and_seeds_on(tmp_path):
+    """Two invocations appending to one file give pairs 1-2 and then 3-4,
+    each with its own seed, so the file's lines summarize as four pairs; a
+    pair of another workload in the file does not move the numbering."""
+    dirs = {"parent": _stub_tree(tmp_path / "p", 0), "change": _stub_tree(tmp_path / "c", 0.5)}
+    out = tmp_path / "pairs.json"
+    out.write_text(json.dumps(_line("parent", 7, 1.0, 0.1, workload="train")) + "\n")
+    for _ in range(2):
+        pairs.run_pairs(dirs, "gradcheck", 2, 0.1, out)
+    lines = [json.loads(line) for line in out.read_text().splitlines()][1:]
+    assert [(r["pair"], r["seed"], r["tree"]) for r in lines] == [
+        (1, 1, "parent"), (1, 1, "change"), (2, 2, "change"), (2, 2, "parent"),
+        (3, 3, "parent"), (3, 3, "change"), (4, 4, "change"), (4, 4, "parent")]
+    assert all(r["metrics"]["ops_per_s"]["value"] == r["seed"] + 0.5 * (r["tree"] == "change")
+               for r in lines)
+    (ops,) = pairs.summarize(lines, METRICS)      # the stub reports no setup_s
+    assert (ops["pairs"], ops["change_wins"], ops["parent_median"]) == (4, 4, 2.5)
+    assert pairs.next_pair(out, "gradcheck") == 5 and pairs.next_pair(out, "train") == 8
 
 
 def test_run_once_records_the_childs_faults_and_system_cpu(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import tripledet.pseudo_gt as pgt
 from _oracles import exhaustive_filter, random_detections
-from tripledet.boxes import Detection
+from tripledet.boxes import Detection, iou_matrix
 from tripledet.detector import DetectorConfig, detect, forward_features, new_model
 from tripledet.pseudo_gt import Thresholds, build_training_targets, generate_pseudo_gt
 
@@ -42,6 +42,16 @@ def test_overlapping_pseudo_box_removed(monkeypatch):
     gt = [(0, 0, 10, 5)]           # IoU 0.5 > 0.3
     assert filter_through_generate(monkeypatch, [box], gt, 0.3) == []
     assert exhaustive_filter([box], gt, 0.3) == []
+
+
+def test_pseudo_box_at_exactly_theta_iou_kept(monkeypatch):
+    """The filter keeps IoU at most theta_iou: (0,0,10,10) against
+    (0,0,10,3) is exactly the double 0.3, kept at theta_iou = 0.3, and a
+    new-class box a little taller, at IoU 0.3001, drops it."""
+    box = Detection((0, 0, 10, 10), 1, 0.8)
+    assert iou_matrix([box.bbox], np.array([[0, 0, 10, 3]])).item().hex() == (0.3).hex()
+    assert filter_through_generate(monkeypatch, [box], [(0, 0, 10, 3)], 0.3) == [box]
+    assert filter_through_generate(monkeypatch, [box], [(0, 0, 10, 3.001)], 0.3) == []
 
 
 def test_filter_matches_exhaustive_oracle(monkeypatch):

@@ -63,9 +63,9 @@ def test_every_op_on_the_total_loss_tape_reaches_the_loss():
     n = len(base)
     live = {tape.slots[id(out)]}
     for k in reversed(range(len(tape.entries))):
-        _, _, _, refs, kwrefs = tape.entries[k]
+        _, _, refs = tape.entries[k]
         if n + k in live:
-            live.update(slot for _, slot in refs + kwrefs)
+            live.update(slot for _, slot in refs)
     dead = [(k, entry[0].__name__) for k, entry in enumerate(tape.entries) if n + k not in live]
     assert len(tape.entries) > 100 and dead == []
 

@@ -6,8 +6,10 @@ throwaway loop per performance change.
 runs `perfbench/run.py --workload W --seed S --seconds T --trace 0` in each
 checkout, each run in a fresh process started from that checkout's root,
 for N pairs, with T the `run_seconds` of this repository's `BENCHMARK.json`.
-Pair i uses seed i (1, 2, ...) on both trees; odd pairs run the parent first
-and even pairs the change first.
+The pairs are numbered on from the highest pair FILE already holds for W
+(from 1 when it holds none), so a second invocation that appends to the same
+FILE adds pairs and seeds instead of repeating them. Pair i uses seed i on
+both trees; odd pairs run the parent first and even pairs the change first.
 
 Every run appends one JSON line to FILE as soon as it ends: its tree, pair,
 seed, order (1 or 2 within the pair), exit code, the process's minor page
@@ -61,11 +63,20 @@ def run_once(tree_dir: Path, workload: str, seed: int, seconds: float) -> dict:
     return {**run, **result}
 
 
+def next_pair(out: Path, workload: str) -> int:
+    """One past the highest pair `out` holds for `workload`; 1 when it holds none."""
+    if not out.exists():
+        return 1
+    records = [json.loads(line) for line in out.read_text().splitlines() if line.strip()]
+    return 1 + max((r["pair"] for r in records if r["workload"] == workload), default=0)
+
+
 def run_pairs(dirs: dict[str, Path], workload: str, pairs: int, seconds: float,
               out: Path) -> list[dict]:
     records = []
+    first = next_pair(out, workload)
     with open(out, "a") as f:
-        for pair in range(1, pairs + 1):
+        for pair in range(first, first + pairs):
             order = TREES if pair % 2 else TREES[::-1]
             for position, tree in enumerate(order, start=1):
                 record = {"workload": workload, "tree": tree, "pair": pair, "seed": pair,
