@@ -2,11 +2,12 @@
 
 Every operation builds an implicit value graph: a non-leaf Tensor records its
 op kind and parent tensors together with a closure that pushes gradients to
-the parents. ``Tensor.backward()`` topologically orders the reachable graph
-and runs the closures once each, so calling it twice on the same graph yields
-identical gradients. An interior node's gradient lives from its first
-contribution until its own closure has run; only leaf and root gradients
-survive the pass.
+the parents, and the kernel and arguments that compute its value, which
+``grad_check`` replays. ``Tensor.backward()`` topologically orders the
+reachable graph and runs the closures once each, so calling it twice on the
+same graph yields identical gradients. An interior node's gradient lives
+from its first contribution until its own closure has run; only leaf and
+root gradients survive the pass.
 
 Numerical conventions used throughout:
   * all data is float64,
@@ -19,9 +20,6 @@ Numerical conventions used throughout:
 
 from __future__ import annotations
 
-import functools
-import inspect
-from contextvars import ContextVar
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -42,7 +40,8 @@ class GradCheckError(RuntimeError):
 class Tensor:
     """A float64 array plus an optional gradient and graph linkage."""
 
-    __slots__ = ("data", "requires_grad", "grad", "op", "parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "op", "parents", "_backward", "_kernel",
+                 "_args")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -51,6 +50,8 @@ class Tensor:
         self.op: str = "leaf"
         self.parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
+        self._kernel: Callable[..., np.ndarray] | None = None
+        self._args: tuple = ()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -129,7 +130,11 @@ def topo_order(root: Tensor) -> list[Tensor]:
 
 
 def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
-          backward: Callable[[np.ndarray], None] | None) -> Tensor:
+          backward: Callable[[np.ndarray], None] | None,
+          kernel: Callable[..., np.ndarray], args: tuple) -> Tensor:
+    """The output of op `op`, whose value `data` is `kernel(*args)` with each
+    Tensor in `args` replaced by its array. Only an output that needs a
+    gradient keeps its parents, backward closure, kernel and arguments."""
     out = Tensor.__new__(Tensor)
     out.data = np.asarray(data, dtype=np.float64)
     out.grad = None
@@ -139,10 +144,14 @@ def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
             out.requires_grad = True
             out.parents = parents
             out._backward = backward
+            out._kernel = kernel
+            out._args = args
             return out
     out.requires_grad = False
     out.parents = ()
     out._backward = None
+    out._kernel = None
+    out._args = ()
     return out
 
 
@@ -174,95 +183,8 @@ def _broadcast_error(kind: str, a: Tensor, b: Tensor) -> ShapeError:
     return ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not broadcast")
 
 
-# -- grad_check's base-point tape ----------------------------------------------
-
-class _Tape:
-    """The op calls of one `grad_check` base-point evaluation, in call order.
-
-    Slot `i` names input `i` of `f`, and slot `len(inputs) + k` the output of
-    entry `k`. An entry holds the op's kernel, the op's arguments by position
-    with every Tensor replaced by its array, and the (position, slot) of each
-    Tensor argument that has a slot; any other Tensor's array is a constant
-    of `f`.
-    """
-
-    __slots__ = ("slots", "inputs", "outputs", "entries")
-
-    def __init__(self, inputs: list[Tensor]):
-        self.slots = {id(t): i for i, t in enumerate(inputs)}
-        # both lists keep every slotted Tensor, and so its id, alive
-        self.inputs = inputs
-        self.outputs: list[Tensor] = []
-        self.entries: list[tuple] = []
-
-    def call(self, op: Callable, kernel: Callable, params: tuple[inspect.Parameter, ...],
-             args: tuple, kwargs: dict) -> Tensor:
-        out = op(*args, **kwargs)
-        args += tuple(kwargs.get(p.name, p.default) for p in params[len(args):])
-        slots = self.slots
-        refs = tuple((j, slots[id(a)]) for j, a in enumerate(args)
-                     if isinstance(a, Tensor) and id(a) in slots)
-        # every probe that does not move this output's inputs reads it
-        out.data.flags.writeable = False
-        self.entries.append(
-            (kernel, tuple(a.data if isinstance(a, Tensor) else a for a in args), refs))
-        slots[id(out)] = len(self.inputs) + len(self.outputs)
-        self.outputs.append(out)
-        return out
-
-    def downstream(self, source: int) -> list[tuple]:
-        """The entries that read slot `source`, directly or through another
-        such entry, in tape order, each with the arguments a replay
-        substitutes."""
-        n = len(self.inputs)
-        moved = {source}
-        steps = []
-        for k, (kernel, args, refs) in enumerate(self.entries):
-            sub = tuple(r for r in refs if r[1] in moved)
-            if sub:
-                moved.add(n + k)
-                steps.append((n + k, kernel, list(args), sub))
-        return steps
-
-
-def _replay(steps: list[tuple], source: int, moved: np.ndarray) -> dict[int, np.ndarray]:
-    """Slot `source` holding the array `moved`, and the values of `steps`'
-    kernels re-run on it and on the tape's other arrays, by slot."""
-    vals = {source: moved}
-    for slot, kernel, args, sub in steps:
-        for j, s in sub:
-            args[j] = vals[s]
-        vals[slot] = kernel(*args)
-    return vals
-
-
-_TAPE: ContextVar[_Tape | None] = ContextVar("grad_check_tape", default=None)
-
-
-def _reusable(kernel: Callable[..., np.ndarray]
-              ) -> Callable[[Callable[..., Tensor]], Callable[..., Tensor]]:
-    """Decorate an op whose value is `kernel` applied to the op's arguments,
-    each Tensor replaced by its array and every parameter passed by
-    position. A call records the op's kernel and arrays on the tape of the
-    `grad_check` base-point evaluation running in this context, if any."""
-    def wrap(op: Callable[..., Tensor]) -> Callable[..., Tensor]:
-        params = tuple(inspect.signature(op).parameters.values())
-
-        @functools.wraps(op)
-        def call(*args, **kwargs):
-            tape = _TAPE.get()
-            if tape is None:
-                return op(*args, **kwargs)
-            return tape.call(op, kernel, params, args, kwargs)
-
-        return call
-
-    return wrap
-
-
 # -- elementwise arithmetic ------------------------------------------------
 
-@_reusable(np.add)
 def add(a: Tensor, b: Tensor) -> Tensor:
     try:
         val = np.add(a.data, b.data)
@@ -273,10 +195,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(g, b.shape))
 
-    return _make(val, "add", (a, b), bw)
+    return _make(val, "add", (a, b), bw, np.add, (a, b))
 
 
-@_reusable(np.subtract)
 def subtract(a: Tensor, b: Tensor) -> Tensor:
     try:
         val = np.subtract(a.data, b.data)
@@ -287,10 +208,9 @@ def subtract(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(-g, b.shape))
 
-    return _make(val, "subtract", (a, b), bw)
+    return _make(val, "subtract", (a, b), bw, np.subtract, (a, b))
 
 
-@_reusable(np.multiply)
 def multiply(a: Tensor, b: Tensor) -> Tensor:
     try:
         val = np.multiply(a.data, b.data)
@@ -301,10 +221,9 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(g * b.data, a.shape))
         _accum(b, _unbroadcast(g * a.data, b.shape))
 
-    return _make(val, "multiply", (a, b), bw)
+    return _make(val, "multiply", (a, b), bw, np.multiply, (a, b))
 
 
-@_reusable(np.true_divide)
 def divide(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise a/b; callers keep |b| bounded away from zero."""
     try:
@@ -316,12 +235,11 @@ def divide(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(g / b.data, a.shape))
         _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
-    return _make(val, "divide", (a, b), bw)
+    return _make(val, "divide", (a, b), bw, np.true_divide, (a, b))
 
 
 # -- linear algebra --------------------------------------------------------
 
-@_reusable(np.matmul)
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
@@ -330,14 +248,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, g @ b.data.T)
         _accum(b, a.data.T @ g)
 
-    return _make(np.matmul(a.data, b.data), "matmul", (a, b), bw)
+    return _make(np.matmul(a.data, b.data), "matmul", (a, b), bw, np.matmul, (a, b))
 
 
 def _gram(m: np.ndarray) -> np.ndarray:
     return m @ m.T
 
 
-@_reusable(_gram)
 def gram(m: Tensor) -> Tensor:
     """M @ M.T for a 2-D tensor."""
     if m.data.ndim != 2:
@@ -346,12 +263,11 @@ def gram(m: Tensor) -> Tensor:
     def bw(g):
         _accum(m, (g + g.T) @ m.data)
 
-    return _make(_gram(m.data), "gram", (m,), bw)
+    return _make(_gram(m.data), "gram", (m,), bw, _gram, (m,))
 
 
 # -- reductions ------------------------------------------------------------
 
-@_reusable(np.add.reduce)
 def tsum(x: Tensor, axis: int | None = None) -> Tensor:
     def bw(g):
         if axis is None:
@@ -359,7 +275,7 @@ def tsum(x: Tensor, axis: int | None = None) -> Tensor:
         else:
             _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.shape))
 
-    return _make(np.add.reduce(x.data, axis), "sum", (x,), bw)
+    return _make(np.add.reduce(x.data, axis), "sum", (x,), bw, np.add.reduce, (x, axis))
 
 
 def _mean(x: np.ndarray, axis: int | None) -> np.ndarray:
@@ -368,7 +284,6 @@ def _mean(x: np.ndarray, axis: int | None) -> np.ndarray:
     return np.add.reduce(x, axis) / (x.size if axis is None else x.shape[axis])
 
 
-@_reusable(_mean)
 def tmean(x: Tensor, axis: int | None = None) -> Tensor:
     n = x.data.size if axis is None else x.shape[axis]
 
@@ -378,14 +293,13 @@ def tmean(x: Tensor, axis: int | None = None) -> Tensor:
         else:
             _accum(x, np.broadcast_to(np.expand_dims(g, axis) / n, x.shape))
 
-    return _make(_mean(x.data, axis), "mean", (x,), bw)
+    return _make(_mean(x.data, axis), "mean", (x,), bw, _mean, (x, axis))
 
 
 def _frobenius_norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt((x * x).sum() + EPS)
 
 
-@_reusable(_frobenius_norm)
 def frobenius_norm(x: Tensor) -> Tensor:
     """sqrt(sum(x^2) + 1e-12); the epsilon keeps the all-zeros gradient finite."""
     val = _frobenius_norm(x.data)
@@ -393,7 +307,7 @@ def frobenius_norm(x: Tensor) -> Tensor:
     def bw(g):
         _accum(x, g * x.data / val)
 
-    return _make(val, "frobenius_norm", (x,), bw)
+    return _make(val, "frobenius_norm", (x,), bw, _frobenius_norm, (x,))
 
 
 # -- elementwise nonlinearities ---------------------------------------------
@@ -404,7 +318,6 @@ def _relu(x: np.ndarray) -> np.ndarray:
     return out
 
 
-@_reusable(_relu)
 def relu(x: Tensor) -> Tensor:
     """max(x, 0) with NaN, -inf and -0.0 all mapped to +0.0: `fmax` returns
     the 0.0 for a NaN, and adding +0.0 turns a -0.0 into +0.0 and leaves
@@ -412,25 +325,23 @@ def relu(x: Tensor) -> Tensor:
     def bw(g):
         _accum(x, g * (x.data > 0))
 
-    return _make(_relu(x.data), "relu", (x,), bw)
+    return _make(_relu(x.data), "relu", (x,), bw, _relu, (x,))
 
 
-@_reusable(np.abs)
 def tabs(x: Tensor) -> Tensor:
     sign = np.sign(x.data)
 
     def bw(g):
         _accum(x, g * sign)
 
-    return _make(np.abs(x.data), "abs", (x,), bw)
+    return _make(np.abs(x.data), "abs", (x,), bw, np.abs, (x,))
 
 
-@_reusable(np.square)
 def square(x: Tensor) -> Tensor:
     def bw(g):
         _accum(x, 2.0 * g * x.data)
 
-    return _make(np.square(x.data), "square", (x,), bw)
+    return _make(np.square(x.data), "square", (x,), bw, np.square, (x,))
 
 
 def _smooth_l1_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -443,7 +354,6 @@ def _smooth_l1(x: np.ndarray) -> np.ndarray:
     return _smooth_l1_parts(x)[0]
 
 
-@_reusable(_smooth_l1)
 def smooth_l1(x: Tensor) -> Tensor:
     """Elementwise 0.5 x^2 for |x|<1, |x|-0.5 otherwise."""
     val, inner = _smooth_l1_parts(x.data)
@@ -451,14 +361,13 @@ def smooth_l1(x: Tensor) -> Tensor:
     def bw(g):
         _accum(x, g * np.where(inner, x.data, np.sign(x.data)))
 
-    return _make(val, "smooth_l1", (x,), bw)
+    return _make(val, "smooth_l1", (x,), bw, _smooth_l1, (x,))
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-@_reusable(_softplus)
 def softplus(x: Tensor) -> Tensor:
     """log(1 + e^x), evaluated stably; derivative is sigmoid(x)."""
     def bw(g):
@@ -469,7 +378,7 @@ def softplus(x: Tensor) -> Tensor:
         sig[~pos] = expv / (1.0 + expv)
         _accum(x, g * sig)
 
-    return _make(_softplus(x.data), "softplus", (x,), bw)
+    return _make(_softplus(x.data), "softplus", (x,), bw, _softplus, (x,))
 
 
 # -- softmax family ----------------------------------------------------------
@@ -481,7 +390,6 @@ def _softmax(x: np.ndarray, index_range: tuple[int, int] | None) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-@_reusable(_softmax)
 def softmax(x: Tensor, index_range: tuple[int, int] | None = None) -> Tensor:
     """Softmax of each row of (n, C) logits, optionally over columns [lo, hi) only.
 
@@ -501,7 +409,7 @@ def softmax(x: Tensor, index_range: tuple[int, int] | None = None) -> Tensor:
         full[:, lo:hi] = (g - (g * val).sum(axis=1, keepdims=True)) * val
         _accum(x, full)
 
-    return _make(val, "softmax", (x,), bw)
+    return _make(val, "softmax", (x,), bw, _softmax, (x, index_range))
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
@@ -509,7 +417,6 @@ def _log_softmax(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-@_reusable(_log_softmax)
 def log_softmax(x: Tensor) -> Tensor:
     """Log-softmax of each row of (n, C) logits."""
     if x.data.ndim != 2:
@@ -519,17 +426,16 @@ def log_softmax(x: Tensor) -> Tensor:
     def bw(g):
         _accum(x, g - np.exp(val) * g.sum(axis=1, keepdims=True))
 
-    return _make(val, "log_softmax", (x,), bw)
+    return _make(val, "log_softmax", (x,), bw, _log_softmax, (x,))
 
 
 # -- shape ops ----------------------------------------------------------------
 
-@_reusable(np.reshape)
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     def bw(g):
         _accum(x, g.reshape(x.shape))
 
-    return _make(np.reshape(x.data, shape), "reshape", (x,), bw)
+    return _make(np.reshape(x.data, shape), "reshape", (x,), bw, np.reshape, (x, shape))
 
 
 # -- convolution / pooling -----------------------------------------------------
@@ -567,7 +473,6 @@ def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _conv2d_parts(x, w, b)[0]
 
 
-@_reusable(_conv2d)
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Stride-1 "same" convolution of a (cin,h,w) map with (cout,cin,k,k)
     kernels, k odd, zero-padded by k//2 so the output keeps the input's size,
@@ -604,7 +509,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                             gcols[:, ki, kj, r0:r1, c0:c1]
             _accum(x, gx)
 
-    return _make(out, "conv2d", (x, w, b), bw)
+    return _make(out, "conv2d", (x, w, b), bw, _conv2d, (x, w, b))
 
 
 def _max_pool2_parts(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
@@ -633,7 +538,6 @@ def _max_pool2(x: np.ndarray) -> np.ndarray:
     return _max_pool2_parts(x)[0]
 
 
-@_reusable(_max_pool2)
 def max_pool2(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2; ties go to the first window cell.
 
@@ -655,30 +559,24 @@ def max_pool2(x: Tensor) -> Tensor:
             gx[:, i::2, j::2] = np.where(mask, g, 0.0)
         _accum(x, gx)
 
-    return _make(out, "max_pool2", (x,), bw)
+    return _make(out, "max_pool2", (x,), bw, _max_pool2, (x,))
 
 
-def _roi_pool_parts(features: np.ndarray, rois, size: int
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """roi_pool's value and the (n,P,1) row and (n,1,P) column indices of
-    the feature cells it samples."""
-    rois = np.asarray(rois, dtype=np.float64)
-    _, h, w = features.shape
+def _roi_samples(rois: np.ndarray, size: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (n,P,1) row and (n,1,P) column indices of the cells of an (h,w)
+    map that roi_pool samples for `rois`."""
     frac = (np.arange(size) + 0.5) / size
     xs = rois[:, 0:1] + frac[None, :] * (rois[:, 2:3] - rois[:, 0:1])  # (n,P)
     ys = rois[:, 1:2] + frac[None, :] * (rois[:, 3:4] - rois[:, 1:2])
     xi = np.clip(np.floor(xs), 0, w - 1).astype(np.intp)
     yi = np.clip(np.floor(ys), 0, h - 1).astype(np.intp)
-    yy = yi[:, :, None]                     # (n,P,1) row index per output row
-    xx = xi[:, None, :]                     # (n,1,P) col index per output col
-    return features[:, yy, xx].transpose(1, 0, 2, 3), yy, xx  # (n,c,P,P)
+    return yi[:, :, None], xi[:, None, :]
 
 
-def _roi_pool(features: np.ndarray, rois, size: int) -> np.ndarray:
-    return _roi_pool_parts(features, rois, size)[0]
+def _roi_gather(features: np.ndarray, yy: np.ndarray, xx: np.ndarray) -> np.ndarray:
+    return features[:, yy, xx].transpose(1, 0, 2, 3)  # (n,c,P,P)
 
 
-@_reusable(_roi_pool)
 def roi_pool(features: Tensor, rois: np.ndarray, size: int) -> Tensor:
     """Nearest-neighbor grid pooling of (c,h,w) features into (n,c,P,P).
 
@@ -693,7 +591,7 @@ def roi_pool(features: Tensor, rois: np.ndarray, size: int) -> Tensor:
     if features.data.ndim != 3 or rois.ndim != 2 or rois.shape[1] != 4:
         raise ShapeError(f"roi_pool: bad shapes features={features.shape}, rois={rois.shape}")
     c, h, w = features.shape
-    out, yy, xx = _roi_pool_parts(features.data, rois, size)
+    yy, xx = _roi_samples(rois, size, h, w)
 
     def bw(g):
         # flat (channel, cell) index of each (channel, sample) in C order, so
@@ -702,28 +600,56 @@ def roi_pool(features: Tensor, rois: np.ndarray, size: int) -> Tensor:
         gt = g.transpose(1, 0, 2, 3).reshape(-1)
         _accum(features, np.bincount(idx, weights=gt, minlength=c * h * w).reshape(c, h, w))
 
-    return _make(out, "roi_pool", (features,), bw)
+    return _make(_roi_gather(features.data, yy, xx), "roi_pool", (features,), bw,
+                 _roi_gather, (features, yy, xx))
 
 
 # -- gradient checking --------------------------------------------------------
 
-def _probes(f: Callable[..., Tensor],
-            arrays: list[np.ndarray]) -> Iterator[tuple[int, int, float, float]]:
+def _downstream(nodes: list[Tensor], source: Tensor) -> list[tuple]:
+    """The op nodes among `nodes`, parents first, that read `source`,
+    directly or through another such node. A step holds the node's id, its
+    kernel, its arguments with every Tensor replaced by its array, and the
+    (position, node id) of each argument a replay substitutes."""
+    moved = {id(source)}
+    steps = []
+    for node in nodes:
+        # live objects have distinct ids, so no other argument matches a moved id
+        sub = tuple((j, id(a)) for j, a in enumerate(node._args) if id(a) in moved)
+        if sub:
+            moved.add(id(node))
+            steps.append((id(node), node._kernel,
+                          [a.data if isinstance(a, Tensor) else a for a in node._args], sub))
+    return steps
+
+
+def _replay(steps: list[tuple], source: int, moved: np.ndarray) -> dict[int, np.ndarray]:
+    """Node `source` holding the array `moved`, and the values of `steps`'
+    kernels re-run on it and on the graph's other arrays, by node id."""
+    vals = {source: moved}
+    for key, kernel, args, sub in steps:
+        for j, s in sub:
+            args[j] = vals[s]
+        vals[key] = kernel(*args)
+    return vals
+
+
+def _probes(f: Callable[..., Tensor], inputs: list[Tensor],
+            out: Tensor) -> Iterator[tuple[int, int, float, float]]:
     """`(input, coordinate, f_plus, f_minus)` of every central-difference
-    probe of `f` about the C-contiguous float64 `arrays`, input by input and
-    coordinate by coordinate. A probe moves one entry of `arrays` in place
-    and restores it before the probe is yielded. See `grad_check`."""
-    base = [Tensor(a.copy()) for a in arrays]
-    tape = _Tape(base)
-    token = _TAPE.set(tape)
-    try:
-        out = f(*base)
-    finally:
-        _TAPE.reset(token)
+    probe of `f` about its C-contiguous float64 `inputs`, input by input and
+    coordinate by coordinate; `out` is `f(*inputs)`. A probe moves one entry
+    of a copy of the inputs' arrays and restores it before the probe is
+    yielded. See `grad_check`."""
+    arrays = [t.data.copy() for t in inputs]
     base_value = out.item()
-    root = tape.slots.get(id(out))
+    nodes = [node for node in topo_order(out) if node.op != "leaf"]
+    for node in nodes:
+        # every probe that does not move this output's inputs reads it
+        node.data.flags.writeable = False
+    root = id(out)
     for ti, a in enumerate(arrays):
-        steps = tape.downstream(ti)
+        steps = _downstream(nodes, inputs[ti])
         flat = a.reshape(-1)
         for ci in range(flat.size):
             orig = flat[ci]
@@ -731,14 +657,14 @@ def _probes(f: Callable[..., Tensor],
             try:
                 for x in (orig + FD_STEP, orig - FD_STEP):
                     flat[ci] = x
-                    vals = _replay(steps, ti, a.copy())
+                    vals = _replay(steps, id(inputs[ti]), a.copy())
                     value = vals[root].item() if root in vals else base_value
                     if ci == 0:
                         full = f(*[Tensor(b.copy()) for b in arrays]).item()
                         if full.hex() != value.hex():
                             raise GradCheckError(
                                 f"input {ti}: f evaluated in full gives {full.hex()} at its "
-                                f"first probe, its replayed tape {value.hex()}; f's op "
+                                f"first probe, its replayed graph {value.hex()}; f's op "
                                 "sequence or a non-Tensor op argument depends on input values")
                     values.append(value)
             finally:
@@ -757,40 +683,33 @@ def grad_check(f: Callable[..., Tensor], points: Sequence[np.ndarray]) -> float:
     op, do not depend on its inputs' values. In particular, `f` builds no
     leaf and no array from an input's `.data`, nor from an op output's.
 
-    After the analytic pass, one more evaluation of `f` without gradients
-    records each op call on a tape: the op's kernel, the one array function
-    that computes its value, and the arrays of its arguments. A probe moves
-    one coordinate of one input and does not call `f`: it re-runs, in tape
-    order, only the kernels downstream of that input, on plain arrays, and
-    takes every other op's output from the tape. No Tensor or backward
-    closure is built. Under the contract every probe value is the one a full
-    evaluation of `f` gives, byte for byte. A guard enforces it: the first
-    probe of each input also evaluates `f` in full, and a value whose bytes
-    differ from the replay's raises GradCheckError naming the input. Taped
-    outputs are read-only, since every probe may read them. The tape is
-    dropped before grad_check returns or raises, and a grad_check inside `f`
-    records nothing on the outer one.
+    Every op node that needs a gradient keeps its kernel, the one array
+    function that computes its value, and its arguments. A probe moves one
+    coordinate of one input and does not call `f`: it re-runs, parents
+    first, only the kernels of the analytic pass's graph downstream of that
+    input, on plain arrays, and takes every other op's output from the
+    graph. No Tensor or backward closure is built. Under the contract every
+    probe value is the one a full evaluation of `f` gives, byte for byte. A
+    guard enforces it: the first probe of each input also evaluates `f` in
+    full, and a value whose bytes differ from the replay's raises
+    GradCheckError naming the input. The graph's op outputs are read-only,
+    since every probe may read them.
     """
-    arrays = [np.array(p, dtype=np.float64, order="C") for p in points]
-    outer = _TAPE.set(None)
-    try:
-        tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-        out = f(*tensors)
-        out.backward()
-        analytic = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
-        for ti, grad in enumerate(analytic):
-            bad = np.flatnonzero(~np.isfinite(grad))
-            if bad.size:
-                raise GradCheckError(
-                    f"non-finite analytic gradient at input {ti}, coordinate {bad[0]}")
-        worst = 0.0
-        for ti, ci, f_plus, f_minus in _probes(f, arrays):
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise GradCheckError(f"non-finite value at input {ti}, coordinate {ci}")
-            numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
-            analytic_c = analytic[ti].reshape(-1)[ci]
-            err = abs(analytic_c - numeric) / max(1.0, abs(analytic_c), abs(numeric))
-            worst = max(worst, err)
-    finally:
-        _TAPE.reset(outer)
+    tensors = [Tensor(np.array(p, dtype=np.float64, order="C"), requires_grad=True)
+               for p in points]
+    out = f(*tensors)
+    out.backward()
+    analytic = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
+    for ti, grad in enumerate(analytic):
+        bad = np.flatnonzero(~np.isfinite(grad))
+        if bad.size:
+            raise GradCheckError(f"non-finite analytic gradient at input {ti}, coordinate {bad[0]}")
+    worst = 0.0
+    for ti, ci, f_plus, f_minus in _probes(f, tensors, out):
+        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+            raise GradCheckError(f"non-finite value at input {ti}, coordinate {ci}")
+        numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
+        analytic_c = analytic[ti].reshape(-1)[ci]
+        err = abs(analytic_c - numeric) / max(1.0, abs(analytic_c), abs(numeric))
+        worst = max(worst, err)
     return worst

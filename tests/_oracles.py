@@ -89,6 +89,12 @@ def loop_nms_indices(boxes, scores, iou_thresh, max_keep=None):
     return keep
 
 
+def kernel_of(op, tensors):
+    """`op` as a `_make` kernel: its value, with its first `tensors`
+    arguments given as arrays."""
+    return lambda *args: op(*map(Tensor, args[:tensors]), *args[tensors:]).data
+
+
 def zero_fill_accum(t, g):
     """`autodiff._accum` adding every contribution, the first one included,
     into a buffer that starts zero-filled."""
@@ -124,7 +130,7 @@ def argmax_max_pool2(x):
         gx = gwin.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
         zero_fill_accum(x, gx)
 
-    return ad._make(out, "max_pool2", (x,), bw)
+    return ad._make(out, "max_pool2", (x,), bw, kernel_of(argmax_max_pool2, 1), (x,))
 
 
 def fancy_clip_boxes(boxes, width, height):
@@ -142,7 +148,8 @@ def where_relu(x):
     def bw(g):
         ad._accum(x, g * mask)
 
-    return ad._make(np.where(mask, x.data, 0.0), "relu", (x,), bw)
+    return ad._make(np.where(mask, x.data, 0.0), "relu", (x,), bw, kernel_of(where_relu, 1),
+                    (x,))
 
 
 def where_max_pool2(x):
@@ -162,7 +169,7 @@ def where_max_pool2(x):
             gx[:, i::2, j::2] = np.where(mask, g, 0.0)
         ad._accum(x, gx)
 
-    return ad._make(out, "max_pool2", (x,), bw)
+    return ad._make(out, "max_pool2", (x,), bw, kernel_of(where_max_pool2, 1), (x,))
 
 
 def add_at_roi_pool(features, rois, size):
@@ -185,7 +192,8 @@ def add_at_roi_pool(features, rois, size):
         np.add.at(gf, (slice(None), yy_b, xx_b), gt)
         ad._accum(features, gf)
 
-    return ad._make(out, "roi_pool", (features,), bw)
+    return ad._make(out, "roi_pool", (features,), bw, kernel_of(add_at_roi_pool, 1),
+                    (features, rois, size))
 
 
 def np_pad_conv2d(x, w):
@@ -210,7 +218,7 @@ def np_pad_conv2d(x, w):
                     gxp[:, ki:ki + h, kj:kj + wd] += gcols[:, ki, kj]
             zero_fill_accum(x, gxp[:, pad:pad + h, pad:pad + wd] if pad else gxp)
 
-    return ad._make(out, "conv2d", (x, w), bw)
+    return ad._make(out, "conv2d", (x, w), bw, kernel_of(np_pad_conv2d, 2), (x, w))
 
 
 # -- detector steps, as per-class and per-target loops --------------------------
@@ -508,8 +516,9 @@ def assert_probes_exact(f, points):
     return the same error."""
     want = []
     want_worst = full_evaluation_grad_check(f, points, want)
-    arrays = [np.array(p, dtype=np.float64, order="C") for p in points]
-    seen = list(ad._probes(f, arrays))
+    tensors = [Tensor(np.array(p, dtype=np.float64, order="C"), requires_grad=True)
+               for p in points]
+    seen = list(ad._probes(f, tensors, f(*tensors)))
 
     def hexed(probes):
         return [(ti, ci, p.hex(), m.hex()) for ti, ci, p, m in probes]

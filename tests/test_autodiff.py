@@ -513,32 +513,27 @@ def test_grad_check_probes_equal_full_evaluations_bytes(kind, builder):
         assert_probes_exact(f, points)
 
 
-def test_grad_check_tape_lives_only_in_the_base_point_evaluation():
-    """No tape during the analytic pass or the guard's full evaluations, one
-    during the base-point evaluation, and none after a return, any
-    GradCheckError, or `f` raising at the base point or in a guard."""
+def test_grad_check_calls_f_for_the_analytic_pass_and_the_guard_only():
+    """`f` runs for the analytic pass and the two evaluations of each input's
+    first probe, and nothing else. A non-finite probe value or analytic
+    gradient, a broken contract, and `f` raising in any of its evaluations
+    all reach the caller."""
     seen = []
 
     def f(t):
-        seen.append(ad._TAPE.get())
+        seen.append(t.requires_grad)
         return ad.tsum(t * t * t)
 
-    ad.grad_check(f, [np.array([2.0])])
-    # the analytic pass, the base point, and the first probe's two guard evaluations
-    assert len(seen) == 4 and seen[1] is not None
-    assert seen[0] is seen[2] is seen[3] is None
-    assert ad._TAPE.get() is None
+    ad.grad_check(f, [np.array([2.0, -1.0])])
+    assert seen == [True, False, False]
     with np.errstate(divide="ignore"), pytest.raises(GradCheckError, match="non-finite value"):
         ad.grad_check(lambda t: ad.tsum(ad.divide(Tensor([1.0]), t)), [np.array([ad.FD_STEP])])
-    assert ad._TAPE.get() is None
     with np.errstate(invalid="ignore"), pytest.raises(GradCheckError, match="analytic"):
         ad.grad_check(lambda t: ad.tsum(ad.relu(ad.multiply(t, Tensor([-np.inf])))),
                       [np.array([1.0])])
-    assert ad._TAPE.get() is None
     with pytest.raises(GradCheckError, match="^input 0: "):
         ad.grad_check(lambda t: ad.tsum(Tensor(t.data) * t), [np.array([1.0])])
-    assert ad._TAPE.get() is None
-    for failing_call in (2, 3):         # the base point, then a guard
+    for failing_call in (1, 2, 3):         # the analytic pass, then the guard's two
         calls = []
 
         def fails(t):
@@ -549,49 +544,42 @@ def test_grad_check_tape_lives_only_in_the_base_point_evaluation():
 
         with pytest.raises(ShapeError, match="raised by f"):
             ad.grad_check(fails, [np.array([1.0])])
-        assert ad._TAPE.get() is None
+        assert len(calls) == failing_call
 
 
-def test_grad_check_probes_replay_the_tape_without_calling_f():
-    """`f` runs for the analytic pass, the base point and each input's first
-    probe only. The taped outputs are read-only; a guard's evaluation, and a
-    call after grad_check, compute fresh ones."""
+def test_grad_check_probes_replay_the_analytic_graph_without_calling_f():
+    """Probes read the analytic pass's op outputs, which are read-only after
+    it, while its leaves stay writable; a guard's evaluation, and a call
+    after grad_check, compute fresh, writable outputs."""
     const = np.array([1.5, -0.5])
     outs = []
 
     def f(t):
+        leaf = Tensor(const, requires_grad=True)
         plain = ad.square(Tensor(const))
-        tracked = ad.square(Tensor(const, requires_grad=True))
-        outs.append((plain, tracked))
+        tracked = ad.square(leaf)
+        outs.append((t, leaf, plain, tracked))
         return ad.tsum(t * plain) + ad.tsum(tracked)
 
     ad.grad_check(f, [np.array([0.3, 0.7])])
-    assert len(outs) == 4
-    taped = outs[1][0]
-    assert not taped.data.flags.writeable       # every probe may read it
-    assert all(plain.data.flags.writeable for plain, _ in (outs[0], *outs[2:]))
-    assert all(tracked.requires_grad and tracked.parents for _, tracked in outs)
+    assert len(outs) == 3
+    t, leaf, plain, tracked = outs[0]
+    assert t.data.flags.writeable and leaf.data.flags.writeable
+    assert not plain.data.flags.writeable and not tracked.data.flags.writeable
+    assert all(out.data.flags.writeable for guard in outs[1:] for out in guard)
+    assert all(tracked.requires_grad and tracked.parents for *_, tracked in outs)
     after = ad.square(Tensor(const))
-    assert after.data.flags.writeable and np.array_equal(after.data, taped.data)
+    assert after.data.flags.writeable and np.array_equal(after.data, plain.data)
 
 
-def test_nested_grad_check_records_nothing_on_the_outer_tape():
-    """A grad_check inside `f` leaves the outer tape in place and puts none
-    of its own ops on it, and the outer error is the full evaluations'."""
-    seen = []
-
+def test_nested_grad_check_probes_exactly():
+    """A grad_check inside `f` leaves the outer one's probes and error those
+    of full evaluations."""
     def outer(t):
-        before = ad._TAPE.get()
         assert ad.grad_check(lambda u: ad.tsum(u * u), [np.array([1.0, 2.0])]) < 1e-6
-        after = ad._TAPE.get()
-        seen.append((before, after, None if after is None else len(after.entries)))
         return ad.tsum(t * ad.square(Tensor([2.0])))
 
     assert_probes_exact(outer, [np.array([0.5, -1.5])])
-    assert all(before is after for before, after, _ in seen)
-    # one base point in ad._probes and one in ad.grad_check
-    assert [n for _, tape, n in seen if tape is not None] == [0, 0]
-    assert ad._TAPE.get() is None
 
 
 def test_grad_check_replays_list_and_keyword_arguments():
@@ -604,7 +592,7 @@ def test_grad_check_replays_list_and_keyword_arguments():
 
 
 def test_grad_check_replays_nothing_for_an_input_f_never_reads():
-    """A probe of an input no taped op reads re-runs no kernel and reads the
+    """A probe of an input no op of the graph reads re-runs no kernel and reads the
     base value, as a full evaluation would compute it."""
     calls = []
 
@@ -612,10 +600,9 @@ def test_grad_check_replays_nothing_for_an_input_f_never_reads():
         calls.append(x)
         return np.square(x)
 
-    @ad._reusable(counted_kernel)
     def counted_square(x):
         return ad._make(counted_kernel(x.data), "square", (x,),
-                        lambda g: ad._accum(x, 2.0 * g * x.data))
+                        lambda g: ad._accum(x, 2.0 * g * x.data), counted_kernel, (x,))
 
     const = Tensor([1.5, -0.5])
 
@@ -625,8 +612,8 @@ def test_grad_check_replays_nothing_for_an_input_f_never_reads():
     assert full_evaluation_grad_check(reads_nothing, [np.zeros(3)]) == 0.0
     calls.clear()
     assert ad.grad_check(reads_nothing, [np.zeros(3)]) == 0.0
-    # the analytic pass, the base point and the guard's two evaluations
-    assert len(calls) == 4
+    # the analytic pass and the guard's two evaluations
+    assert len(calls) == 3
 
     def reads_a(a, b):
         return ad.tsum(counted_square(a))
@@ -635,7 +622,7 @@ def test_grad_check_replays_nothing_for_an_input_f_never_reads():
     calls.clear()
     ad.grad_check(reads_a, points)
     # as above with b's two guard evaluations too, plus a's four kernel replays
-    assert len(calls) == 10
+    assert len(calls) == 9
     assert_probes_exact(reads_a, points)
 
 
@@ -671,7 +658,6 @@ def test_grad_check_guard_names_the_input_f_breaks_the_contract_on(f, points):
     finds it and names the input."""
     with pytest.raises(GradCheckError, match="^input 1: f evaluated in full gives"):
         ad.grad_check(f, points)
-    assert ad._TAPE.get() is None
 
 
 def test_grad_check_moves_every_coordinate_of_a_fortran_ordered_point():

@@ -153,6 +153,25 @@ def test_a_second_invocation_numbers_its_pairs_and_seeds_on(tmp_path):
     assert pairs.next_pair(out, "gradcheck") == 5 and pairs.next_pair(out, "train") == 8
 
 
+def test_a_second_invocation_summarizes_every_run_the_file_holds(tmp_path, capsys):
+    """The summary the second of two one-pair invocations prints covers
+    both pairs that its `--out` file holds for the workload, not only its
+    own; another workload's run in the file stays out of it."""
+    dirs = [_stub_tree(tmp_path / "p", 0), _stub_tree(tmp_path / "c", 0.5)]
+    out = tmp_path / "pairs.json"
+    out.write_text(json.dumps(_line("parent", 7, 1.0, 0.1, workload="train")) + "\n")
+    argv = [*map(str, dirs), "--workload", "gradcheck", "--pairs", "1", "--out", str(out)]
+    assert pairs.main(argv) == 0
+    capsys.readouterr()
+    assert pairs.main(argv) == 0
+    text = capsys.readouterr().out
+    (row,) = [line.split() for line in text.splitlines() if line.startswith("gradcheck ")
+              and line.split()[1] == "ops_per_s"]
+    # seeds 1 and 2: parent runs 1 and 2, change runs 1.5 and 2.5, both pairs won
+    assert (row[2], row[5], row[6]) == ("1.5", "2", "2/2")
+    assert "train" not in text
+
+
 def test_run_once_records_the_childs_faults_and_system_cpu(tmp_path):
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text(

@@ -47,27 +47,26 @@ def test_built_instance_probes_equal_full_evaluations_bytes(name):
     assert_probes_exact(*build(np.random.default_rng(6)))
 
 
-def test_every_op_on_the_total_loss_tape_reaches_the_loss():
-    """The triple-network loss computes nothing it does not use: walked back
-    from the root, the grad_check tape of a `total_loss` instance reaches
-    every op it recorded."""
+def test_every_op_of_the_total_loss_graph_reaches_the_loss(monkeypatch):
+    """The triple-network loss computes nothing it does not use: every op
+    output of a `total_loss` instance that needs a gradient is in the graph
+    grad_check replays, walked back from the root."""
     build, _ = SUITE["total_loss"]
     f, points = build(np.random.default_rng(6))
-    base = [Tensor(np.array(p, dtype=np.float64)) for p in points]
-    tape = ad._Tape(base)
-    token = ad._TAPE.set(tape)
-    try:
-        out = f(*base)
-    finally:
-        ad._TAPE.reset(token)
-    n = len(base)
-    live = {tape.slots[id(out)]}
-    for k in reversed(range(len(tape.entries))):
-        _, _, refs = tape.entries[k]
-        if n + k in live:
-            live.update(slot for _, slot in refs)
-    dead = [(k, entry[0].__name__) for k, entry in enumerate(tape.entries) if n + k not in live]
-    assert len(tape.entries) > 100 and dead == []
+    made = []
+    real_make = ad._make
+
+    def recording_make(*args):
+        out = real_make(*args)
+        made.append(out)
+        return out
+
+    monkeypatch.setattr(ad, "_make", recording_make)
+    out = f(*[Tensor(np.array(p, dtype=np.float64), requires_grad=True) for p in points])
+    graph = {id(node) for node in ad.topo_order(out)}
+    tracked = [t for t in made if t.requires_grad]
+    dead = [(k, t.op) for k, t in enumerate(tracked) if id(t) not in graph]
+    assert len(tracked) > 100 and dead == []
 
 
 def test_one_instance_of_every_suite_loss_passes():

@@ -26,8 +26,10 @@ parent run of its own pair. The host drifts over minutes, and the two runs
 of one pair share most of that drift, so the paired gain cancels most of it.
 `over bound` marks a change of the median worse than the metric's `bound`.
 Then each tree's median minor faults and system CPU per run, over the runs
-that recorded them, and the failed operations of each tree. Exit 0 when
-every run passed its correctness checks, 1 otherwise.
+that recorded them, and the failed operations of each tree. The summary
+covers every run of W that FILE holds, earlier invocations' included. Exit
+0 when every run of this invocation passed its correctness checks, 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -63,12 +65,17 @@ def run_once(tree_dir: Path, workload: str, seed: int, seconds: float) -> dict:
     return {**run, **result}
 
 
+def held(out: Path, workload: str) -> list[dict]:
+    """The runs of `workload` that `out` holds, in file order."""
+    if not out.exists():
+        return []
+    records = [json.loads(line) for line in out.read_text().splitlines() if line.strip()]
+    return [r for r in records if r["workload"] == workload]
+
+
 def next_pair(out: Path, workload: str) -> int:
     """One past the highest pair `out` holds for `workload`; 1 when it holds none."""
-    if not out.exists():
-        return 1
-    records = [json.loads(line) for line in out.read_text().splitlines() if line.strip()]
-    return 1 + max((r["pair"] for r in records if r["workload"] == workload), default=0)
+    return 1 + max((r["pair"] for r in held(out, workload)), default=0)
 
 
 def run_pairs(dirs: dict[str, Path], workload: str, pairs: int, seconds: float,
@@ -198,8 +205,8 @@ def main(argv=None) -> int:
             parser.error(f"{tree} has no perfbench/run.py")
     records = run_pairs({"parent": args.parent, "change": args.change}, args.workload,
                         args.pairs, bench["run_seconds"], args.out)
-    print(format_summary(summarize(records, bench["end_to_end"]), failures(records),
-                         usage(records)))
+    every = held(args.out, args.workload)
+    print(format_summary(summarize(every, bench["end_to_end"]), failures(every), usage(every)))
     return 0 if all(r.get("correct") for r in records) else 1
 
 

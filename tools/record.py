@@ -13,7 +13,9 @@ one directory:
   `secs` column) and gradcheck;
 - library calls: `detect` at three score floors on the stored old model,
   `frcnn_loss` and every parameter gradient on a few scenes, and a
-  2-instance `run_gradient_suite`.
+  2-instance `run_gradient_suite` at the suite's seed and at each of
+  `GRADIENT_SEEDS`. Each suite's errors are written as JSON floats, whose
+  shortest round-trip form differs whenever the float's bits differ.
 
 Each checkout records itself with its own copy of this tool (the library
 half calls that checkout's API), and two records made on one host are then
@@ -73,6 +75,7 @@ CLI_RUNS = [
 ]
 SCORE_FLOORS = (0.05, 0.3, 0.7)
 LIBRARY_SCENES = 8
+GRADIENT_SEEDS = (1, 2, 3)
 
 
 def _env() -> dict[str, str]:
@@ -147,6 +150,9 @@ def library_calls(out: Path) -> None:
         np.save(out / f"frcnn_loss_{i}.npy", np.concatenate([loss.data.reshape(1), *grads]))
     suite = run_gradient_suite(instances=2)
     (out / "gradient_suite.json").write_text(json.dumps(suite, indent=1))
+    for seed in GRADIENT_SEEDS:
+        suite = run_gradient_suite(2, seed)
+        (out / f"gradient_suite_seed{seed}.json").write_text(json.dumps(suite, indent=1))
 
 
 def record(out: Path) -> dict[str, str]:
